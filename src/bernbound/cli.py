@@ -364,17 +364,22 @@ def _solve_pair(spec: RunSpec, cache_dir=None) -> MapPair:
     if cache_dir:
         key = _pair_cache_key(spec.curve, spec.t, spec.tol_map, spec.m_map)
         path = os.path.join(cache_dir, key + ".json")
-        if os.path.exists(path):
+        try:
             with open(path, encoding="utf-8") as fh:
                 stored = json.load(fh)
             return MapPair(spec.curve, map_from_dict(stored["interior"]),
                            map_from_dict(stored["exterior"]))
+        except (OSError, ValueError, KeyError, TypeError):
+            pass  # a missing, torn or corrupt entry is a miss: solve afresh
     pair = solve_map_pair(spec.curve, u0, tol=spec.tol_map, m=spec.m_map)
     if path is not None:
+        # renaming a private temp file means no reader sees a partial entry
         os.makedirs(cache_dir, exist_ok=True)
-        with open(path, "w", encoding="utf-8") as fh:
+        tmp = f"{path}.{os.getpid()}.tmp"
+        with open(tmp, "w", encoding="utf-8") as fh:
             json.dump({"interior": map_to_dict(pair.interior),
                        "exterior": map_to_dict(pair.exterior)}, fh)
+        os.replace(tmp, path)
     return pair
 
 

@@ -22,7 +22,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .curves import (TWO_PI, AnalyticCurve, ArcOpenUp, BoundaryPoint,
-                     curve_derivative, eval_curve, is_infinite, rq_solve)
+                     _simplicity_margin, curve_derivative, eval_curve,
+                     is_infinite, rq_solve)
 from .errors import ArcError, MapError, MapInvertError
 
 _MARGIN_LADDER = tuple(0.02 * 1.25 ** j for j in range(22))
@@ -355,15 +356,6 @@ def normalize_at_anchor(raw: ConformalMap, u0: BoundaryPoint) -> ConformalMap:
                    anchor_deriv=complex(map_derivative(out, 1.0 + 0j)))
 
 
-def _sampled_injective(pts, floor):
-    m = len(pts)
-    skip = max(4, m // 16)
-    for off in range(skip, m - skip + 1):
-        if np.min(np.abs(pts - np.roll(pts, off))) < floor:
-            return False
-    return True
-
-
 def _measure_margin(cmap: ConformalMap, m: int = 512) -> float:
     """Largest ladder offset at which the analytically continued map still
     passes sampled univalence, derivative, and truncation checks; halved."""
@@ -387,7 +379,7 @@ def _measure_margin(cmap: ConformalMap, m: int = 512) -> float:
         if np.min(np.abs(der)) < 1e-10 * scale:
             break
         gaps = np.abs(np.diff(np.concatenate([pts, pts[:1]])))
-        if not _sampled_injective(pts, 1.5 * float(np.max(gaps))):
+        if not _simplicity_margin(pts, float(np.max(gaps))) >= 1.0:
             break
         best = d
     return best / 2.0
@@ -456,61 +448,74 @@ def solve_map_pair(curve: AnalyticCurve, u0: BoundaryPoint,
 # ---------------------------------------------------------------------------
 
 def map_invert(cmap: ConformalMap, u, tol: float = 1e-13):
-    """Preimage of u under Phi by damped Newton from boundary-sample guesses."""
-    if is_infinite(u):
+    """Preimage of u under Phi by damped Newton, elementwise for scalars or
+    arrays (a scalar in gives a scalar out; infinity maps to the exterior
+    pole).  Seeds, tried in turn until |Phi(v) - u| < tol (1 + |u|): the
+    linear seed (interior maps with s = 0), then the two nearest of 128
+    boundary samples.  A seed gets at most 80 steps, each halved down to
+    2^-12 until it lowers the residual and clamped radially into the
+    verified domain."""
+    uarr = np.asarray(u, dtype=complex)
+    out = uarr.ravel().copy()
+    inf = ~np.isfinite(out)
+    if np.any(inf):
         if cmap.side != "exterior":
             raise MapInvertError("infinity has no interior-map preimage")
-        return exterior_pole(cmap)
-    u = complex(u)
+        out[inf] = exterior_pole(cmap)
+    fin = np.nonzero(~inf)[0]
+    target = out[fin]
     m = cmap.grid
     stride = max(1, m // 128)
     vb = np.exp(1j * np.arange(0, m, stride) * (TWO_PI / m))
     ub = map_eval(cmap, vb)
-    order = np.argsort(np.abs(ub - u))
-    candidates = [complex(vb[order[0]]), complex(vb[order[1]])]
+    near = np.argsort(np.abs(ub - target[:, None]), axis=1)
+    seeds = [vb[near[:, 0]], vb[near[:, 1]]]
     if cmap.side == "interior" and abs(cmap.series[1]) > 0 and cmap.s == 0.0:
-        lin = (u - cmap.series[0]) / (cmap.rot * cmap.series[1])
-        if abs(lin) < 1.0:
-            candidates.insert(0, complex(lin))
+        lin = (target - cmap.series[0]) / (cmap.rot * cmap.series[1])
+        seeds.insert(0, np.where(np.abs(lin) < 1.0, lin, np.nan))
     lo, hi = _domain_limits(cmap)
-    hi_clamp = min(hi, 1e6)
-    atol = tol * (1.0 + abs(u))
-    f = math.inf
-    for v0 in candidates:
-        v = v0
-        f = abs(map_eval(cmap, v) - u)
+    hi = min(hi, 1e6)
+    atol = tol * (1.0 + np.abs(target))
+    v = np.empty(len(target), dtype=complex)
+    r = np.full(len(target), np.inf, dtype=complex)  # Phi(v) - u
+    for seed in seeds:
+        live = ~(np.abs(r) < atol) & np.isfinite(seed)
+        if not np.any(live):
+            continue
+        v[live] = seed[live]
+        r[live] = map_eval(cmap, v[live]) - target[live]
         for _ in range(80):
-            if f < atol:
-                return v
-            d = map_derivative(cmap, v)
-            if d == 0 or not np.isfinite(abs(d)):
+            live &= ~(np.abs(r) < atol)
+            idx = np.nonzero(live)[0]
+            if not len(idx):
                 break
-            step = (map_eval(cmap, v) - u) / d
+            d = map_derivative(cmap, v[idx])
+            ok = (d != 0) & np.isfinite(np.abs(d))
+            live[idx[~ok]] = False
+            idx, step = idx[ok], r[idx[ok]] / d[ok]
             lam = 1.0
-            improved = False
-            while lam > 2 ** -12:
-                vt = v - lam * step
-                r = abs(vt)
-                if r > hi_clamp:
-                    vt *= hi_clamp / r
-                elif r < lo:
-                    vt *= lo / max(r, 1e-300)
-                ft = abs(map_eval(cmap, vt) - u)
-                if ft < f:
-                    v, f, improved = vt, ft, True
-                    break
+            while lam > 2 ** -12 and len(idx):
+                vt = v[idx] - lam * step
+                rad = np.maximum(np.abs(vt), 1e-300)
+                vt = vt * np.where(rad > hi, hi / rad,
+                                   np.where(rad < lo, lo / rad, 1.0))
+                rt = map_eval(cmap, vt) - target[idx]
+                win = np.abs(rt) < np.abs(r[idx])
+                v[idx[win]], r[idx[win]] = vt[win], rt[win]
+                idx, step = idx[~win], step[~win]
                 lam /= 2.0
-            if not improved:
-                break
-        if f < atol:
-            return v
-    raise MapInvertError(f"Newton inversion failed for {u}", residual=f)
+            live[idx] = False  # no step lowered the residual
+    bad = np.nonzero(~(np.abs(r) < atol))[0]
+    if len(bad):
+        raise MapInvertError(f"Newton inversion failed for {target[bad[0]]}",
+                             residual=float(abs(r[bad[0]])))
+    out[fin] = v
+    return complex(out[0]) if uarr.ndim == 0 else out.reshape(uarr.shape)
 
 
 def roundtrip_residual(cmap: ConformalMap, pts) -> float:
-    vals = [abs(map_eval(cmap, map_invert(cmap, complex(u))) - complex(u))
-            for u in np.atleast_1d(pts)]
-    return float(max(vals))
+    u = np.atleast_1d(np.asarray(pts, dtype=complex))
+    return float(np.max(np.abs(map_eval(cmap, map_invert(cmap, u)) - u)))
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,8 @@ import numpy as np
 
 from .conformal import MapPair, map_eval, map_invert
 from .curves import (TWO_PI, AnalyticCurve, BoundaryPoint, boundary_point,
-                     circle, curve_samples, is_infinite, param_of_point)
-from .errors import ExtremalError
+                     curve_samples, is_infinite, param_of_point)
+from .errors import ExtremalError, NumericsError
 from .potential import BoundReport, bernstein_bound, disk_normal_derivative
 from .ratfun import (RationalFunction, blaschke_derivative, blaschke_eval,
                      blaschke_product, classify_poles, cluster_points,
@@ -160,21 +160,9 @@ def build_transferred_extremal(curve: AnalyticCurve, maps: MapPair, picks,
 
     h_deriv = abs(blaschke_derivative(picks, 1.0 + 0j))
 
-    # transplant and principal parts
-    clustered = cluster_points(picks)
-    u_poles = [(complex(map_eval(maps.interior, v)), mult)
-               for v, mult in clustered]
-
-    def transplant(uarr):
-        uarr = np.atleast_1d(np.asarray(uarr, dtype=complex))
-        v = np.array([map_invert(maps.interior, complex(x)) for x in uarr])
-        return blaschke_eval(picks, v)
-
-    f1 = principal_parts(transplant, u_poles, curve, rel_tol=tol_q)
-
-    def remainder(uarr):
-        uarr = np.atleast_1d(np.asarray(uarr, dtype=complex))
-        return transplant(uarr) - rf_eval(f1, uarr)
+    # principal parts of the transplant B o Phi1^{-1} at the image poles
+    f1 = principal_parts(lambda v: blaschke_eval(picks, v),
+                         cluster_points(picks), maps.interior, rel_tol=tol_q)
 
     phi0 = complex(blaschke_eval(picks, 1.0 + 0j)) - complex(rf_eval(f1, u0.point))
     dphi0 = (complex(blaschke_derivative(picks, 1.0 + 0j))
@@ -211,7 +199,8 @@ def build_transferred_extremal(curve: AnalyticCurve, maps: MapPair, picks,
     leja = leja_points(cand_w, n_interp, seed=seed)
 
     u_nodes = cand_u[list(leja.indices)]
-    node_vals = remainder(u_nodes)
+    node_vals = (blaschke_eval(picks, map_invert(maps.interior, u_nodes))
+                 - rf_eval(f1, u_nodes))
     remainder_scale = max(float(np.max(np.abs(node_vals))), abs(phi0),
                           abs(dphi0))
     if remainder_scale <= tol_q:
@@ -293,11 +282,10 @@ def sharpness_sweep(curve: AnalyticCurve, maps: MapPair, u0: BoundaryPoint,
     interior_poles = [complex(z) for z in interior_poles]
     if not interior_poles:
         raise ExtremalError("the sweep needs at least one interior pole")
-    base = [map_invert(maps.interior, z) for z in interior_poles]
+    base = list(map_invert(maps.interior, np.array(interior_poles)))
     _expand_picks(base, 1, policy)  # reject unknown policies up front
 
     def one(n):
-        from .errors import NumericsError
         try:
             run = build_transferred_extremal(
                 curve, maps, _expand_picks(base, int(n), policy), zeta0,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conformal import ConformalMap, MapPair, exterior_pole, map_invert
+from .conformal import MapPair, map_invert
 from .curves import (INFINITY, AnalyticCurve, ArcOpenUp, BoundaryPoint,
                      is_infinite, point_in_curve, rq_derivative, rq_solve)
 from .errors import DomainError, PoleError
@@ -135,11 +135,8 @@ def domain_normal_derivative(u0: BoundaryPoint, pole, maps: MapPair,
     _check_anchor(u0, maps)
     if inside is None:
         inside = _pole_side(pole, maps.curve)
-    if inside:
-        a = map_invert(maps.interior, complex(pole))
-        return disk_normal_derivative(a, "interior")
-    b = map_invert(maps.exterior, pole)
-    return disk_normal_derivative(b, "exterior")
+    cmap = maps.interior if inside else maps.exterior
+    return disk_normal_derivative(map_invert(cmap, pole), cmap.side)
 
 
 def green_domain(u, pole, maps: MapPair, inside: bool | None = None):
@@ -147,23 +144,21 @@ def green_domain(u, pole, maps: MapPair, inside: bool | None = None):
     if inside is None:
         inside = _pole_side(pole, maps.curve)
     cmap = maps.interior if inside else maps.exterior
-    a = map_invert(cmap, pole if not inside else complex(pole))
-    uarr = np.atleast_1d(np.asarray(u, dtype=complex))
-    v = np.array([map_invert(cmap, complex(x)) for x in uarr])
-    out = green_disk(v, a, cmap.side)
-    return float(out[0]) if np.asarray(u).ndim == 0 else out
+    return green_disk(map_invert(cmap, u), map_invert(cmap, pole), cmap.side)
 
 
 def bernstein_bound(u0: BoundaryPoint, poles: PoleSet, maps: MapPair) -> BoundReport:
     """Derivative bound at u0: max of the inner and outer normal-derivative
-    sums over the classified poles, multiplicities expanded."""
+    sums over the classified poles, one value per distinct pole repeated
+    over its multiplicity."""
     _check_anchor(u0, maps)
     contributions = []
-    for pole, inn in poles.expanded():
+    for (pole, mult), inn in zip(poles.poles, poles.inside):
         val = domain_normal_derivative(u0, pole, maps, inside=inn)
         if not val > 0.0:
             raise DomainError(f"nonpositive contribution at pole {pole}")
-        contributions.append(Contribution(pole, "inner" if inn else "outer", val))
+        contributions.extend(
+            [Contribution(pole, "inner" if inn else "outer", val)] * mult)
     return _assemble_report(u0.point, contributions)
 
 

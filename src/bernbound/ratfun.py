@@ -11,9 +11,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import (TWO_PI, INFINITY, AnalyticCurve, ArcOpenUp, arc_samples,
-                     curve_samples, distance_to_curve, is_infinite,
-                     point_in_curve)
+from .conformal import ConformalMap, map_derivative, map_eval
+from .curves import (TWO_PI, INFINITY, AnalyticCurve, ArcOpenUp, arc_point,
+                     arc_samples, curve_samples, distance_to_curve,
+                     eval_curve, is_infinite, point_in_curve)
 from .errors import PoleError, QuadratureError
 
 POLE_FLOOR = 1e-9
@@ -221,48 +222,53 @@ def blaschke_product(points) -> RationalFunction:
 # principal parts by contour quadrature
 # ---------------------------------------------------------------------------
 
-def _laurent_peel(g, a, order, rho, q):
-    """Coefficients c_1..c_order at pole a by trapezoid quadrature on
-    |u - a| = rho, peeling from the top order down so that the huge
-    top-order contribution never swamps the low-order means."""
+def _laurent_peel(g, a, order, rho, q, cmap):
+    """c_k = mean(g (Phi(v) - Phi(a))^{k-1} Phi'(v) (v - a)) on |v - a| = rho,
+    peeled from the top order down so that the huge top-order contribution
+    never swamps the low-order means."""
     phis = np.arange(q) * (TWO_PI / q)
     nodes = a + rho * np.exp(1j * phis)
     vals = np.asarray(g(nodes), dtype=complex).copy()
+    w, dphi = nodes - a, 1.0
+    if cmap is not None:
+        w = map_eval(cmap, nodes) - map_eval(cmap, a)
+        dphi = map_derivative(cmap, nodes)
     coeffs = np.zeros(order, dtype=complex)
     for k in range(order, 0, -1):
-        c = rho ** k * np.mean(vals * np.exp(1j * k * phis))
+        c = np.mean(vals * w ** (k - 1) * dphi * (nodes - a))
         coeffs[k - 1] = c
-        vals -= c / (nodes - a) ** k
+        vals -= c / w ** k
     return coeffs
 
 
-def principal_parts(g, poles, curve: AnalyticCurve | None = None,
+def principal_parts(g, poles, cmap: ConformalMap | None = None,
                     q: int = 64, rel_tol: float = 1e-9) -> RationalFunction:
-    """Sum of principal parts of g at the given (location, order) poles.
+    """Sum of principal parts of g o Phi^{-1} at Phi(a) over the (a, order)
+    poles of g, with Phi the interior map cmap (the identity if None).
 
-    g must be a vectorized callable, analytic in a punctured neighborhood of
-    each pole.  Each quadrature runs at q and 2q nodes; disagreement beyond
-    rel_tol (relative to the largest coefficient) raises, and the 2q result
-    is returned otherwise."""
+    g must be a vectorized callable of the disk variable, analytic in a
+    punctured neighborhood of each pole.  The contour |v - a| = rho stays
+    inside the disk when a map is given, so Phi is never inverted.  Each
+    quadrature runs at q and 2q nodes; disagreement beyond rel_tol
+    (relative to the largest coefficient) raises, and the 2q result is
+    returned otherwise."""
     locs = [complex(a) for a, _ in poles]
     orders = [int(m) for _, m in poles]
     if any(m < 1 for m in orders):
         raise PoleError("pole orders must be at least 1")
     terms = []
-    worst = 0.0
     for i, (a, m) in enumerate(zip(locs, orders)):
         d_other = min((abs(a - b) for j, b in enumerate(locs) if j != i),
                       default=math.inf)
-        d_curve = distance_to_curve(curve, a) if curve is not None else math.inf
-        rho = min(d_other, d_curve, 0.5) / 2.0
+        d_disk = 1.0 - abs(a) if cmap is not None else math.inf
+        rho = min(d_other, d_disk, 0.5) / 2.0
         if not rho > 1e-8:
             raise QuadratureError(
                 f"no feasible quadrature radius at pole {a} (rho = {rho:.2e})")
-        c1 = _laurent_peel(g, a, m, rho, q)
-        c2 = _laurent_peel(g, a, m, rho, 2 * q)
+        c1 = _laurent_peel(g, a, m, rho, q, cmap)
+        c2 = _laurent_peel(g, a, m, rho, 2 * q, cmap)
         scale = max(float(np.max(np.abs(c2))), 1e-300)
         disagree = float(np.max(np.abs(c1 - c2))) / scale
-        worst = max(worst, disagree)
         if disagree > rel_tol:
             raise QuadratureError(
                 f"quadrature disagreement {disagree:.2e} at pole {a} "
@@ -270,7 +276,8 @@ def principal_parts(g, poles, curve: AnalyticCurve | None = None,
         keep = np.abs(c2) > 1e-13 * scale
         top = int(np.nonzero(keep)[0][-1]) + 1 if np.any(keep) else 0
         if top:
-            terms.append((a, tuple(c2[:top])))
+            center = a if cmap is None else complex(map_eval(cmap, a))
+            terms.append((center, tuple(c2[:top])))
     return make_rational(terms, ())
 
 
@@ -308,7 +315,7 @@ def sup_norm(f: RationalFunction, boundary, m: int | None = None):
         if abs(denom) > 1e-300:
             off = float(np.clip(0.5 * h * (y1 - y3) / denom, -h, h))
         t_ref = float(ts[i]) + off
-        _, p_ref = _boundary_samples_at(boundary, t_ref)
+        p_ref = _boundary_point_at(boundary, t_ref)
         y_ref = float(np.abs(rf_eval(f, p_ref)))
         cand = max(float(y2), y_ref)
         cand_t = t_ref if y_ref >= y2 else float(ts[i])
@@ -317,12 +324,10 @@ def sup_norm(f: RationalFunction, boundary, m: int | None = None):
     return best_v, best_t % TWO_PI
 
 
-def _boundary_samples_at(boundary, t):
+def _boundary_point_at(boundary, t):
     if isinstance(boundary, ArcOpenUp):
-        from .curves import arc_point
-        return t, complex(arc_point(boundary, t))
-    from .curves import eval_curve
-    return t, complex(eval_curve(boundary, t))
+        return complex(arc_point(boundary, t))
+    return complex(eval_curve(boundary, t))
 
 
 # ---------------------------------------------------------------------------

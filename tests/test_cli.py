@@ -389,6 +389,23 @@ class TestMapCache:
             assert (warm / name).read_bytes() == fresh_bytes
             assert (reread / name).read_bytes() == fresh_bytes
 
+    def test_truncated_entry_is_solved_fresh(self, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        cold, again = tmp_path / "cold", tmp_path / "again"
+        assert run_cli("map", SPECS / "map_ellipse.json", cold,
+                       "--cache", cache) == 0
+        (entry,) = cache.glob("*.json")
+        text = entry.read_text(encoding="utf-8")
+        entry.write_text(text[:len(text) // 2], encoding="utf-8")
+        assert run_cli("map", SPECS / "map_ellipse.json", again,
+                       "--cache", cache) == 0
+        assert capsys.readouterr().err == ""
+        for name in ("summary.csv", "items.csv"):
+            assert (again / name).read_bytes() == (cold / name).read_bytes()
+        # the torn entry was overwritten by the fresh solve, atomically
+        assert entry.read_text(encoding="utf-8") == text
+        assert sorted(p.name for p in cache.iterdir()) == [entry.name]
+
 
 def _pyproject():
     """The parsed ``pyproject.toml``, or None where ``tomllib`` is missing

@@ -7,7 +7,10 @@ from bernbound import (boundary_point, circle, curve_samples, ellipse,
                        point_in_curve, roundtrip_residual, segment_arc,
                        solve_exterior_map, solve_interior_map, solve_map_pair,
                        trig_curve)
-from bernbound.errors import ArcError, MapError, NumericsError
+from bernbound.conformal import exterior_pole
+from bernbound.errors import ArcError, MapError, MapInvertError, NumericsError
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from oracles import richardson_directional
@@ -215,6 +218,55 @@ class TestTheodorsen:
         e, u0, pair = ellipse_pair
         pts = [0.2 + 0.1j, -0.4 - 0.2j, 0.6j]
         assert roundtrip_residual(pair.interior, pts) < 1e-9
+
+
+@pytest.fixture(scope="session",
+                params=["circle_pair", "shifted_circle_pair", "ellipse_pair"])
+def any_pair(request):
+    return request.getfixturevalue(request.param)
+
+
+# (scale, angle) pairs: the point scale * gamma(angle) lies inside the curve
+# for scale < 1 and outside for scale > 1 on these star-shaped curves
+_SCALED = st.tuples(st.floats(0.05, 0.95) | st.floats(1.05, 3.0),
+                    st.floats(0.0, 2 * np.pi, exclude_max=True))
+
+
+class TestArrayInversion:
+    @settings(deadline=None, max_examples=12)
+    @given(draws=st.lists(_SCALED, min_size=1, max_size=6),
+           column=st.booleans())
+    def test_array_matches_scalar_calls(self, any_pair, draws, column):
+        curve, _, pair = any_pair
+        for cmap, inside in ((pair.interior, True), (pair.exterior, False)):
+            u = np.array([r * eval_curve(curve, t) for r, t in draws
+                          if (r < 1.0) == inside], dtype=complex)
+            if not len(u):
+                continue
+            if column:
+                u = u.reshape(-1, 1)
+            v = map_invert(cmap, u)
+            assert v.shape == u.shape
+            assert np.max(np.abs(map_eval(cmap, v) - u)) <= 1e-9
+            for vk, uk in zip(v.ravel(), u.ravel()):
+                one = map_invert(cmap, complex(uk))
+                assert isinstance(one, complex)
+                assert abs(one - vk) <= 1e-13 * (1.0 + abs(uk))
+
+    def test_infinity_maps_to_the_exterior_pole(self, any_pair):
+        curve, _, pair = any_pair
+        u = np.array([np.inf, 2.5 * eval_curve(curve, 1.0), np.inf])
+        v = map_invert(pair.exterior, u)
+        pole = exterior_pole(pair.exterior)
+        assert v[0] == pole and v[2] == pole
+        assert abs(map_eval(pair.exterior, v[1]) - u[1]) <= 1e-9
+        assert map_invert(pair.exterior, complex(np.inf)) == pole
+
+    def test_far_point_in_an_array_raises(self, any_pair):
+        curve, _, pair = any_pair
+        u = np.array([0.5 * eval_curve(curve, 0.2), 40.0 + 3.0j])
+        with pytest.raises(MapInvertError, match=r"\(40\+3j\)"):
+            map_invert(pair.interior, u)
 
 
 class TestOpenUpPreimages:

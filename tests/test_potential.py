@@ -8,8 +8,8 @@ from bernbound import (INFINITY, arc_bound, arc_normal_derivative,
                        classify_poles, curve_samples, disk_normal_derivative,
                        domain_normal_derivative, eval_curve, green_disk,
                        green_domain, is_infinite, make_rational, map_eval,
-                       point_in_curve, poles_of, rf_eval, sup_norm,
-                       verify_ratio)
+                       map_invert, point_in_curve, poles_of, potential,
+                       rf_eval, sup_norm, verify_ratio)
 from bernbound.errors import ArcError, DomainError, PoleError
 
 from helpers import random_split_rational
@@ -195,6 +195,27 @@ class TestBernsteinBound:
             assert abs(report.inner_sum - inner) < 1e-15
             assert abs(report.outer_sum - outer) < 1e-15
             assert report.bound == max(report.inner_sum, report.outer_sum)
+
+    def test_each_distinct_pole_inverted_once(self, ellipse_pair,
+                                              monkeypatch):
+        e, u0, pair = ellipse_pair
+        poles = [(0.3 + 0.1j, 3), (-0.2j, 1), (2.0 - 0.5j, 2), (INFINITY, 4)]
+        ps = classify_poles(poles, e)
+        calls = []
+
+        def counting(cmap, u, *args, **kwargs):
+            calls.append(u)
+            return map_invert(cmap, u, *args, **kwargs)
+
+        monkeypatch.setattr(potential, "map_invert", counting)
+        report = bernstein_bound(u0, ps, pair)
+        assert len(calls) == len(poles)
+        # contributions keep the order and values of the expanded pole set
+        assert [(c.pole, c.side) for c in report.contributions] == [
+            (a, "inner" if inn else "outer") for a, inn in ps.expanded()]
+        want = [domain_normal_derivative(u0, a, pair, inside=inn)
+                for a, inn in ps.expanded()]
+        assert [c.value for c in report.contributions] == want
 
     def test_anchor_mismatch_rejected(self, ellipse_pair):
         e, u0, pair = ellipse_pair

@@ -260,10 +260,8 @@ class TestPrincipalParts:
         def h_scalar(u):
             return complex(blaschke_eval([a], map_invert(pair.interior, u)))
 
-        def h_vec(us):
-            return np.array([h_scalar(complex(u)) for u in np.atleast_1d(us)])
-
-        f = principal_parts(h_vec, [(ustar, 1)], curve=e)
+        f = principal_parts(lambda v: blaschke_eval([a], v), [(a, 1)],
+                            pair.interior)
         got = f.terms[0].coeffs[0]
 
         rho = 0.4 * distance_to_curve(e, ustar)
