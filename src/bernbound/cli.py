@@ -352,8 +352,10 @@ def _curve_payload(curve: AnalyticCurve):
 
 
 def _pair_cache_key(curve, t, tol_map, m_map) -> str:
+    # the version keeps a changed solver from serving maps it did not write
     payload = {"curve": _curve_payload(curve), "t": fmt12(t),
-               "tol_map": fmt12(tol_map), "m": int(m_map)}
+               "tol_map": fmt12(tol_map), "m": int(m_map),
+               "version": __version__}
     blob = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
 

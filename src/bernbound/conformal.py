@@ -76,33 +76,46 @@ def _moebius_deriv(cmap, v):
     return cmap.rot * (1.0 - cmap.s ** 2) / (1.0 + cmap.s * v) ** 2
 
 
+def _poly_eval(c, x):
+    """sum_k c[k] x^k at every point of x, by baby-step giant-step
+    (Paterson-Stockmeyer): the powers x^0..x^(L-1), L ~ sqrt(len(c)), one
+    matrix product over the length-L coefficient blocks, then Horner in x^L
+    over the blocks.  About 2 sqrt(len(c)) array operations, not 2 len(c)."""
+    c = np.asarray(c, dtype=complex)
+    x = np.asarray(x, dtype=complex)
+    xs = x.ravel()
+    size = max(len(c), 1)
+    step = math.isqrt(size - 1) + 1  # L = ceil(sqrt(len(c)))
+    blocks = np.zeros((-(-size // step), step), dtype=complex)
+    blocks.flat[:len(c)] = c
+    powers = np.empty((step, len(xs)), dtype=complex)
+    powers[0] = 1.0
+    for j in range(1, step):
+        np.multiply(powers[j - 1], xs, out=powers[j])
+    vals = blocks @ powers
+    giant = powers[-1] * xs
+    acc = vals[-1]  # vals is ours, so Horner may run in place
+    for row in vals[-2::-1]:
+        acc *= giant
+        acc += row
+    return acc.reshape(x.shape)
+
+
 def _core_eval(cmap, w):
-    c = cmap.series
+    c = np.asarray(cmap.series)
     if cmap.side == "interior":
-        acc = np.full_like(w, c[-1])
-        for k in range(len(c) - 2, -1, -1):
-            acc = acc * w + c[k]
-        return acc
+        return _poly_eval(c, w)
     # exterior core: c[0]*w + c[1] + c[2]/w + c[3]/w^2 + ...
-    iw = 1.0 / w
-    acc = np.full_like(w, c[-1])
-    for k in range(len(c) - 2, 0, -1):
-        acc = acc * iw + c[k]
-    return acc + c[0] * w
+    return _poly_eval(c[1:], 1.0 / w) + c[0] * w
 
 
 def _core_deriv(cmap, w):
-    c = cmap.series
+    c = np.asarray(cmap.series)
+    ks = np.arange(len(c))
     if cmap.side == "interior":
-        acc = np.zeros_like(w)
-        for k in range(len(c) - 1, 0, -1):
-            acc = acc * w + k * c[k]
-        return acc
+        return _poly_eval(ks[1:] * c[1:], w)
     iw = 1.0 / w
-    acc = np.zeros_like(w)
-    for k in range(len(c) - 1, 1, -1):
-        acc = acc * iw + (k - 1) * c[k]
-    return c[0] - acc * iw * iw
+    return c[0] - _poly_eval((ks[2:] - 1) * c[2:], iw) * iw * iw
 
 
 def _domain_limits(cmap):
@@ -307,11 +320,10 @@ def _interp_correspondence(samples, queries):
     m = len(samples)
     thetas = np.arange(m) * (TWO_PI / m)
     per = np.unwrap(np.asarray(samples, dtype=float) - thetas)
-    coef = np.fft.fft(per) / m
-    ks = np.fft.fftfreq(m, d=1.0 / m).astype(int)
+    coef = np.fft.fftshift(np.fft.fft(per) / m)  # modes -(m//2) .. m-1-m//2
     q = np.asarray(queries, dtype=float)
-    vals = np.real(np.exp(1j * np.multiply.outer(q, ks)) @ coef)
-    return q + vals
+    shift = np.exp(-1j * (m // 2) * q)
+    return q + np.real(shift * _poly_eval(coef, np.exp(1j * q)))
 
 
 def normalize_at_anchor(raw: ConformalMap, u0: BoundaryPoint) -> ConformalMap:

@@ -175,9 +175,15 @@ def _simplicity_margin(pts, step_scale):
     floor = 1.5 * step_scale
     skip = max(4, m // 16)
     best = np.inf
-    for off in range(skip, m - skip + 1):
-        d = np.min(np.abs(pts - np.roll(pts, off)))
-        best = min(best, d)
+    if m >= 2 * skip:
+        # offset m - k pairs the same samples as offset k, so the offsets
+        # skip..m//2 after each sample cover every pair skip..m - skip apart
+        pts = np.asarray(pts)
+        ahead = np.lib.stride_tricks.sliding_window_view(
+            np.concatenate([pts, pts])[skip:], m // 2 - skip + 1)[:m]
+        for lo in range(0, m, 128):
+            near = np.abs(ahead[lo:lo + 128] - pts[lo:lo + 128, None])
+            best = min(best, np.min(near))
     return best / floor
 
 

@@ -13,8 +13,8 @@ import numpy as np
 
 from .conformal import ConformalMap, map_derivative, map_eval
 from .curves import (TWO_PI, INFINITY, AnalyticCurve, ArcOpenUp, arc_point,
-                     arc_samples, curve_samples, distance_to_curve,
-                     eval_curve, is_infinite, point_in_curve)
+                     distance_to_curve, eval_curve, is_infinite,
+                     point_in_curve)
 from .errors import PoleError, QuadratureError
 
 POLE_FLOOR = 1e-9
@@ -285,12 +285,6 @@ def principal_parts(g, poles, cmap: ConformalMap | None = None,
 # sup norm on a curve or arc
 # ---------------------------------------------------------------------------
 
-def _boundary_samples(boundary, m):
-    if isinstance(boundary, ArcOpenUp):
-        return arc_samples(boundary, m)
-    return curve_samples(boundary, m)
-
-
 def sup_norm(f: RationalFunction, boundary, m: int | None = None):
     """(max |f| on the boundary, parameter of the argmax).
 
@@ -298,36 +292,33 @@ def sup_norm(f: RationalFunction, boundary, m: int | None = None):
     every local maximum, re-evaluating |f| at each refined parameter; no
     global-optimality certificate beyond that resolution."""
     M = int(m) if m else max(4096, 64 * max(degree(f), 1))
-    ts, pts = _boundary_samples(boundary, M)
+    h = TWO_PI / M
+    ts = np.arange(M) * h
+    pts = _boundary_points(boundary, ts)
     for t in f.terms:
         if np.min(np.abs(pts - t.location)) < POLE_FLOOR:
             raise PoleError(f"pole {t.location} within the floor distance "
                             "of the boundary")
     vals = np.abs(rf_eval(f, pts))
     is_max = (vals >= np.roll(vals, 1)) & (vals >= np.roll(vals, -1))
-    h = TWO_PI / M
-    best_v = -math.inf
-    best_t = 0.0
-    for i in np.nonzero(is_max)[0]:
-        y1, y2, y3 = vals[i - 1], vals[i], vals[(i + 1) % M]
-        denom = y1 - 2.0 * y2 + y3
-        off = 0.0
-        if abs(denom) > 1e-300:
-            off = float(np.clip(0.5 * h * (y1 - y3) / denom, -h, h))
-        t_ref = float(ts[i]) + off
-        p_ref = _boundary_point_at(boundary, t_ref)
-        y_ref = float(np.abs(rf_eval(f, p_ref)))
-        cand = max(float(y2), y_ref)
-        cand_t = t_ref if y_ref >= y2 else float(ts[i])
-        if cand > best_v:
-            best_v, best_t = cand, cand_t
-    return best_v, best_t % TWO_PI
+    peaks = np.nonzero(is_max)[0]
+    y1, y2, y3 = vals[peaks - 1], vals[peaks], vals[(peaks + 1) % M]
+    denom = y1 - 2.0 * y2 + y3
+    curved = np.abs(denom) > 1e-300
+    off = np.zeros(len(peaks))
+    off[curved] = np.clip(0.5 * h * (y1 - y3)[curved] / denom[curved], -h, h)
+    t_ref = ts[peaks] + off
+    y_ref = np.abs(rf_eval(f, _boundary_points(boundary, t_ref)))
+    cand = np.maximum(y2, y_ref)
+    best = int(np.argmax(cand))  # the first of equal peaks wins
+    best_t = t_ref[best] if y_ref[best] >= y2[best] else ts[peaks[best]]
+    return float(cand[best]), float(best_t % TWO_PI)
 
 
-def _boundary_point_at(boundary, t):
+def _boundary_points(boundary, t):
     if isinstance(boundary, ArcOpenUp):
-        return complex(arc_point(boundary, t))
-    return complex(eval_curve(boundary, t))
+        return arc_point(boundary, t)
+    return eval_curve(boundary, t)
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,19 @@ Nothing here imports from the package's computational paths beyond plain
 evaluation of the quantity under test: derivatives are re-derived by
 finite differences, Green's functions by a five-point Shortley-Weller
 Dirichlet solve on a Cartesian grid, Laurent coefficients by randomized
-least-squares fits.
+least-squares fits.  The loop references at the end are the plain forms of
+vectorized package routines (series evaluation, the simplicity scan, the
+sup-norm peak refinement), kept to pin the fast forms against.
 """
+
+import math
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+
+from bernbound import (ArcOpenUp, arc_point, arc_samples, curve_samples,
+                       degree, eval_curve, rf_eval)
 
 TWO_PI = 2.0 * np.pi
 
@@ -192,3 +199,61 @@ def laurent_principal_lstsq(g, center, order, rho, rng, n_samples=600,
     coef, *_ = np.linalg.lstsq(basis, vals, rcond=None)
     neg = coef[:order][::-1]  # reorder to c_1..c_order
     return tuple(neg)
+
+
+# ---------------------------------------------------------------------------
+# loop references for vectorized package routines
+# ---------------------------------------------------------------------------
+
+def horner_eval(c, x):
+    """sum_k c[k] x^k by Horner's rule in extended precision (clongdouble),
+    one coefficient at a time."""
+    x = np.asarray(x, dtype=np.clongdouble)
+    acc = np.zeros_like(x)
+    for ck in np.asarray(c, dtype=complex)[::-1]:
+        acc = acc * x + np.clongdouble(ck)
+    return acc
+
+
+def roll_simplicity_margin(pts, step_scale):
+    """The simplicity margin as a scan over every offset skip..m - skip of
+    the sample ring, one np.roll per offset."""
+    m = len(pts)
+    floor = 1.5 * step_scale
+    skip = max(4, m // 16)
+    best = np.inf
+    for off in range(skip, m - skip + 1):
+        d = np.min(np.abs(pts - np.roll(pts, off)))
+        best = min(best, d)
+    return best / floor
+
+
+def loop_sup_norm(f, boundary, m=None):
+    """sup_norm with one scalar boundary point and one scalar evaluation per
+    local maximum; a later peak replaces the best only if strictly larger."""
+    M = int(m) if m else max(4096, 64 * max(degree(f), 1))
+    if isinstance(boundary, ArcOpenUp):
+        ts, pts = arc_samples(boundary, M)
+    else:
+        ts, pts = curve_samples(boundary, M)
+    vals = np.abs(rf_eval(f, pts))
+    is_max = (vals >= np.roll(vals, 1)) & (vals >= np.roll(vals, -1))
+    h = TWO_PI / M
+    best_v, best_t = -math.inf, 0.0
+    for i in np.nonzero(is_max)[0]:
+        y1, y2, y3 = vals[i - 1], vals[i], vals[(i + 1) % M]
+        denom = y1 - 2.0 * y2 + y3
+        off = 0.0
+        if abs(denom) > 1e-300:
+            off = float(np.clip(0.5 * h * (y1 - y3) / denom, -h, h))
+        t_ref = float(ts[i]) + off
+        if isinstance(boundary, ArcOpenUp):
+            p_ref = complex(arc_point(boundary, t_ref))
+        else:
+            p_ref = complex(eval_curve(boundary, t_ref))
+        y_ref = float(np.abs(rf_eval(f, p_ref)))
+        cand = max(float(y2), y_ref)
+        cand_t = t_ref if y_ref >= y2 else float(ts[i])
+        if cand > best_v:
+            best_v, best_t = cand, cand_t
+    return best_v, best_t % TWO_PI

@@ -407,6 +407,33 @@ class TestMapCache:
         assert sorted(p.name for p in cache.iterdir()) == [entry.name]
 
 
+    def test_entry_of_another_version_is_solved_fresh(self, tmp_path,
+                                                      monkeypatch):
+        import bernbound.cli as cli
+        cache = tmp_path / "cache"
+        monkeypatch.setattr(cli, "__version__", "0.0.0")
+        assert run_cli("map", SPECS / "map_ellipse.json", tmp_path / "old",
+                       "--cache", cache) == 0
+        (old_entry,) = cache.glob("*.json")
+        monkeypatch.undo()
+        solves = []
+        real_solve = cli.solve_map_pair
+
+        def counting_solve(*args, **kwargs):
+            solves.append(args)
+            return real_solve(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "solve_map_pair", counting_solve)
+        assert run_cli("map", SPECS / "map_ellipse.json", tmp_path / "new",
+                       "--cache", cache) == 0
+        assert len(solves) == 1
+        new_entries = set(cache.glob("*.json")) - {old_entry}
+        assert len(new_entries) == 1
+        for name in ("summary.csv", "items.csv"):
+            assert (tmp_path / "new" / name).read_bytes() == \
+                (tmp_path / "old" / name).read_bytes()
+
+
 def _pyproject():
     """The parsed ``pyproject.toml``, or None where ``tomllib`` is missing
     (Python 3.10)."""

@@ -7,13 +7,13 @@ from bernbound import (boundary_point, circle, curve_samples, ellipse,
                        point_in_curve, roundtrip_residual, segment_arc,
                        solve_exterior_map, solve_interior_map, solve_map_pair,
                        trig_curve)
-from bernbound.conformal import exterior_pole
+from bernbound.conformal import _poly_eval, exterior_pole
 from bernbound.errors import ArcError, MapError, MapInvertError, NumericsError
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
-from oracles import richardson_directional
+from oracles import horner_eval, richardson_directional
 
 
 def true_curve_distances(curve, zs, m=4096):
@@ -267,6 +267,41 @@ class TestArrayInversion:
         u = np.array([0.5 * eval_curve(curve, 0.2), 40.0 + 3.0j])
         with pytest.raises(MapInvertError, match=r"\(40\+3j\)"):
             map_invert(pair.interior, u)
+
+
+class TestSeriesKernel:
+    """The baby-step giant-step kernel against Horner's rule."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(length=st.integers(1, 300),
+           size=st.sampled_from([0, 1, 7, 33, 4096]),
+           exterior=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(length=2, size=1, exterior=False, seed=0)   # circle series
+    @example(length=3, size=7, exterior=True, seed=1)    # ellipse exterior
+    @example(length=300, size=4096, exterior=False, seed=2)
+    def test_matches_horner(self, length, size, exterior, seed):
+        rng = np.random.default_rng(seed)
+        c = rng.standard_normal(length) + 1j * rng.standard_normal(length)
+        angles = np.exp(2j * np.pi * rng.random(size))
+        if exterior:
+            # the exterior cores evaluate their series at 1/w, |w| >= 1
+            x = 1.0 / (rng.uniform(1.0, 10.0, size) * angles)
+        else:
+            x = 1.1 * np.sqrt(rng.random(size)) * angles
+        got = _poly_eval(c, x)
+        assert got.shape == x.shape and got.dtype == complex
+        ref = horner_eval(c, x)
+        scale = horner_eval(np.abs(c), np.abs(x)).real
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(got - ref) <= 64 * eps * scale)
+
+    def test_keeps_the_shape_of_x(self):
+        c = np.array([1.0, 2.0 - 1j, 0.5j, 0.25])
+        x = np.array([[0.3 + 0.1j, -0.7], [1j, 0.0]])
+        assert _poly_eval(c, x).shape == (2, 2)
+        assert np.allclose(_poly_eval(c, x), horner_eval(c, x), rtol=1e-15)
+        assert np.array_equal(_poly_eval([], x), np.zeros((2, 2)))
 
 
 class TestOpenUpPreimages:

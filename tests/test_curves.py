@@ -7,7 +7,10 @@ from bernbound import (arc_endpoints, arc_point, arc_samples, boundary_point,
                        eval_curve, param_of_point, point_in_curve, rq_eval,
                        rq_solve, segment_arc, trig_curve, unit_normals,
                        validate_curve, validate_openup, winding_number)
+from bernbound.curves import _simplicity_margin
 from bernbound.errors import ArcError, CurveError
+
+from oracles import roll_simplicity_margin
 
 
 class TestConstructors:
@@ -98,6 +101,32 @@ class TestGeometry:
         bad = trig_curve([(1, 0.3 + 0j), (2, 1.0 + 0j)])
         report = validate_curve(bad)
         assert not report.ok
+
+
+class TestSimplicityScan:
+    """The windowed scan against the one-roll-per-offset loop, bit for bit."""
+
+    @pytest.mark.parametrize("m", [7, 8, 9, 64, 100, 512, 1024])
+    def test_matches_roll_loop(self, m, rng):
+        ts = np.arange(m) * (2 * np.pi / m)
+        rings = [
+            rng.standard_normal(m) + 1j * rng.standard_normal(m),
+            np.cumsum(rng.standard_normal(m) + 1j * rng.standard_normal(m)),
+            np.cos(ts) + 1j * np.sin(ts) * np.cos(ts),  # figure-eight
+            curve_samples(ellipse(1.2, 0.8), m)[1],
+        ]
+        for pts in rings:
+            step = float(rng.uniform(0.01, 1.0))
+            assert _simplicity_margin(pts, step) == \
+                roll_simplicity_margin(pts, step)
+
+    def test_map_margins_are_pinned(self, circle_pair, ellipse_pair):
+        # each delta is a ladder step the scan accepted, halved; a scan
+        # that moved by one bit could move a map's verified domain
+        assert circle_pair[2].interior.delta == 1.0842021724855044
+        assert circle_pair[2].exterior.delta == 0.4440892098500626
+        assert ellipse_pair[2].interior.delta == 0.03814697265625
+        assert ellipse_pair[2].exterior.delta == 0.22737367544323206
 
 
 class TestArcs:

@@ -8,10 +8,11 @@ import pytest
 from bernbound import (blaschke_derivative, blaschke_eval, boundary_point,
                        build_circle_extremal, build_transferred_extremal,
                        circle, curve_samples, leja_points, map_invert,
-                       rf_derivative, rf_eval, sharpness_sweep)
+                       rf_derivative, rf_eval, sharpness_sweep, sup_norm)
 from bernbound.errors import ExtremalError, PoleError
 
 from helpers import sweep_interior_poles
+from oracles import loop_sup_norm
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -191,6 +192,12 @@ class TestTransferredExtremal:
         assert 0.9 <= run.ratio <= 1.0 + 1e-6
         assert run.transfer_residual < 1e-4
         assert run.n_interp == math.floor(20 ** 0.8)
+
+    def test_sup_matches_peak_loop(self, golden_n20_run, ellipse_pair):
+        e, _, _ = ellipse_pair
+        want = loop_sup_norm(golden_n20_run.fn, e)
+        assert sup_norm(golden_n20_run.fn, e) == want
+        assert golden_n20_run.sup == want[0]
 
     def test_pole_budget(self, golden_n20_run, sweep_config):
         run = golden_n20_run

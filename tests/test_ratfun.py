@@ -2,15 +2,18 @@ import numpy as np
 import pytest
 
 from bernbound import (INFINITY, blaschke_derivative, blaschke_eval,
-                       blaschke_product, classify_poles, cluster_points,
-                       curve_samples, degree, distance_to_curve, make_rational,
-                       map_derivative, map_eval, map_invert, point_in_curve,
-                       poles_of, principal_parts, rf_derivative, rf_eval,
+                       blaschke_product, circular_arc, classify_poles,
+                       cluster_points, curve_samples, degree,
+                       distance_to_curve, make_rational, map_derivative,
+                       map_eval, map_invert, point_in_curve, poles_of,
+                       principal_parts, rf_derivative, rf_eval,
                        split_inside_outside, sup_norm)
 from bernbound.errors import PoleError, QuadratureError
 
-from helpers import random_blaschke, random_complex, random_split_rational
-from oracles import laurent_principal_lstsq, richardson_directional
+from helpers import (random_blaschke, random_complex, random_corpus_function,
+                     random_split_rational)
+from oracles import (laurent_principal_lstsq, loop_sup_norm,
+                     richardson_directional)
 
 
 class TestMakeRational:
@@ -206,6 +209,28 @@ class TestSupNorm:
         f = make_rational([(1.0, (1.0,))])
         with pytest.raises(PoleError):
             sup_norm(f, c)
+
+    def test_matches_peak_loop_on_corpus(self, ellipse_pair, rng):
+        e, _, _ = ellipse_pair
+        for _ in range(12):
+            f, _ = random_corpus_function(rng)
+            assert sup_norm(f, e) == loop_sup_norm(f, e)
+
+    def test_matches_peak_loop_on_arcs(self, segment):
+        f = make_rational([(0.3 + 0.4j, (1.0, -0.5j)), (-2.0, (0.7,))],
+                          poly=(0.1, 1.0 - 1j))
+        for arc in (segment, circular_arc(1.1, radius=1.3, rotation=0.4)):
+            assert sup_norm(f, arc) == loop_sup_norm(f, arc)
+            assert sup_norm(f, arc, m=333) == loop_sup_norm(f, arc, m=333)
+
+    def test_matches_peak_loop_on_ties(self, circle_pair):
+        # every sample of a constant is a peak of the same height, and
+        # z^6 on a circle ties up to rounding: the first peak must win
+        c, _, _ = circle_pair
+        for poly in ((2.0 - 1j,), (0.0,) * 6 + (1.0,)):
+            f = make_rational((), poly=poly)
+            assert sup_norm(f, c) == loop_sup_norm(f, c)
+        assert sup_norm(make_rational((), poly=(3.0,)), c) == (3.0, 0.0)
 
 
 class TestSplit:
