@@ -30,8 +30,8 @@ import numpy as np
 from ._version import __version__
 from .conformal import MapPair, map_from_dict, map_to_dict, solve_map_pair
 from .curves import (INFINITY, AnalyticCurve, ArcOpenUp, boundary_point,
-                     circle, circular_arc, ellipse, is_infinite,
-                     point_in_curve, segment_arc, trig_curve)
+                     circle, circular_arc, ellipse, sampled_winding,
+                     segment_arc, trig_curve)
 from .errors import NumericsError, RunSpecError
 from .extremal import sharpness_sweep
 from .potential import arc_bound, bernstein_bound, green_domain, verify_ratio
@@ -468,21 +468,22 @@ def _run_map(spec: RunSpec, cache_dir):
 def _run_greens(spec: RunSpec, cache_dir):
     maps = _solve_pair(spec, cache_dir)
     poles, probes = spec.greens["poles"], spec.greens["probes"]
-    probe_inside = [point_in_curve(spec.curve, q) for q in probes]
+    winding = sampled_winding(spec.curve)
+    probe_inside = np.array([winding(q) != 0 for q in probes])
+    pole_inside = classify_poles([(p, 1) for p in poles], spec.curve).inside
+    probe_arr = np.array(probes, dtype=complex)
     summary, items = [], []
-    for i, pole in enumerate(poles):
-        inside = (not is_infinite(pole)) and point_in_curve(spec.curve, pole)
-        values = []
-        for j, probe in enumerate(probes):
-            if probe_inside[j] != inside:
-                raise RunSpecError(f"greens.probes[{j}]",
-                                   "probe and pole lie on opposite sides "
-                                   "of the curve")
-            val = float(green_domain(probe, pole, maps, inside=inside))
-            values.append(val)
-            items.append((i, j, probe.real, probe.imag, val))
+    for i, (pole, inside) in enumerate(zip(poles, pole_inside)):
+        mismatch = np.nonzero(probe_inside != inside)[0]
+        if len(mismatch):
+            raise RunSpecError(f"greens.probes[{mismatch[0]}]",
+                               "probe and pole lie on opposite sides "
+                               "of the curve")
+        values = green_domain(probe_arr, pole, maps, inside=inside)
+        for j, (probe, val) in enumerate(zip(probes, values)):
+            items.append((i, j, probe.real, probe.imag, float(val)))
         summary.append((i, pole.real, pole.imag, int(inside), len(values),
-                        min(values), max(values)))
+                        float(np.min(values)), float(np.max(values))))
     header = ("pole_index", "pole_re", "pole_im", "inside", "n_probes",
               "min_value", "max_value")
     return header, summary, ("pole_index", "probe_index", "probe_re",

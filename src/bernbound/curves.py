@@ -124,17 +124,36 @@ def curve_samples(curve: AnalyticCurve, m: int):
     return ts, eval_curve(curve, ts)
 
 
+def sampled_winding(curve: AnalyticCurve, m: int = 2048):
+    """z -> winding of gamma about z via the trapezoid rule (spectrally
+    exact), on one m-point sample of gamma and gamma' shared by every z."""
+    ts, pts = curve_samples(curve, m)
+    dpts = curve_derivative(curve, ts)
+
+    def winding(z) -> int:
+        dif = pts - z
+        if np.min(np.abs(dif)) < 1e-9:
+            raise CurveError(f"point {z} is on (or too close to) the curve")
+        w = np.mean(dpts / dif) / 1j
+        wr = float(w.real)
+        if abs(wr - round(wr)) > 0.1 or abs(w.imag) > 0.1:
+            raise CurveError(f"ambiguous winding number {w} about {z}")
+        return int(round(wr))
+
+    return winding
+
+
+def sampled_distance(curve: AnalyticCurve, m: int = 4096):
+    """z -> sampled distance from z to the curve, on one m-point sample
+    shared by every z (lower-resolution but adequate for radius budgets;
+    callers halve it anyway)."""
+    _, pts = curve_samples(curve, m)
+    return lambda z: float(np.min(np.abs(pts - z)))
+
+
 def winding_number(curve: AnalyticCurve, z: complex, m: int = 2048) -> int:
     """Winding of gamma about z via the trapezoid rule (spectrally exact)."""
-    ts, pts = curve_samples(curve, m)
-    dif = pts - z
-    if np.min(np.abs(dif)) < 1e-9:
-        raise CurveError(f"point {z} is on (or too close to) the curve")
-    w = np.mean(curve_derivative(curve, ts) / dif) / 1j
-    wr = float(w.real)
-    if abs(wr - round(wr)) > 0.1 or abs(w.imag) > 0.1:
-        raise CurveError(f"ambiguous winding number {w} about {z}")
-    return int(round(wr))
+    return sampled_winding(curve, m)(z)
 
 
 def point_in_curve(curve: AnalyticCurve, z: complex, m: int = 2048) -> bool:
@@ -142,10 +161,8 @@ def point_in_curve(curve: AnalyticCurve, z: complex, m: int = 2048) -> bool:
 
 
 def distance_to_curve(curve: AnalyticCurve, z: complex, m: int = 4096) -> float:
-    """Sampled distance from z to the curve (lower-resolution but adequate
-    for radius budgets; callers halve it anyway)."""
-    _, pts = curve_samples(curve, m)
-    return float(np.min(np.abs(pts - z)))
+    """Sampled distance from z to the curve."""
+    return sampled_distance(curve, m)(z)
 
 
 @dataclass(frozen=True)

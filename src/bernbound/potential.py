@@ -150,11 +150,19 @@ def green_domain(u, pole, maps: MapPair, inside: bool | None = None):
 def bernstein_bound(u0: BoundaryPoint, poles: PoleSet, maps: MapPair) -> BoundReport:
     """Derivative bound at u0: max of the inner and outer normal-derivative
     sums over the classified poles, one value per distinct pole repeated
-    over its multiplicity."""
+    over its multiplicity.  The poles of each side are inverted in one
+    map_invert call."""
     _check_anchor(u0, maps)
+    locs = np.array([a for a, _ in poles.poles], dtype=complex)
+    inside = np.array(poles.inside, dtype=bool)
+    pre = np.empty(len(locs), dtype=complex)
+    for cmap, mask in ((maps.interior, inside), (maps.exterior, ~inside)):
+        if np.any(mask):
+            pre[mask] = map_invert(cmap, locs[mask])
     contributions = []
-    for (pole, mult), inn in zip(poles.poles, poles.inside):
-        val = domain_normal_derivative(u0, pole, maps, inside=inn)
+    for (pole, mult), inn, v in zip(poles.poles, poles.inside, pre):
+        cmap = maps.interior if inn else maps.exterior
+        val = disk_normal_derivative(v, cmap.side)
         if not val > 0.0:
             raise DomainError(f"nonpositive contribution at pole {pole}")
         contributions.extend(

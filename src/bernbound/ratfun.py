@@ -13,8 +13,8 @@ import numpy as np
 
 from .conformal import ConformalMap, map_derivative, map_eval
 from .curves import (TWO_PI, INFINITY, AnalyticCurve, ArcOpenUp, arc_point,
-                     distance_to_curve, eval_curve, is_infinite,
-                     point_in_curve)
+                     eval_curve, is_infinite, sampled_distance,
+                     sampled_winding)
 from .errors import PoleError, QuadratureError
 
 POLE_FLOOR = 1e-9
@@ -222,20 +222,15 @@ def blaschke_product(points) -> RationalFunction:
 # principal parts by contour quadrature
 # ---------------------------------------------------------------------------
 
-def _laurent_peel(g, a, order, rho, q, cmap):
-    """c_k = mean(g (Phi(v) - Phi(a))^{k-1} Phi'(v) (v - a)) on |v - a| = rho,
-    peeled from the top order down so that the huge top-order contribution
-    never swamps the low-order means."""
-    phis = np.arange(q) * (TWO_PI / q)
-    nodes = a + rho * np.exp(1j * phis)
-    vals = np.asarray(g(nodes), dtype=complex).copy()
-    w, dphi = nodes - a, 1.0
-    if cmap is not None:
-        w = map_eval(cmap, nodes) - map_eval(cmap, a)
-        dphi = map_derivative(cmap, nodes)
+def _laurent_peel(vals, w, dphi, dv, order):
+    """c_k = mean(g (Phi(v) - Phi(a))^{k-1} Phi'(v) (v - a)) over the ring
+    nodes v, from g, w = Phi(v) - Phi(a), dphi = Phi'(v) and dv = v - a
+    there; peeled from the top order down so that the huge top-order
+    contribution never swamps the low-order means."""
+    vals = vals.copy()
     coeffs = np.zeros(order, dtype=complex)
     for k in range(order, 0, -1):
-        c = np.mean(vals * w ** (k - 1) * dphi * (nodes - a))
+        c = np.mean(vals * w ** (k - 1) * dphi * dv)
         coeffs[k - 1] = c
         vals -= c / w ** k
     return coeffs
@@ -248,36 +243,55 @@ def principal_parts(g, poles, cmap: ConformalMap | None = None,
 
     g must be a vectorized callable of the disk variable, analytic in a
     punctured neighborhood of each pole.  The contour |v - a| = rho stays
-    inside the disk when a map is given, so Phi is never inverted.  Each
-    quadrature runs at q and 2q nodes; disagreement beyond rel_tol
-    (relative to the largest coefficient) raises, and the 2q result is
-    returned otherwise."""
+    inside the disk when a map is given, so Phi is never inverted.  g, Phi
+    and Phi' are evaluated once, on the 2q-node rings of all poles stacked
+    into one array; the q-node rule reads every other node.  Disagreement
+    of the two rules beyond rel_tol (relative to the largest coefficient)
+    raises, and the 2q result is returned otherwise."""
     locs = [complex(a) for a, _ in poles]
     orders = [int(m) for _, m in poles]
     if any(m < 1 for m in orders):
         raise PoleError("pole orders must be at least 1")
-    terms = []
-    for i, (a, m) in enumerate(zip(locs, orders)):
+    rhos = []
+    for i, a in enumerate(locs):
         d_other = min((abs(a - b) for j, b in enumerate(locs) if j != i),
                       default=math.inf)
         d_disk = 1.0 - abs(a) if cmap is not None else math.inf
-        rho = min(d_other, d_disk, 0.5) / 2.0
-        if not rho > 1e-8:
-            raise QuadratureError(
-                f"no feasible quadrature radius at pole {a} (rho = {rho:.2e})")
-        c1 = _laurent_peel(g, a, m, rho, q, cmap)
-        c2 = _laurent_peel(g, a, m, rho, 2 * q, cmap)
+        rhos.append(min(d_other, d_disk, 0.5) / 2.0)
+    # poles before the first infeasible radius get their q-vs-2q check
+    # first, so the error names the first failing pole in input order
+    n_ok = next((i for i, rho in enumerate(rhos) if not rho > 1e-8),
+                len(rhos))
+    terms = []
+    if n_ok:
+        centers = np.array(locs[:n_ok])[:, None]
+        ring = np.exp(1j * (np.arange(2 * q) * (TWO_PI / (2 * q))))
+        nodes = centers + np.array(rhos[:n_ok])[:, None] * ring
+        flat = nodes.ravel()
+        vals = np.asarray(g(flat), dtype=complex).reshape(nodes.shape)
+        dv = nodes - centers
+        w, dphi, images = dv, np.ones(nodes.shape), centers[:, 0]
+        if cmap is not None:
+            images = map_eval(cmap, centers[:, 0])
+            w = map_eval(cmap, flat).reshape(nodes.shape) - images[:, None]
+            dphi = map_derivative(cmap, flat).reshape(nodes.shape)
+    for i in range(n_ok):
+        ring_data = (vals[i], w[i], dphi[i], dv[i])
+        c1 = _laurent_peel(*(x[::2] for x in ring_data), orders[i])
+        c2 = _laurent_peel(*ring_data, orders[i])
         scale = max(float(np.max(np.abs(c2))), 1e-300)
         disagree = float(np.max(np.abs(c1 - c2))) / scale
         if disagree > rel_tol:
             raise QuadratureError(
-                f"quadrature disagreement {disagree:.2e} at pole {a} "
+                f"quadrature disagreement {disagree:.2e} at pole {locs[i]} "
                 f"exceeds {rel_tol:.2e}")
         keep = np.abs(c2) > 1e-13 * scale
         top = int(np.nonzero(keep)[0][-1]) + 1 if np.any(keep) else 0
         if top:
-            center = a if cmap is None else complex(map_eval(cmap, a))
-            terms.append((center, tuple(c2[:top])))
+            terms.append((complex(images[i]), tuple(c2[:top])))
+    if n_ok < len(locs):
+        raise QuadratureError(f"no feasible quadrature radius at pole "
+                              f"{locs[n_ok]} (rho = {rhos[n_ok]:.2e})")
     return make_rational(terms, ())
 
 
@@ -350,7 +364,12 @@ class PoleSet:
 
 
 def classify_poles(poles, curve: AnalyticCurve) -> PoleSet:
-    """Classify (location, multiplicity) pairs by the winding-number test."""
+    """Classify (location, multiplicity) pairs by the winding-number test.
+
+    The curve is sampled once per call; each finite pole then gets its
+    distance check and its winding over the shared samples, in input
+    order."""
+    distance, winding = sampled_distance(curve), sampled_winding(curve)
     entries, inside = [], []
     sep = math.inf
     for a, m in poles:
@@ -362,22 +381,19 @@ def classify_poles(poles, curve: AnalyticCurve) -> PoleSet:
             inside.append(False)
             continue
         a = complex(a)
-        d = distance_to_curve(curve, a)
+        d = distance(a)
         if d < POLE_FLOOR:
             raise PoleError(f"pole {a} lies on the curve (distance {d:.2e})")
         sep = min(sep, d)
         entries.append((a, m))
-        inside.append(point_in_curve(curve, a))
+        inside.append(winding(a) != 0)
     return PoleSet(tuple(entries), tuple(inside), sep)
 
 
 def split_inside_outside(f: RationalFunction, curve: AnalyticCurve):
     """f = f1 + f2 with f1 carrying exactly the interior pole terms and
     f1(inf) = 0; f2 gets the rest including the polynomial part."""
-    f1_terms, f2_terms = [], []
-    for t in f.terms:
-        d = distance_to_curve(curve, t.location)
-        if d < POLE_FLOOR:
-            raise PoleError(f"pole {t.location} on the curve cannot be split")
-        (f1_terms if point_in_curve(curve, t.location) else f2_terms).append(t)
+    ps = classify_poles([(t.location, t.order) for t in f.terms], curve)
+    f1_terms = [t for t, inn in zip(f.terms, ps.inside) if inn]
+    f2_terms = [t for t, inn in zip(f.terms, ps.inside) if not inn]
     return (make_rational(f1_terms, ()), make_rational(f2_terms, f.poly))

@@ -6,7 +6,8 @@ finite differences, Green's functions by a five-point Shortley-Weller
 Dirichlet solve on a Cartesian grid, Laurent coefficients by randomized
 least-squares fits.  The loop references at the end are the plain forms of
 vectorized package routines (series evaluation, the simplicity scan, the
-sup-norm peak refinement), kept to pin the fast forms against.
+sup-norm peak refinement, pole classification, principal parts), kept to
+pin the fast forms against.
 """
 
 import math
@@ -15,8 +16,11 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from bernbound import (ArcOpenUp, arc_point, arc_samples, curve_samples,
-                       degree, eval_curve, rf_eval)
+from bernbound import (INFINITY, ArcOpenUp, PoleSet, arc_point, arc_samples,
+                       curve_samples, degree, distance_to_curve, eval_curve,
+                       is_infinite, make_rational, map_derivative, map_eval,
+                       point_in_curve, rf_eval)
+from bernbound.errors import PoleError, QuadratureError
 
 TWO_PI = 2.0 * np.pi
 
@@ -257,3 +261,74 @@ def loop_sup_norm(f, boundary, m=None):
         if cand > best_v:
             best_v, best_t = cand, cand_t
     return best_v, best_t % TWO_PI
+
+
+def loop_classify_poles(poles, curve, floor=1e-9):
+    """classify_poles one pole at a time: each finite pole resamples the
+    curve for its distance (4,096 points) and its winding (2,048)."""
+    entries, inside = [], []
+    sep = math.inf
+    for a, m in poles:
+        m = int(m)
+        if m < 1:
+            raise PoleError("multiplicities must be at least 1")
+        if is_infinite(a):
+            entries.append((INFINITY, m))
+            inside.append(False)
+            continue
+        a = complex(a)
+        d = distance_to_curve(curve, a)
+        if d < floor:
+            raise PoleError(f"pole {a} lies on the curve (distance {d:.2e})")
+        sep = min(sep, d)
+        entries.append((a, m))
+        inside.append(point_in_curve(curve, a))
+    return PoleSet(tuple(entries), tuple(inside), sep)
+
+
+def _loop_peel(g, a, order, rho, q, cmap):
+    phis = np.arange(q) * (TWO_PI / q)
+    nodes = a + rho * np.exp(1j * phis)
+    vals = np.asarray(g(nodes), dtype=complex).copy()
+    w, dphi = nodes - a, 1.0
+    if cmap is not None:
+        w = map_eval(cmap, nodes) - map_eval(cmap, a)
+        dphi = map_derivative(cmap, nodes)
+    coeffs = np.zeros(order, dtype=complex)
+    for k in range(order, 0, -1):
+        c = np.mean(vals * w ** (k - 1) * dphi * (nodes - a))
+        coeffs[k - 1] = c
+        vals -= c / w ** k
+    return coeffs
+
+
+def loop_principal_parts(g, poles, cmap=None, q=64, rel_tol=1e-9):
+    """principal_parts one pole at a time, with separate map calls on the
+    q-node and the 2q-node ring of each pole and one for its center."""
+    locs = [complex(a) for a, _ in poles]
+    orders = [int(m) for _, m in poles]
+    if any(m < 1 for m in orders):
+        raise PoleError("pole orders must be at least 1")
+    terms = []
+    for i, (a, m) in enumerate(zip(locs, orders)):
+        d_other = min((abs(a - b) for j, b in enumerate(locs) if j != i),
+                      default=math.inf)
+        d_disk = 1.0 - abs(a) if cmap is not None else math.inf
+        rho = min(d_other, d_disk, 0.5) / 2.0
+        if not rho > 1e-8:
+            raise QuadratureError(
+                f"no feasible quadrature radius at pole {a} (rho = {rho:.2e})")
+        c1 = _loop_peel(g, a, m, rho, q, cmap)
+        c2 = _loop_peel(g, a, m, rho, 2 * q, cmap)
+        scale = max(float(np.max(np.abs(c2))), 1e-300)
+        disagree = float(np.max(np.abs(c1 - c2))) / scale
+        if disagree > rel_tol:
+            raise QuadratureError(
+                f"quadrature disagreement {disagree:.2e} at pole {a} "
+                f"exceeds {rel_tol:.2e}")
+        keep = np.abs(c2) > 1e-13 * scale
+        top = int(np.nonzero(keep)[0][-1]) + 1 if np.any(keep) else 0
+        if top:
+            center = a if cmap is None else complex(map_eval(cmap, a))
+            terms.append((center, tuple(c2[:top])))
+    return make_rational(terms, ())

@@ -284,6 +284,24 @@ class TestGreensCommand:
         assert "spec error at greens.probes[0]:" in err
         assert "opposite sides" in err
 
+    def test_first_mismatched_probe_is_named(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, {
+            "command": "greens", "curve": {"kind": "circle"},
+            "greens": {"poles": [[0.0, 0.1], [0.2, 0.0]],
+                       "probes": [[0.5, 0.0], [2.0, 0.0], [3.0, 0.0]]}})
+        assert run_cli("greens", spec, tmp_path / "out") == 2
+        assert "spec error at greens.probes[1]:" in capsys.readouterr().err
+
+    def test_probe_on_the_curve_is_a_curve_error(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, {
+            "command": "greens", "curve": {"kind": "circle"},
+            "greens": {"poles": [[0.0, 0.1]],
+                       "probes": [[0.5, 0.0], [1.0, 0.0]]}})
+        assert run_cli("greens", spec, tmp_path / "out") == 3
+        err = capsys.readouterr().err
+        assert "[CurveError]" in err
+        assert "(1+0j) is on (or too close to) the curve" in err
+
 
 class TestExitCodes:
     def test_missing_config_file(self, tmp_path, capsys):

@@ -7,8 +7,9 @@ import pytest
 
 from bernbound import (blaschke_derivative, blaschke_eval, boundary_point,
                        build_circle_extremal, build_transferred_extremal,
-                       circle, curve_samples, leja_points, map_invert,
-                       rf_derivative, rf_eval, sharpness_sweep, sup_norm)
+                       circle, conformal, curve_samples, extremal,
+                       leja_points, map_invert, potential, rf_derivative,
+                       rf_eval, sharpness_sweep, sup_norm)
 from bernbound.errors import ExtremalError, PoleError
 
 from helpers import sweep_interior_poles
@@ -286,6 +287,26 @@ class TestSharpnessSweep:
                                  policy="repeat_single_pole", threads=2)
         assert [r.ratio for r in pooled] == [r.ratio for r in serial]
         assert [r.n for r in pooled] == [1, 3, 5]
+
+    def test_golden_row_inverts_per_pole_set(self, sweep_config,
+                                             ellipse_pair, monkeypatch):
+        # the base picks, the Leja node values and one call per side of the
+        # bound: no map_invert call per pole
+        cfg = sweep_config
+        e, u0, pair = ellipse_pair
+        calls = []
+
+        def counting(cmap, u, *args, fn=conformal.map_invert, **kwargs):
+            calls.append(cmap.side)
+            return fn(cmap, u, *args, **kwargs)
+
+        for mod in (conformal, extremal, potential):
+            monkeypatch.setattr(mod, "map_invert", counting)
+        (row,) = sharpness_sweep(e, pair, u0, sweep_interior_poles(cfg),
+                                 complex(*cfg["zeta0"]), [40],
+                                 policy=cfg["policy"])
+        assert row.flags == ""
+        assert len(calls) <= 4
 
     def test_row_failures_are_flagged(self, ellipse_pair):
         # an anchor inside the curve fails every run but not the sweep

@@ -199,23 +199,41 @@ class TestBernsteinBound:
     def test_each_distinct_pole_inverted_once(self, ellipse_pair,
                                               monkeypatch):
         e, u0, pair = ellipse_pair
-        poles = [(0.3 + 0.1j, 3), (-0.2j, 1), (2.0 - 0.5j, 2), (INFINITY, 4)]
+        poles = [(0.3 + 0.1j, 3), (2.0 - 0.5j, 2), (-0.2j, 1), (INFINITY, 4),
+                 (-1.5 + 1.0j, 1)]
         ps = classify_poles(poles, e)
         calls = []
 
         def counting(cmap, u, *args, **kwargs):
-            calls.append(u)
+            calls.append((cmap.side, np.atleast_1d(u).tolist()))
             return map_invert(cmap, u, *args, **kwargs)
 
         monkeypatch.setattr(potential, "map_invert", counting)
         report = bernstein_bound(u0, ps, pair)
-        assert len(calls) == len(poles)
-        # contributions keep the order and values of the expanded pole set
+        # at most one call per side, and every distinct pole in exactly one
+        sides = [side for side, _ in calls]
+        assert len(sides) == len(set(sides)) <= 2
+        inverted = [u for _, us in calls for u in us]
+        assert sorted(map(str, inverted)) == sorted(str(complex(a))
+                                                    for a, _ in poles)
+        # contributions keep the order of the expanded pole set and equal
+        # the disk formula on one array inversion per side
         assert [(c.pole, c.side) for c in report.contributions] == [
             (a, "inner" if inn else "outer") for a, inn in ps.expanded()]
-        want = [domain_normal_derivative(u0, a, pair, inside=inn)
+        pre = {}
+        for cmap, side in ((pair.interior, True), (pair.exterior, False)):
+            locs = [a for (a, _), inn in zip(ps.poles, ps.inside)
+                    if inn == side]
+            pre.update(zip(locs, map_invert(cmap, np.array(locs))))
+        want = [disk_normal_derivative(
+                    pre[a], "interior" if inn else "exterior")
                 for a, inn in ps.expanded()]
         assert [c.value for c in report.contributions] == want
+        # the one-pole form inverts each pole on its own, which may round
+        # the last bits differently (the TestArrayInversion contract)
+        for c, (a, inn) in zip(report.contributions, ps.expanded()):
+            one = domain_normal_derivative(u0, a, pair, inside=inn)
+            assert abs(c.value - one) <= 1e-13 * (1.0 + abs(c.value))
 
     def test_anchor_mismatch_rejected(self, ellipse_pair):
         e, u0, pair = ellipse_pair

@@ -1,18 +1,24 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from bernbound import (INFINITY, blaschke_derivative, blaschke_eval,
-                       blaschke_product, circular_arc, classify_poles,
-                       cluster_points, curve_samples, degree,
-                       distance_to_curve, make_rational, map_derivative,
-                       map_eval, map_invert, point_in_curve, poles_of,
-                       principal_parts, rf_derivative, rf_eval,
-                       split_inside_outside, sup_norm)
-from bernbound.errors import PoleError, QuadratureError
+                       blaschke_product, circle, circular_arc,
+                       classify_poles, cluster_points, curve_samples, curves,
+                       degree, distance_to_curve, ellipse, eval_curve,
+                       make_rational, map_derivative, map_eval, map_invert,
+                       point_in_curve, poles_of, principal_parts,
+                       rf_derivative, rf_eval, split_inside_outside,
+                       sup_norm, trig_curve)
+from bernbound.errors import NumericsError, PoleError, QuadratureError
 
 from helpers import (random_blaschke, random_complex, random_corpus_function,
                      random_split_rational)
-from oracles import (laurent_principal_lstsq, loop_sup_norm,
+from oracles import (laurent_principal_lstsq, loop_classify_poles,
+                     loop_principal_parts, loop_sup_norm,
                      richardson_directional)
 
 
@@ -344,3 +350,136 @@ class TestClassification:
         assert got[0][1] == 3
         assert abs(got[0][0] - 0.3) < 1e-12
         assert got[1] == (5.0 + 0j, 1)
+
+
+# ---------------------------------------------------------------------------
+# the one-pass pole-set routines against their one-pole-at-a-time loops
+# ---------------------------------------------------------------------------
+
+PARITY_CURVES = (circle(), circle(radius=1.7, center=0.3 + 0.2j),
+                 ellipse(1.2, 0.8), trig_curve([(1, 1.0 + 0j), (4, 0.06 + 0j)]))
+
+# a pole is INFINITY or scale * gamma(angle): inside these star-shaped curves
+# for scale < 1, outside for scale > 1, and near the curve (where the winding
+# test may refuse it) for scale close to 1
+_POLE = st.one_of(
+    st.just(None),
+    st.tuples(st.floats(0.05, 0.95) | st.floats(0.999, 1.001)
+              | st.floats(1.05, 3.0),
+              st.floats(0.0, 2 * np.pi, exclude_max=True)))
+_POLE_SET = st.lists(st.tuples(_POLE, st.integers(1, 4)), min_size=1,
+                     max_size=9)
+
+
+def _pole_list(curve, draws):
+    return [(INFINITY if p is None else complex(p[0] * eval_curve(curve, p[1])),
+             m) for p, m in draws]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except NumericsError as exc:
+        return type(exc), str(exc)
+
+
+class TestPoleSetLoops:
+    @settings(deadline=None, max_examples=40)
+    @given(k=st.integers(0, len(PARITY_CURVES) - 1), draws=_POLE_SET)
+    @example(k=2, draws=[((1.0, 0.0), 1)])  # on a sample: a PoleError
+    @example(k=2, draws=[((0.9995, 1.0), 1), ((1.0, 0.0), 1)])
+    def test_classify_matches_pole_loop(self, k, draws):
+        curve = PARITY_CURVES[k]
+        poles = _pole_list(curve, draws)
+        got = _outcome(classify_poles, poles, curve)
+        want = _outcome(loop_classify_poles, poles, curve)
+        assert got == want  # entries, inside and separation, or the error
+
+    def test_on_curve_pole_named_at_each_position(self, ellipse_pair):
+        e, _, _ = ellipse_pair
+        _, pts = curve_samples(e, 4096)
+        on, also_on = complex(pts[100]), complex(pts[2000])
+        others = [(0.3 + 0.1j, 2), (2.0 - 0.5j, 1), (INFINITY, 3)]
+        for pos in range(len(others) + 1):
+            poles = others[:pos] + [(on, 1)] + others[pos:] + [(also_on, 1)]
+            with pytest.raises(PoleError) as got:
+                classify_poles(poles, e)
+            with pytest.raises(PoleError) as want:
+                loop_classify_poles(poles, e)
+            assert str(got.value) == str(want.value)
+            assert str(got.value).startswith(f"pole {on} lies on the curve")
+
+    def test_classify_samples_the_curve_once(self, ellipse_pair, monkeypatch):
+        e, _, _ = ellipse_pair
+        calls = []
+        for name in ("eval_curve", "curve_derivative"):
+            def counting(*args, fn=getattr(curves, name), name=name):
+                calls.append(name)
+                return fn(*args)
+
+            monkeypatch.setattr(curves, name, counting)
+        counts = []
+        for n in (1, 9):
+            del calls[:]
+            poles = [(complex(0.1 * k + 0.2j), 1) for k in range(n)]
+            classify_poles(poles, e)
+            counts.append(sorted(calls))
+        assert counts[0] == counts[1]
+        assert len(counts[0]) == 3  # 4,096 distances, 2,048 windings + tangents
+
+    @settings(deadline=None, max_examples=25)
+    @given(k=st.integers(0, 3),
+           draws=st.lists(st.tuples(st.floats(0.0, 0.8),
+                                    st.floats(0.0, 2 * np.pi,
+                                              exclude_max=True),
+                                    st.integers(1, 4)),
+                          min_size=1, max_size=5))
+    def test_principal_parts_match_pole_loop(self, circle_pair, ellipse_pair,
+                                             shifted_circle_pair, k, draws):
+        cmap = (None, circle_pair[2].interior, ellipse_pair[2].interior,
+                shifted_circle_pair[2].interior)[k]
+        picks = [complex(r * np.exp(1j * t)) for r, t, m in draws
+                 for _ in range(m)]
+        poles = cluster_points(picks)
+
+        def g(v):
+            return blaschke_eval(picks, v)
+
+        want = _outcome(loop_principal_parts, g, poles, cmap)
+        got = _outcome(principal_parts, g, poles, cmap)
+        if isinstance(want, tuple):
+            assert got[0] is want[0]
+            assert re.search(r"at pole \S+", got[1]).group() == \
+                re.search(r"at pole \S+", want[1]).group()
+            return
+        if cmap is None:  # elementwise arithmetic throughout: equal
+            assert got == want
+            return
+        # with a map, Phi is evaluated on one stacked array instead of per
+        # ring, and a matrix product may round its last bits by batch size
+        assert len(got.terms) == len(want.terms)
+        for t_got, t_want in zip(got.terms, want.terms):
+            assert abs(t_got.location - t_want.location) <= \
+                1e-13 * (1.0 + abs(t_want.location))
+            scale = max(abs(c) for c in t_want.coeffs)
+            assert len(t_got.coeffs) == len(t_want.coeffs)
+            assert max(abs(a - b) for a, b in
+                       zip(t_got.coeffs, t_want.coeffs)) <= 1e-13 * scale
+
+    def test_failing_second_of_three_is_named(self, ellipse_pair):
+        # a singularity just outside the second pole's ring (rho = 0.25)
+        # trips its q-vs-2q check; the first pole passes
+        _, _, pair = ellipse_pair
+        picks = [-0.4 + 0j, 0.1 + 0.3j, 0.4 - 0.3j]
+
+        def g(v):
+            return blaschke_eval(picks, v) + 1.0 / (v - (0.1 + 0.56j))
+
+        poles = [(a, 1) for a in picks]
+        # a later pole without a feasible radius does not preempt it
+        crowded = poles + [(picks[2] + 1e-9, 1)]
+        for fn in (principal_parts, loop_principal_parts):
+            for pole_set in (poles, crowded):
+                with pytest.raises(QuadratureError,
+                                   match=re.escape(f"at pole {picks[1]} ")):
+                    fn(g, pole_set, pair.interior)
