@@ -5,8 +5,8 @@ Run from the repository root:
 
     python3 tools/bench.py --out BENCH_5.json
 
-Each case is timed with time.perf_counter: a repeat runs the case `number`
-times, and the record keeps the median per-call time over `--repeats`
+Each case is timed with time.perf_counter: a repeat runs the case NUMBER
+(20) times, and the record keeps the median per-call time over REPEATS (9)
 repeats, after one untimed warm-up call.  The BLAS/OpenMP thread variables
 default to 1 (as in perfbench/run.py), so one product never spreads over
 idle cores.  To compare two commits, run this file from a checkout of each
@@ -35,6 +35,9 @@ for _var in THREAD_VARS:
     os.environ.setdefault(_var, "1")
 
 import numpy as np  # noqa: E402
+
+REPEATS = 9
+NUMBER = 20
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -94,14 +97,14 @@ def build_cases():
     ]
 
 
-def time_case(fn, repeats, number):
+def time_case(fn):
     fn()  # warm-up
     per_call = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         start = time.perf_counter()
-        for _ in range(number):
+        for _ in range(NUMBER):
             fn()
-        per_call.append((time.perf_counter() - start) / number)
+        per_call.append((time.perf_counter() - start) / NUMBER)
     return statistics.median(per_call)
 
 
@@ -118,18 +121,13 @@ def git_commit():
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="BENCH_<n>.json path")
-    parser.add_argument("--repeats", type=int, default=9)
-    parser.add_argument("--number", type=int, default=20,
-                        help="calls per repeat")
     args = parser.parse_args(argv)
-    if args.repeats < 1 or args.number < 1:
-        parser.error("--repeats and --number must be at least 1")
 
     records = []
     for layer, case, work, fn in build_cases():
-        median = time_case(fn, args.repeats, args.number)
+        median = time_case(fn)
         records.append({"layer": layer, "case": case, "median_s": median,
-                        "repeats": args.repeats, "number": args.number,
+                        "repeats": REPEATS, "number": NUMBER,
                         "work": work})
         print(f"{layer:10s} {case:28s} {median * 1e3:9.3f} ms")
     result = {
