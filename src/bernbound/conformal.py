@@ -40,7 +40,10 @@ class ConformalMap:
     anchor: complex        # u0 = Phi(1)
     anchor_deriv: complex  # Phi'(1), unit modulus by construction
     corr_t: tuple          # curve parameter at the uniform final angles
-    delta: float           # verified extension margin beyond |v| = 1
+    delta: float           # extension margin beyond |v| = 1: half the last
+                           # _MARGIN_LADDER rung in the unbroken univalent
+                           # prefix, exact for the closed forms (circle,
+                           # ellipse exterior), sampled for series maps
     tail: float            # relative mass dropped when the series was cut
 
     @property
@@ -368,37 +371,68 @@ def normalize_at_anchor(raw: ConformalMap, u0: BoundaryPoint) -> ConformalMap:
                    anchor_deriv=complex(map_derivative(out, 1.0 + 0j)))
 
 
-def _measure_margin(cmap: ConformalMap, m: int = 512) -> float:
-    """Largest ladder offset at which the analytically continued map still
-    passes sampled univalence, derivative, and truncation checks; halved."""
-    thetas = np.arange(m) * (TWO_PI / m)
-    ring = np.exp(1j * thetas)
-    klast = len(cmap.series) - 1
+def _ladder_margin(cmap: ConformalMap, rung_ok) -> float:
+    """Half the last rung of the unbroken prefix of _MARGIN_LADDER that
+    passes rung_ok(d); exterior rungs stop below 0.9.  The walk is linear:
+    the checks are not monotone in d, so a bisection could skip a failure."""
     best = 0.0
     for d in _MARGIN_LADDER:
-        if cmap.side == "exterior" and d >= 0.9:
-            break
-        radius = 1.0 + d if cmap.side == "interior" else 1.0 - d
-        probe = replace(cmap, delta=d + 1e-9)
-        pts = map_eval(probe, radius * ring)
-        if not np.all(np.isfinite(pts.real) & np.isfinite(pts.imag)):
-            break
-        scale = max(float(np.max(np.abs(pts))), 1.0)
-        growth = radius ** klast if cmap.side == "interior" else radius ** (-klast)
-        if cmap.tail > _TRIM_REL and cmap.tail * growth > 1e-8 * scale:
-            break
-        der = map_derivative(probe, radius * ring)
-        if np.min(np.abs(der)) < 1e-10 * scale:
-            break
-        gaps = np.abs(np.diff(np.concatenate([pts, pts[:1]])))
-        if not _simplicity_margin(pts, float(np.max(gaps))) >= 1.0:
+        if (cmap.side == "exterior" and d >= 0.9) or not rung_ok(d):
             break
         best = d
     return best / 2.0
 
 
-def _with_margin(cmap):
-    return replace(cmap, delta=_measure_margin(cmap))
+def _measure_margin(cmap: ConformalMap, m: int = 512) -> float:
+    """Ladder margin of a series map: at each rung the analytically
+    continued map must pass sampled univalence, derivative, and truncation
+    checks on the circle |v| = 1 +- d."""
+    ring = np.exp(1j * np.arange(m) * (TWO_PI / m))
+    klast = len(cmap.series) - 1
+
+    def rung_ok(d):
+        radius = 1.0 + d if cmap.side == "interior" else 1.0 - d
+        probe = replace(cmap, delta=d + 1e-9)
+        pts = map_eval(probe, radius * ring)
+        if not np.all(np.isfinite(pts.real) & np.isfinite(pts.imag)):
+            return False
+        scale = max(float(np.max(np.abs(pts))), 1.0)
+        growth = radius ** klast if cmap.side == "interior" else radius ** (-klast)
+        if cmap.tail > _TRIM_REL and cmap.tail * growth > 1e-8 * scale:
+            return False
+        der = map_derivative(probe, radius * ring)
+        if np.min(np.abs(der)) < 1e-10 * scale:
+            return False
+        gaps = np.abs(np.diff(np.concatenate([pts, pts[:1]])))
+        return _simplicity_margin(pts, float(np.max(gaps))) >= 1.0
+
+    return _ladder_margin(cmap, rung_ok)
+
+
+def _closed_margin(cmap: ConformalMap, rho_c: float) -> float:
+    """Ladder margin of a closed-form core from exact rung tests.  The core
+    is the Moebius c + r w (interior) or c0 w + c1 + c2/w (exterior), which
+    is univalent for |w| > rho_c = sqrt(|c2/c0|), and on the whole plane
+    when rho_c = 0.  Interior: the prefix pole |v| = 1/|s| lies beyond
+    |v| = 1 + d.  Exterior: when R = 1 - d exceeds |s|, the prefix sends
+    |v| > R outside |w| = (R - |s|)/(1 - |s| R), which must clear rho_c."""
+    s = abs(cmap.s)
+
+    def rung_ok(d):
+        if cmap.side == "interior":
+            return (1.0 + d) * s < 1.0
+        r = 1.0 - d
+        return rho_c == 0.0 or (r > s and (r - s) / (1.0 - s * r) > rho_c)
+
+    return _ladder_margin(cmap, rung_ok)
+
+
+def _with_margin(cmap, rho_c=None):
+    """cmap with its ladder margin: exact for a closed-form core univalent
+    for |w| > rho_c, sampled (_measure_margin) for a series (rho_c None)."""
+    if rho_c is None:
+        return replace(cmap, delta=_measure_margin(cmap))
+    return replace(cmap, delta=_closed_margin(cmap, rho_c))
 
 
 # ---------------------------------------------------------------------------
@@ -413,14 +447,16 @@ def _interior_center(curve):
 def solve_interior_map(curve: AnalyticCurve, u0: BoundaryPoint,
                        tol: float = 1e-11, m: int = 1024) -> ConformalMap:
     """Normalized Riemann map of the open unit disk onto the bounded side."""
+    rho_c = None
     if curve.kind == "circle":
         r, c = curve.params
         series, t_par, tail = np.array([c, r], dtype=complex), None, 0.0
+        rho_c = 0.0
     else:
         series, t_par, tail = _interior_core(curve, _interior_center(curve),
                                              m, tol)
     raw = _raw_map("interior", series, t_par, tail, m)
-    return _with_margin(normalize_at_anchor(raw, u0))
+    return _with_margin(normalize_at_anchor(raw, u0), rho_c)
 
 
 def solve_exterior_map(curve: AnalyticCurve, u0: BoundaryPoint,
@@ -436,17 +472,20 @@ def solve_exterior_map(curve: AnalyticCurve, u0: BoundaryPoint,
         raise MapError(f"unknown exterior solve method {method!r}")
     t_par = None
     tail = 0.0
+    rho_c = None
     if method == "auto" and curve.kind == "circle":
         r, c = curve.params
         series = np.array([r, c], dtype=complex)
+        rho_c = 0.0
     elif method == "auto" and curve.kind == "ellipse":
         a, b = curve.params
         series = _closed_exterior_ellipse(a, b)
+        rho_c = math.sqrt(abs(a - b) / (a + b))
     else:
         series, t_par, tail = _exterior_core(curve, _interior_center(curve),
                                              m, tol)
     raw = _raw_map("exterior", series, t_par, tail, m)
-    return _with_margin(normalize_at_anchor(raw, u0))
+    return _with_margin(normalize_at_anchor(raw, u0), rho_c)
 
 
 def solve_map_pair(curve: AnalyticCurve, u0: BoundaryPoint,

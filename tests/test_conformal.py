@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -7,9 +9,11 @@ from bernbound import (boundary_point, circle, curve_samples, ellipse,
                        point_in_curve, roundtrip_residual, segment_arc,
                        solve_exterior_map, solve_interior_map, solve_map_pair,
                        trig_curve)
-from bernbound.conformal import _poly_eval, exterior_pole
+from bernbound import conformal
+from bernbound.conformal import (_MARGIN_LADDER, _moebius, _poly_eval,
+                                 exterior_pole)
 from bernbound.errors import ArcError, MapError, MapInvertError, NumericsError
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
@@ -302,6 +306,118 @@ class TestSeriesKernel:
         assert _poly_eval(c, x).shape == (2, 2)
         assert np.allclose(_poly_eval(c, x), horner_eval(c, x), rtol=1e-15)
         assert np.array_equal(_poly_eval([], x), np.zeros((2, 2)))
+
+
+def _rung_is_univalent(cmap, d, rho_c):
+    """The exact univalence test of a closed-form map on the rung |v| = 1 +- d.
+
+    Interior (Moebius): the pole v = -1/s lies beyond |v| = 1 + d.  Exterior:
+    the prefix image of |v| = R = 1 - d must stay off w = 0 (R > |s|) and,
+    sampled densely through its nearest point v = -R sign(s), clear the
+    critical circle |w| = rho_c of c0 w + c2/w (a linear core when 0).
+    Returns the verdict and the distance of its deciding value to the
+    threshold, so that a test can skip knife-edge draws."""
+    s = abs(cmap.s)
+    if cmap.side == "interior":
+        gap = 1.0 - (1.0 + d) * s
+        return gap > 0.0, abs(gap)
+    if rho_c == 0.0:
+        return True, math.inf
+    r = 1.0 - d
+    if r <= s:
+        return False, s - r
+    ring = r * np.exp(2j * np.pi * np.arange(4096) / 4096)
+    gap = float(np.min(np.abs(_moebius(cmap, ring)))) - rho_c
+    return gap > 0.0, abs(gap)
+
+
+def _check_ladder_margin(cmap, rho_c):
+    """delta is half a ladder rung that passes the exact test, and the next
+    rung fails it, or the ladder (capped below 0.9 outside) is exhausted."""
+    rungs = [d for d in _MARGIN_LADDER if cmap.side == "interior" or d < 0.9]
+    passed = [d for d in rungs if d == 2.0 * cmap.delta]
+    if cmap.delta == 0.0:
+        nxt = rungs[0]
+    else:
+        assert len(passed) == 1, cmap.delta
+        ok, gap = _rung_is_univalent(cmap, passed[0], rho_c)
+        assume(gap > 1e-9)
+        assert ok
+        idx = rungs.index(passed[0])
+        if idx + 1 == len(rungs):
+            return
+        nxt = rungs[idx + 1]
+    ok, gap = _rung_is_univalent(cmap, nxt, rho_c)
+    assume(gap > 1e-9)
+    assert not ok
+
+
+class TestClosedFormMargins:
+    """Circles and the ellipse exterior take delta from exact rung tests."""
+
+    @settings(deadline=None, max_examples=40)
+    @given(radius=st.floats(0.1, 10.0),
+           cx=st.floats(-5.0, 5.0), cy=st.floats(-5.0, 5.0),
+           t=st.floats(0.0, 2 * np.pi, exclude_max=True))
+    @example(radius=5.0, cx=0.0, cy=0.0, t=0.0)
+    @example(radius=0.2, cx=0.0, cy=0.0, t=0.0)
+    def test_circle_margins_are_the_exact_rungs(self, radius, cx, cy, t):
+        c = circle(radius, complex(cx, cy))
+        pair = solve_map_pair(c, boundary_point(c, t))
+        for cmap in (pair.interior, pair.exterior):
+            _check_ladder_margin(cmap, 0.0)
+
+    @settings(deadline=None, max_examples=40)
+    @given(ratio=st.floats(0.1, 0.99), reciprocal=st.booleans(),
+           t=st.floats(0.0, 2 * np.pi, exclude_max=True))
+    @example(ratio=0.5, reciprocal=False, t=1.5)
+    def test_ellipse_exterior_margin_is_the_exact_rung(self, ratio,
+                                                       reciprocal, t):
+        b = 1.0 / ratio if reciprocal else ratio
+        e = ellipse(1.0, b)
+        cmap = solve_exterior_map(e, boundary_point(e, t))
+        _check_ladder_margin(cmap, math.sqrt(abs(1.0 - b) / (1.0 + b)))
+
+    def test_radius_five_and_radius_fifth_circles_have_margins(self):
+        # the sampled ladder read 0 on both sides of both circles
+        for radius in (5.0, 0.2):
+            c = circle(radius)
+            pair = solve_map_pair(c, boundary_point(c, 0.0))
+            assert pair.interior.delta > 0.0
+            assert pair.exterior.delta > 0.0
+
+    def test_ellipse_exterior_domain_clears_the_critical_circle(self):
+        # the sampled ladder gave delta2 = 0.444 here, although the closed
+        # circle |v| = 1 - delta2 reached |w| = 0.555 < rho_c = 0.577,
+        # where the Joukowski core's derivative vanishes
+        e = ellipse(1.0, 0.5)
+        cmap = solve_exterior_map(e, boundary_point(e, 1.5))
+        rho_c = math.sqrt(0.5 / 1.5)
+        r = 1.0 - cmap.delta
+        ring = r * np.exp(2j * np.pi * np.arange(4096) / 4096)
+        w = _moebius(cmap, np.concatenate([ring, [-r * np.sign(cmap.s)]]))
+        assert np.min(np.abs(w)) > rho_c
+
+    def test_closed_forms_make_no_sampled_scans(self, monkeypatch):
+        calls = []
+
+        def counting(pts, step_scale, fn=conformal._simplicity_margin):
+            calls.append(len(pts))
+            return fn(pts, step_scale)
+
+        monkeypatch.setattr(conformal, "_simplicity_margin", counting)
+        c = circle(1.7, 0.3 + 0.2j)
+        solve_map_pair(c, boundary_point(c, 0.15))
+        assert calls == []
+        e = ellipse(1.2, 0.8)
+        u0 = boundary_point(e, 0.4)
+        solve_exterior_map(e, u0)
+        assert calls == []
+        solve_interior_map(e, u0)
+        interior = len(calls)
+        assert interior > 0
+        solve_map_pair(e, u0)
+        assert len(calls) == 2 * interior
 
 
 class TestOpenUpPreimages:

@@ -9,7 +9,8 @@ from bernbound import (blaschke_derivative, blaschke_eval, boundary_point,
                        build_circle_extremal, build_transferred_extremal,
                        circle, conformal, curve_samples, extremal,
                        leja_points, map_invert, potential, rf_derivative,
-                       rf_eval, sharpness_sweep, sup_norm)
+                       rf_eval, sharpness_sweep, solve_map_pair,
+                       sup_norm)
 from bernbound.errors import ExtremalError, PoleError
 
 from helpers import sweep_interior_poles
@@ -278,6 +279,19 @@ class TestSharpnessSweep:
         for row in rows:
             assert row.flags == ""
             assert abs(row.ratio - 1.0) <= 1e-6
+
+    def test_radius_five_circle_identity_ratios(self):
+        # the sampled ladder read delta1 = 0 on this circle, so every row
+        # raised "interior map carries no verified extension margin"
+        c = circle(5.0)
+        u0 = boundary_point(c, 0.0)
+        pair = solve_map_pair(c, u0)
+        rows = sharpness_sweep(c, pair, u0, [0.0 + 0j], 15.0, [1, 5, 10],
+                               policy="repeat_single_pole")
+        assert [r.n for r in rows] == [1, 5, 10]
+        for row in rows:
+            assert row.flags == ""
+            assert abs(row.ratio - 1.0) <= 1e-8
 
     def test_threads_match_serial(self, circle_pair):
         c, u0, pair = circle_pair

@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Per-layer timings of the pole-set routines, written as BENCH_<n>.json.
+"""Per-layer timings of the map solves and pole-set routines, as BENCH_<n>.json.
 
 Run from the repository root:
 
-    python3 tools/bench.py --out BENCH_5.json
+    python3 tools/bench.py --out BENCH_6.json
 
 Each case is timed with time.perf_counter: a repeat runs the case NUMBER
 (20) times, and the record keeps the median per-call time over REPEATS (9)
@@ -12,8 +12,15 @@ default to 1 (as in perfbench/run.py), so one product never spreads over
 idle cores.  To compare two commits, run this file from a checkout of each
 and compare the median_s of matching (layer, case) records.
 
-Cases, all on ellipse(1.2, 0.8) anchored at t = 0.4 (the golden sweep
-curve; the map pair is solved once, outside the timings):
+Map solves (work: the two sides of a pair, or the one map measured):
+
+    solve_map_pair   circle() at t = 0, circle(1.7, 0.3+0.2i) at t = 0.15
+                     (closed forms, exact margins) and ellipse(1.2, 0.8) at
+                     t = 0.4 (Theodorsen interior, closed-form exterior)
+    _measure_margin  the sampled ladder walk on that ellipse's interior map
+
+The other cases, all on ellipse(1.2, 0.8) anchored at t = 0.4 (the golden
+sweep curve; the map pair is solved once, outside the timings):
 
     classify_poles   the 3 corpus poles with infinity; 9 poles, 3 inside
     bernstein_bound  the corpus pole set, orders (3, 2, 3, 2)
@@ -60,6 +67,13 @@ def build_cases():
     curve = bb.ellipse(cfg["a"], cfg["b"])
     u0 = bb.boundary_point(curve, cfg["t"])
     pair = bb.solve_map_pair(curve, u0)
+    solves = []
+    for name, c, t in (("circle", bb.circle(), 0.0),
+                       ("shifted_circle", bb.circle(1.7, 0.3 + 0.2j), 0.15),
+                       ("ellipse", curve, cfg["t"])):
+        u = bb.boundary_point(c, t)
+        solves.append(("conformal", f"solve_map_pair/{name}", 2,
+                       lambda c=c, u=u: bb.solve_map_pair(c, u)))
 
     corpus = list(zip(CORPUS_INTERIOR + CORPUS_EXTERIOR + (bb.INFINITY,),
                       (3, 2, 3, 2)))
@@ -81,7 +95,9 @@ def build_cases():
     outer = np.array([complex(1.6 * bb.eval_curve(curve, t))
                       for t in np.arange(8) * (2 * np.pi / 8)])
 
-    return [
+    return solves + [
+        ("conformal", "_measure_margin/ellipse_interior", 1,
+         lambda: bb.conformal._measure_margin(pair.interior)),
         ("ratfun", "classify_poles/3+inf", len(corpus),
          lambda: bb.classify_poles(corpus, curve)),
         ("ratfun", "classify_poles/9", len(nine),
@@ -129,7 +145,7 @@ def main(argv=None):
         records.append({"layer": layer, "case": case, "median_s": median,
                         "repeats": REPEATS, "number": NUMBER,
                         "work": work})
-        print(f"{layer:10s} {case:28s} {median * 1e3:9.3f} ms")
+        print(f"{layer:10s} {case:34s} {median * 1e3:9.3f} ms")
     result = {
         "environment": {
             "cores": os.cpu_count(),
