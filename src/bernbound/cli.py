@@ -38,11 +38,9 @@ from .potential import arc_bound, bernstein_bound, green_domain, verify_ratio
 from .ratfun import (RationalFunction, blaschke_product, classify_poles,
                      make_rational)
 
-DEFAULT_SEED = 1729
 _COMMANDS = ("bound", "verify", "sharpness", "map", "greens")
 _TOP_KEYS = {"command", "curve", "arc", "t", "point", "poles", "function",
-             "sharpness", "greens", "tol_map", "tol_q", "sup_m", "m_map",
-             "seed", "threads"}
+             "sharpness", "greens", "tol_map", "tol_q", "sup_m", "m_map"}
 
 
 def fmt12(x) -> str:
@@ -278,8 +276,6 @@ class RunSpec:
     tol_q: float
     sup_m: int | None
     m_map: int
-    seed: int
-    threads: int
     sha256: str
 
 
@@ -335,11 +331,8 @@ def parse_run_spec(data, sha256: str, cli_command: str | None = None) -> RunSpec
     if data.get("sup_m") is not None:
         sup_m = _integer(data["sup_m"], "sup_m", minimum=16)
     m_map = _integer(data.get("m_map", 1024), "m_map", minimum=128)
-    seed = _integer(data.get("seed", DEFAULT_SEED), "seed", minimum=0)
-    threads = _integer(data.get("threads", 1), "threads", minimum=1)
     return RunSpec(command, curve, arc, t, point, poles, function, sharp,
-                   greens, tol_map, tol_q, sup_m, m_map, seed, threads,
-                   sha256)
+                   greens, tol_map, tol_q, sup_m, m_map, sha256)
 
 
 # ---------------------------------------------------------------------------
@@ -433,13 +426,13 @@ def _run_verify(spec: RunSpec, cache_dir):
     return header, [row], _CONTRIB_HEADER, _contribution_rows(rec.report)
 
 
-def _run_sharpness(spec: RunSpec, cache_dir, threads):
+def _run_sharpness(spec: RunSpec, cache_dir):
     maps = _solve_pair(spec, cache_dir)
     u0 = boundary_point(spec.curve, spec.t)
     rows = sharpness_sweep(spec.curve, maps, u0,
                            spec.sharp["interior_poles"], spec.sharp["zeta0"],
                            spec.sharp["n_list"], policy=spec.sharp["policy"],
-                           tol_q=spec.tol_q, threads=threads)
+                           tol_q=spec.tol_q)
     header = ("n", "N6", "r_n", "bound", "sup_norm", "deriv_mod",
               "residual_flags")
     summary = [(r.n, r.n_interp, r.ratio, r.bound, r.sup, r.deriv_mod,
@@ -505,22 +498,20 @@ class ReportBundle:
     provenance: dict
 
 
-def run(spec: RunSpec, cache_dir=None, threads=None) -> ReportBundle:
-    threads = spec.threads if threads is None else threads
+def run(spec: RunSpec, cache_dir=None) -> ReportBundle:
     start = time.perf_counter()
     if spec.command == "bound":
         parts = _run_bound(spec, cache_dir)
     elif spec.command == "verify":
         parts = _run_verify(spec, cache_dir)
     elif spec.command == "sharpness":
-        parts = _run_sharpness(spec, cache_dir, threads)
+        parts = _run_sharpness(spec, cache_dir)
     elif spec.command == "map":
         parts = _run_map(spec, cache_dir)
     else:
         parts = _run_greens(spec, cache_dir)
     provenance = {"version": __version__, "command": spec.command,
-                  "spec_sha256": spec.sha256, "seed": spec.seed,
-                  "threads": threads,
+                  "spec_sha256": spec.sha256,
                   "wall_time_s": time.perf_counter() - start}
     return ReportBundle(spec.command, spec.sha256, parts[0], parts[1],
                         parts[2], parts[3], provenance)
@@ -601,19 +592,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_threads(spec: RunSpec) -> int:
-    env = os.environ.get("BERN_THREADS")
-    if env is None:
-        return spec.threads
-    try:
-        value = int(env)
-    except ValueError:
-        raise RunSpecError("BERN_THREADS", f"not an integer: {env!r}")
-    if value < 1:
-        raise RunSpecError("BERN_THREADS", "must be at least 1")
-    return value
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -629,8 +607,7 @@ def main(argv=None) -> int:
         except json.JSONDecodeError as exc:
             raise RunSpecError("config", f"invalid JSON: {exc}")
         spec = parse_run_spec(data, sha, args.command)
-        bundle = run(spec, cache_dir=args.cache,
-                     threads=_resolve_threads(spec))
+        bundle = run(spec, cache_dir=args.cache)
         paths = write_bundle(bundle, args.out)
         if args.plot:
             text = emit_plot_data(bundle, args.plot)

@@ -12,6 +12,12 @@ iteration on a uniform FFT grid; the exterior problem is first carried to a
 bounded one through the plane inversion w = 1/(u - z_c).  Circles get the
 exact linear map on both sides, the ellipse exterior the classical
 Joukowski-type closed form.
+
+A map keeps only what evaluation, inversion and the map cache read: the core
+series, the prefix (rot, s), the anchor and the derivative there, the grid
+size m (its uniform ring seeds map_invert), the extension margin and the
+truncation tail.  The boundary correspondence the Theodorsen iteration solves
+for is used to build the series and then dropped.
 """
 from __future__ import annotations
 
@@ -39,16 +45,12 @@ class ConformalMap:
     s: float               # hyperbolic normalization parameter, |s| < 1
     anchor: complex        # u0 = Phi(1)
     anchor_deriv: complex  # Phi'(1), unit modulus by construction
-    corr_t: tuple          # curve parameter at the uniform final angles
+    grid: int              # m, the uniform boundary grid of the solve
     delta: float           # extension margin beyond |v| = 1: half the last
                            # _MARGIN_LADDER rung in the unbroken univalent
                            # prefix, exact for the closed forms (circle,
                            # ellipse exterior), sampled for series maps
     tail: float            # relative mass dropped when the series was cut
-
-    @property
-    def grid(self) -> int:
-        return len(self.corr_t)
 
 
 @dataclass(frozen=True)
@@ -196,8 +198,8 @@ def _conjugate_periodic(x):
 
 
 class _PolarBoundary:
-    """Star-shaped boundary about a center: polar radius and curve parameter
-    as functions of the polar angle, inverted by table lookup plus Newton."""
+    """Star-shaped boundary about a center: polar radius as a function of the
+    polar angle, its curve parameter inverted by table lookup plus Newton."""
 
     def __init__(self, curve, center, n_dense=8192):
         self.curve = curve
@@ -224,9 +226,9 @@ class _PolarBoundary:
             t = t - err / slope
         return t
 
-    def radius_and_t(self, phi):
+    def radius(self, phi):
         t = self.t_of_angle(phi)
-        return np.abs(eval_curve(self.curve, t) - self.center), t
+        return np.abs(eval_curve(self.curve, t) - self.center)
 
 
 def _theodorsen(log_rho, m, tol, max_iter=800):
@@ -261,22 +263,21 @@ def _trim_series(series, keep_min=8):
 
 
 def _interior_core(curve, z_c, m, tol):
-    """Raw interior map about z_c: series, boundary correspondence, tail."""
+    """Raw interior map about z_c: series and tail."""
     polar = _PolarBoundary(curve, z_c)
 
     def log_rho(phi):
-        return np.log(polar.radius_and_t(phi)[0])
+        return np.log(polar.radius(phi))
 
     phi, _ = _theodorsen(log_rho, m, tol * 1e-2)
-    rho, t_par = polar.radius_and_t(phi)
-    bnd = z_c + rho * np.exp(1j * phi)
+    bnd = z_c + polar.radius(phi) * np.exp(1j * phi)
     bins = np.fft.fft(bnd) / m
     kmax = m // 2
     series = np.concatenate([[z_c], bins[1:kmax]])
     scale = float(np.max(np.abs(series)))
     err = max(float(np.max(np.abs(bins[kmax:]))), abs(bins[0] - z_c))
     series = _trim_series(series)
-    return series, t_par, max(err / scale, _TRIM_REL)
+    return series, max(err / scale, _TRIM_REL)
 
 
 def _exterior_core(curve, z_c, m, tol):
@@ -285,21 +286,19 @@ def _exterior_core(curve, z_c, m, tol):
 
     def log_rho_w(phi):
         # inverted boundary: radius 1/rho_u at angle phi, u-angle -phi
-        return -np.log(polar.radius_and_t(-np.asarray(phi))[0])
+        return -np.log(polar.radius(-np.asarray(phi)))
 
     phi, _ = _theodorsen(log_rho_w, m, tol * 1e-2)
-    rho_u, t_par = polar.radius_and_t(-phi)
-    wbnd = np.exp(1j * phi) / rho_u
+    wbnd = np.exp(1j * phi) / polar.radius(-phi)
     # Psi(e^{i theta}) = z_c + 1/W(e^{-i theta}); index m-j realizes -theta_j
     w_rev = np.concatenate([wbnd[:1], wbnd[1:][::-1]])
-    t_rev = np.concatenate([t_par[:1], t_par[1:][::-1]])
     bins = np.fft.fft(z_c + 1.0 / w_rev) / m
     kmax = m // 2
     series = np.concatenate([bins[1:2], bins[0:1], bins[:kmax:-1]])
     scale = float(np.max(np.abs(series)))
     err = float(np.max(np.abs(bins[2:kmax + 1])))
     series = _trim_series(series)
-    return series, t_rev, max(err / scale, _TRIM_REL)
+    return series, max(err / scale, _TRIM_REL)
 
 
 def _closed_exterior_ellipse(a, b):
@@ -310,23 +309,9 @@ def _closed_exterior_ellipse(a, b):
 # normalization and margin measurement
 # ---------------------------------------------------------------------------
 
-def _raw_map(side, series, t_par, tail, m):
-    if t_par is None:
-        t_par = np.arange(m) * (TWO_PI / m)
+def _raw_map(side, series, tail, m):
     return ConformalMap(side, tuple(np.asarray(series, dtype=complex)),
-                        1.0 + 0j, 0.0, 0j, 0j,
-                        tuple(np.asarray(t_par, dtype=float)), 0.0, float(tail))
-
-
-def _interp_correspondence(samples, queries):
-    """Spectral interpolation of t(theta) = theta + periodic part."""
-    m = len(samples)
-    thetas = np.arange(m) * (TWO_PI / m)
-    per = np.unwrap(np.asarray(samples, dtype=float) - thetas)
-    coef = np.fft.fftshift(np.fft.fft(per) / m)  # modes -(m//2) .. m-1-m//2
-    q = np.asarray(queries, dtype=float)
-    shift = np.exp(-1j * (m // 2) * q)
-    return q + np.real(shift * _poly_eval(coef, np.exp(1j * q)))
+                        1.0 + 0j, 0.0, 0j, 0j, int(m), 0.0, float(tail))
 
 
 def normalize_at_anchor(raw: ConformalMap, u0: BoundaryPoint) -> ConformalMap:
@@ -360,13 +345,7 @@ def normalize_at_anchor(raw: ConformalMap, u0: BoundaryPoint) -> ConformalMap:
     if lam <= 0.0:
         raise MapError("vanishing boundary derivative at the anchor")
     s = (lam - 1.0) / (lam + 1.0)
-    rot = w0
-
-    # boundary correspondence on the final uniform grid
-    core_angle = np.angle(rot * (ring + s) / (1.0 + s * ring))
-    t_final = np.mod(_interp_correspondence(np.asarray(raw.corr_t), core_angle),
-                     TWO_PI)
-    out = replace(raw, rot=rot, s=float(s), corr_t=tuple(t_final))
+    out = replace(raw, rot=w0, s=float(s))
     return replace(out, anchor=complex(map_eval(out, 1.0 + 0j)),
                    anchor_deriv=complex(map_derivative(out, 1.0 + 0j)))
 
@@ -450,41 +429,31 @@ def solve_interior_map(curve: AnalyticCurve, u0: BoundaryPoint,
     rho_c = None
     if curve.kind == "circle":
         r, c = curve.params
-        series, t_par, tail = np.array([c, r], dtype=complex), None, 0.0
+        series, tail = np.array([c, r], dtype=complex), 0.0
         rho_c = 0.0
     else:
-        series, t_par, tail = _interior_core(curve, _interior_center(curve),
-                                             m, tol)
-    raw = _raw_map("interior", series, t_par, tail, m)
+        series, tail = _interior_core(curve, _interior_center(curve), m, tol)
+    raw = _raw_map("interior", series, tail, m)
     return _with_margin(normalize_at_anchor(raw, u0), rho_c)
 
 
 def solve_exterior_map(curve: AnalyticCurve, u0: BoundaryPoint,
-                       tol: float = 1e-11, m: int = 1024,
-                       method: str = "auto") -> ConformalMap:
-    """Normalized Riemann map of {|v| > 1} onto the unbounded side.
-
-    method="auto" uses the closed form for circles and ellipses and the
-    inversion route otherwise; method="inversion" forces the numerical path
-    (handy for cross-validating the closed forms).
-    """
-    if method not in ("auto", "inversion"):
-        raise MapError(f"unknown exterior solve method {method!r}")
-    t_par = None
+                       tol: float = 1e-11, m: int = 1024) -> ConformalMap:
+    """Normalized Riemann map of {|v| > 1} onto the unbounded side: the
+    closed form for circles and ellipses, the inversion route otherwise."""
     tail = 0.0
-    rho_c = None
-    if method == "auto" and curve.kind == "circle":
+    if curve.kind == "circle":
         r, c = curve.params
         series = np.array([r, c], dtype=complex)
         rho_c = 0.0
-    elif method == "auto" and curve.kind == "ellipse":
+    elif curve.kind == "ellipse":
         a, b = curve.params
         series = _closed_exterior_ellipse(a, b)
         rho_c = math.sqrt(abs(a - b) / (a + b))
     else:
-        series, t_par, tail = _exterior_core(curve, _interior_center(curve),
-                                             m, tol)
-    raw = _raw_map("exterior", series, t_par, tail, m)
+        series, tail = _exterior_core(curve, _interior_center(curve), m, tol)
+        rho_c = None
+    raw = _raw_map("exterior", series, tail, m)
     return _with_margin(normalize_at_anchor(raw, u0), rho_c)
 
 
@@ -609,7 +578,7 @@ def map_to_dict(cmap: ConformalMap) -> dict:
         "s": cmap.s,
         "anchor": [cmap.anchor.real, cmap.anchor.imag],
         "anchor_deriv": [cmap.anchor_deriv.real, cmap.anchor_deriv.imag],
-        "corr_t": list(cmap.corr_t),
+        "grid": cmap.grid,
         "delta": cmap.delta,
         "tail": cmap.tail,
     }
@@ -621,7 +590,7 @@ def map_from_dict(d: dict) -> ConformalMap:
         tuple(complex(re, im) for re, im in d["series"]),
         complex(*d["rot"]), float(d["s"]),
         complex(*d["anchor"]), complex(*d["anchor_deriv"]),
-        tuple(float(t) for t in d["corr_t"]),
+        int(d["grid"]),
         float(d["delta"]), float(d["tail"]),
     )
 

@@ -180,6 +180,12 @@ class CurveReport:
         return self.speed_ok and self.simple_ok and self.orientation_ok
 
 
+# pairs per block of the simplicity scan: 120 KiB of complex differences,
+# under glibc's 128 KiB mmap threshold, so a block's temporaries come from
+# the heap instead of fresh pages that fault on every call
+_SCAN_BLOCK = 7680
+
+
 def _simplicity_margin(pts, step_scale):
     """min distance between far-apart samples, in units of 1.5 grid steps.
 
@@ -196,10 +202,12 @@ def _simplicity_margin(pts, step_scale):
         # offset m - k pairs the same samples as offset k, so the offsets
         # skip..m//2 after each sample cover every pair skip..m - skip apart
         pts = np.asarray(pts)
+        width = m // 2 - skip + 1
         ahead = np.lib.stride_tricks.sliding_window_view(
-            np.concatenate([pts, pts])[skip:], m // 2 - skip + 1)[:m]
-        for lo in range(0, m, 128):
-            near = np.abs(ahead[lo:lo + 128] - pts[lo:lo + 128, None])
+            np.concatenate([pts, pts])[skip:], width)[:m]
+        rows = max(1, _SCAN_BLOCK // width)
+        for lo in range(0, m, rows):
+            near = np.abs(ahead[lo:lo + rows] - pts[lo:lo + rows, None])
             best = min(best, np.min(near))
     return best / floor
 

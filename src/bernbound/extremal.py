@@ -11,7 +11,6 @@ sharpness ratio r_n = |f_n'(u0)| / (sup norm * bound) then approaches 1.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +18,7 @@ import numpy as np
 from .conformal import MapPair, map_eval, map_invert
 from .curves import (TWO_PI, AnalyticCurve, BoundaryPoint, boundary_point,
                      curve_samples, is_infinite, param_of_point)
-from .errors import ExtremalError, NumericsError
+from .errors import ExtremalError, MapInvertError, NumericsError
 from .potential import BoundReport, bernstein_bound, disk_normal_derivative
 from .ratfun import (RationalFunction, blaschke_derivative, blaschke_eval,
                      blaschke_product, classify_poles, cluster_points,
@@ -275,14 +274,25 @@ def _expand_picks(base, n, policy):
 
 def sharpness_sweep(curve: AnalyticCurve, maps: MapPair, u0: BoundaryPoint,
                     interior_poles, zeta0, n_list,
-                    policy: str = "cycle_list", tol_q: float = 1e-9,
-                    threads: int = 1):
-    """One ExtremalRun per n; failures become flagged rows and the sweep
-    continues.  Rows come back in input order regardless of thread timing."""
+                    policy: str = "cycle_list", tol_q: float = 1e-9):
+    """One ExtremalRun per n, in input order; failures become flagged rows
+    and the sweep continues.  An interior pole that does not lie inside the
+    curve fails the whole sweep before any row."""
     interior_poles = [complex(z) for z in interior_poles]
     if not interior_poles:
         raise ExtremalError("the sweep needs at least one interior pole")
-    base = list(map_invert(maps.interior, np.array(interior_poles)))
+    try:
+        base = list(map_invert(maps.interior, np.array(interior_poles)))
+        inside = [abs(v) < 1.0 for v in base]
+    except MapInvertError:
+        # a pole past the map's verified domain; classify only on this path
+        inside = classify_poles([(z, 1) for z in interior_poles], curve).inside
+        if all(inside):
+            raise
+    for z, ok in zip(interior_poles, inside):
+        if not ok:
+            raise ExtremalError(f"interior pole {z} does not lie inside "
+                                "the curve")
     _expand_picks(base, 1, policy)  # reject unknown policies up front
 
     def one(n):
@@ -296,7 +306,4 @@ def sharpness_sweep(curve: AnalyticCurve, maps: MapPair, u0: BoundaryPoint,
         return SweepRow(run.n, run.n_interp, run.ratio, run.bound, run.sup,
                         run.deriv_mod, "", run)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, n_list))
     return [one(n) for n in n_list]

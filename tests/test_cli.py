@@ -105,8 +105,9 @@ BAD_SPECS = [
       "greens": {"poles": ["inf"]}}, "greens.probes"),
     (bound_data(tol_map=0.0), "tol_map"),
     (bound_data(sup_m=8), "sup_m"),
-    (bound_data(threads=0), "threads"),
-    (bound_data(seed=-1), "seed"),
+    # removed knobs: even their old default values are unknown fields
+    (bound_data(threads=1), "threads"),
+    (bound_data(seed=1729), "seed"),
 ]
 
 
@@ -123,6 +124,13 @@ class TestSpecParsing:
             parse_run_spec([1, 2], "deadbeef")
         assert err.value.path == ""
 
+    @pytest.mark.parametrize("key,value", [("threads", 1), ("seed", 1729)])
+    def test_removed_knobs_are_unknown_fields(self, tmp_path, capsys, key,
+                                              value):
+        spec = write_spec(tmp_path, bound_data(**{key: value}))
+        assert run_cli("bound", spec, tmp_path / "out") == 2
+        assert f"spec error at {key}: unknown field" in capsys.readouterr().err
+
     def test_command_mismatch_names_both(self):
         with pytest.raises(RunSpecError) as err:
             parse_run_spec(bound_data(), "deadbeef", cli_command="verify")
@@ -138,8 +146,6 @@ class TestSpecParsing:
 
     def test_defaults(self):
         spec = parse_run_spec(bound_data(), "deadbeef")
-        assert spec.seed == 1729
-        assert spec.threads == 1
         assert spec.tol_q == 1e-9
         assert spec.sup_m is None
 
@@ -225,6 +231,14 @@ class TestSharpnessCommand:
         for line in lines[2:]:
             n, r = line.split()
             assert abs(float(r) - 1.0) <= 1e-6
+
+    def test_pole_outside_the_curve_is_exit_3(self, tmp_path, capsys):
+        spec = write_spec(tmp_path, sharp_data(interior_poles=[[1.05, 0.0]]))
+        assert run_cli("sharpness", spec, tmp_path / "out") == 3
+        err = capsys.readouterr().err
+        assert "[ExtremalError]: interior pole (1.05+0j) does not lie " \
+            "inside the curve" in err
+        assert not (tmp_path / "out" / "summary.csv").exists()
 
     def test_empty_sweep_header_only(self, tmp_path):
         spec = write_spec(tmp_path, sharp_data(n_list=[]))
@@ -364,29 +378,12 @@ class TestDeterminism:
             assert p["version"] == __version__
         assert provs[0] == provs[1]
 
-    def test_threads_do_not_change_output(self, tmp_path, monkeypatch):
-        serial = tmp_path / "serial"
+    def test_provenance_keys(self, tmp_path):
         assert run_cli("sharpness", SPECS / "sharpness_circle.json",
-                       serial) == 0
-        monkeypatch.setenv("BERN_THREADS", "2")
-        pooled = tmp_path / "pooled"
-        assert run_cli("sharpness", SPECS / "sharpness_circle.json",
-                       pooled) == 0
-        assert (serial / "summary.csv").read_bytes() \
-            == (pooled / "summary.csv").read_bytes()
-        assert (serial / "items.csv").read_bytes() \
-            == (pooled / "items.csv").read_bytes()
-
-    def test_threads_env_validation(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("BERN_THREADS", "abc")
-        assert run_cli("bound", SPECS / "bound_circle.json",
-                       tmp_path / "out") == 2
-        assert "spec error at BERN_THREADS: not an integer: 'abc'" \
-            in capsys.readouterr().err
-        monkeypatch.setenv("BERN_THREADS", "0")
-        assert run_cli("bound", SPECS / "bound_circle.json",
-                       tmp_path / "out") == 2
-        assert "BERN_THREADS: must be at least 1" in capsys.readouterr().err
+                       tmp_path) == 0
+        prov = json.loads((tmp_path / "provenance.json").read_text())
+        assert set(prov) == {"command", "spec_sha256", "version",
+                             "wall_time_s"}
 
 
 class TestMapCache:
@@ -450,6 +447,37 @@ class TestMapCache:
         for name in ("summary.csv", "items.csv"):
             assert (tmp_path / "new" / name).read_bytes() == \
                 (tmp_path / "old" / name).read_bytes()
+
+    def test_entry_of_the_old_format_is_solved_fresh(self, tmp_path,
+                                                     monkeypatch):
+        # the 0.1.2 entry held the boundary correspondence corr_t, no grid
+        import bernbound.cli as cli
+        cache = tmp_path / "cache"
+        assert run_cli("map", SPECS / "map_ellipse.json", tmp_path / "cold",
+                       "--cache", cache) == 0
+        (entry,) = cache.glob("*.json")
+        text = entry.read_text(encoding="utf-8")
+        stored = json.loads(text)
+        for side in stored.values():
+            m = side.pop("grid")
+            side["corr_t"] = [2 * math.pi * j / m for j in range(m)]
+        entry.write_text(json.dumps(stored), encoding="utf-8")
+        solves = []
+        real_solve = cli.solve_map_pair
+
+        def counting_solve(*args, **kwargs):
+            solves.append(args)
+            return real_solve(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "solve_map_pair", counting_solve)
+        assert run_cli("map", SPECS / "map_ellipse.json", tmp_path / "again",
+                       "--cache", cache) == 0
+        assert len(solves) == 1
+        for name in ("summary.csv", "items.csv"):
+            assert (tmp_path / "again" / name).read_bytes() == \
+                (tmp_path / "cold" / name).read_bytes()
+        assert entry.read_text(encoding="utf-8") == text
+        assert sorted(p.name for p in cache.iterdir()) == [entry.name]
 
 
 def _pyproject():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -228,6 +229,23 @@ class TestTheodorsen:
                 params=["circle_pair", "shifted_circle_pair", "ellipse_pair"])
 def any_pair(request):
     return request.getfixturevalue(request.param)
+
+
+class TestSerialization:
+    def test_dict_holds_exactly_the_fields(self, any_pair):
+        _, _, pair = any_pair
+        names = {f.name for f in dataclasses.fields(conformal.ConformalMap)}
+        for cmap in (pair.interior, pair.exterior):
+            assert set(conformal.map_to_dict(cmap)) == names
+
+    def test_json_roundtrip_is_exact(self, any_pair):
+        curve, _, pair = any_pair
+        ts = np.arange(8) * (2 * np.pi / 8)
+        for cmap, scale in ((pair.interior, 0.5), (pair.exterior, 1.6)):
+            clone = map_from_json(map_to_json(cmap))
+            assert clone == cmap
+            u = scale * eval_curve(curve, ts)
+            assert np.array_equal(map_invert(clone, u), map_invert(cmap, u))
 
 
 # (scale, angle) pairs: the point scale * gamma(angle) lies inside the curve

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -293,14 +294,38 @@ class TestSharpnessSweep:
             assert row.flags == ""
             assert abs(row.ratio - 1.0) <= 1e-8
 
-    def test_threads_match_serial(self, circle_pair):
+    @pytest.mark.parametrize("pole", [1.3, 2.0])
+    def test_pole_outside_the_ellipse_is_named(self, ellipse_pair, pole):
+        # past the interior map's domain, so map_invert itself fails
+        e, u0, pair = ellipse_pair
+        named = re.escape(f"interior pole {complex(pole)} does not")
+        with pytest.raises(ExtremalError, match=named):
+            sharpness_sweep(e, pair, u0, [0.1 + 0j, pole, 3.0], 3.0, [1, 3])
+
+    def test_pole_outside_the_circle_is_named(self, circle_pair):
+        # inside the interior map's margin: it inverts to |v| > 1
         c, u0, pair = circle_pair
-        serial = sharpness_sweep(c, pair, u0, [0.0 + 0j], 3.0, [1, 3, 5],
-                                 policy="repeat_single_pole")
-        pooled = sharpness_sweep(c, pair, u0, [0.0 + 0j], 3.0, [1, 3, 5],
-                                 policy="repeat_single_pole", threads=2)
-        assert [r.ratio for r in pooled] == [r.ratio for r in serial]
-        assert [r.n for r in pooled] == [1, 3, 5]
+        assert abs(map_invert(pair.interior, 1.05 + 0j)) > 1.0
+        with pytest.raises(ExtremalError,
+                           match=r"interior pole \(1\.05\+0j\) does not"):
+            sharpness_sweep(c, pair, u0, [0.2 + 0j, 1.05, 1.5], 3.0, [1, 3],
+                            policy="repeat_single_pole")
+
+    def test_poles_are_classified_only_when_inversion_fails(
+            self, ellipse_pair, monkeypatch):
+        e, u0, pair = ellipse_pair
+        calls = []
+
+        def counting(*args, fn=extremal.classify_poles, **kwargs):
+            calls.append(args)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(extremal, "classify_poles", counting)
+        assert sharpness_sweep(e, pair, u0, [0.1 + 0j, 0.3j], 3.0, []) == []
+        assert calls == []
+        with pytest.raises(ExtremalError):
+            sharpness_sweep(e, pair, u0, [0.1 + 0j, 1.3], 3.0, [])
+        assert len(calls) == 1
 
     def test_golden_row_inverts_per_pole_set(self, sweep_config,
                                              ellipse_pair, monkeypatch):

@@ -3,7 +3,7 @@
 
 Run from the repository root:
 
-    python3 tools/bench.py --out BENCH_6.json
+    python3 tools/bench.py --out BENCH_7.json
 
 Each case is timed with time.perf_counter: a repeat runs the case NUMBER
 (20) times, and the record keeps the median per-call time over REPEATS (9)
@@ -18,6 +18,8 @@ Map solves (work: the two sides of a pair, or the one map measured):
                      (closed forms, exact margins) and ellipse(1.2, 0.8) at
                      t = 0.4 (Theodorsen interior, closed-form exterior)
     _measure_margin  the sampled ladder walk on that ellipse's interior map
+    map_from_json    a map-cache hit: parsing that ellipse pair's two
+                     serialized entries (one per side) back into maps
 
 The other cases, all on ellipse(1.2, 0.8) anchored at t = 0.4 (the golden
 sweep curve; the map pair is solved once, outside the timings):
@@ -91,6 +93,7 @@ def build_cases():
     def transplant(v):
         return bb.blaschke_eval(picks, v)
 
+    entries = [bb.map_to_json(cmap) for cmap in (pair.interior, pair.exterior)]
     inner = np.array(ring, dtype=complex)
     outer = np.array([complex(1.6 * bb.eval_curve(curve, t))
                       for t in np.arange(8) * (2 * np.pi / 8)])
@@ -98,6 +101,8 @@ def build_cases():
     return solves + [
         ("conformal", "_measure_margin/ellipse_interior", 1,
          lambda: bb.conformal._measure_margin(pair.interior)),
+        ("conformal", "map_from_json/ellipse_pair", len(entries),
+         lambda: [bb.map_from_json(text) for text in entries]),
         ("ratfun", "classify_poles/3+inf", len(corpus),
          lambda: bb.classify_poles(corpus, curve)),
         ("ratfun", "classify_poles/9", len(nine),
