@@ -20,8 +20,8 @@ from .curves import (INFINITY, AnalyticCurve, ArcOpenUp, BoundaryPoint,
                      circular_arc, curve_derivative, curve_samples,
                      distance_to_arc, distance_to_curve, ellipse, eval_curve,
                      is_infinite, param_of_point, point_in_curve,
-                     rq_derivative, rq_eval, rq_solve, segment_arc,
-                     trig_curve, unit_normals, validate_curve,
+                     rq_derivative, rq_eval, rq_solve, sample_grid,
+                     segment_arc, trig_curve, unit_normals, validate_curve,
                      validate_openup, winding_number)
 from .errors import (ArcError, CurveError, DomainError, ExtremalError,
                      MapError, MapInvertError, NumericsError, PoleError,

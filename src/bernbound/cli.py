@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -30,7 +31,7 @@ import numpy as np
 from ._version import __version__
 from .conformal import MapPair, map_from_dict, map_to_dict, solve_map_pair
 from .curves import (INFINITY, AnalyticCurve, ArcOpenUp, boundary_point,
-                     circle, circular_arc, ellipse, sampled_winding,
+                     circle, circular_arc, ellipse, point_in_curve,
                      segment_arc, trig_curve)
 from .errors import NumericsError, RunSpecError
 from .extremal import sharpness_sweep
@@ -461,8 +462,7 @@ def _run_map(spec: RunSpec, cache_dir):
 def _run_greens(spec: RunSpec, cache_dir):
     maps = _solve_pair(spec, cache_dir)
     poles, probes = spec.greens["poles"], spec.greens["probes"]
-    winding = sampled_winding(spec.curve)
-    probe_inside = np.array([winding(q) != 0 for q in probes])
+    probe_inside = np.array([point_in_curve(spec.curve, q) for q in probes])
     pole_inside = classify_poles([(p, 1) for p in poles], spec.curve).inside
     probe_arr = np.array(probes, dtype=complex)
     summary, items = [], []
@@ -572,7 +572,10 @@ def emit_plot_data(bundle: ReportBundle, kind: str) -> str:
 # entry point
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The bern argument parser, built once per process: parse_args keeps
+    no state between calls."""
     parser = argparse.ArgumentParser(
         prog="bern",
         description="Derivative bounds for rational functions on analytic "

@@ -17,19 +17,24 @@ A map keeps only what evaluation, inversion and the map cache read: the core
 series, the prefix (rot, s), the anchor and the derivative there, the grid
 size m (its uniform ring seeds map_invert), the extension margin and the
 truncation tail.  The boundary correspondence the Theodorsen iteration solves
-for is used to build the series and then dropped.
+for is used to build the series and then dropped.  Arrays derived from those
+fields (the series and its derivative as complex arrays, map_invert's seed
+ring) are memoized on the map object on first use, read-only; they are not
+fields, so they are never serialized, and replace() or map_from_dict starts
+a map with an empty memo.
 """
 from __future__ import annotations
 
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from .curves import (TWO_PI, AnalyticCurve, ArcOpenUp, BoundaryPoint,
-                     _simplicity_margin, curve_derivative, eval_curve,
-                     is_infinite, rq_solve)
+                     _readonly, _simplicity_margin, curve_derivative,
+                     eval_curve, is_infinite, rq_solve, sample_grid)
 from .errors import ArcError, MapError, MapInvertError
 
 _MARGIN_LADDER = tuple(0.02 * 1.25 ** j for j in range(22))
@@ -51,6 +56,31 @@ class ConformalMap:
                            # prefix, exact for the closed forms (circle,
                            # ellipse exterior), sampled for series maps
     tail: float            # relative mass dropped when the series was cut
+
+    @cached_property
+    def _coeffs(self):
+        """The series as a read-only complex array."""
+        return _readonly(np.asarray(self.series, dtype=complex))
+
+    @cached_property
+    def _deriv_coeffs(self):
+        """Read-only power-series coefficients of the core derivative: k c_k
+        of sum_k k c_k w^(k-1) inside, (k-1) c_k (k >= 2) of
+        c_0 - sum_k (k-1) c_k w^-k outside."""
+        c = self._coeffs
+        ks = np.arange(len(c))
+        if self.side == "interior":
+            return _readonly(ks[1:] * c[1:])
+        return _readonly((ks[2:] - 1) * c[2:])
+
+    @cached_property
+    def _seed_ring(self):
+        """(vb, Phi(vb)) on every (m // 128)-th point of the solve's
+        uniform ring: map_invert's boundary seeds."""
+        m = self.grid
+        stride = max(1, m // 128)
+        vb = np.exp(1j * np.arange(0, m, stride) * (TWO_PI / m))
+        return _readonly(vb), _readonly(map_eval(self, vb))
 
 
 @dataclass(frozen=True)
@@ -107,7 +137,7 @@ def _poly_eval(c, x):
 
 
 def _core_eval(cmap, w):
-    c = np.asarray(cmap.series)
+    c = cmap._coeffs
     if cmap.side == "interior":
         return _poly_eval(c, w)
     # exterior core: c[0]*w + c[1] + c[2]/w + c[3]/w^2 + ...
@@ -115,12 +145,10 @@ def _core_eval(cmap, w):
 
 
 def _core_deriv(cmap, w):
-    c = np.asarray(cmap.series)
-    ks = np.arange(len(c))
     if cmap.side == "interior":
-        return _poly_eval(ks[1:] * c[1:], w)
+        return _poly_eval(cmap._deriv_coeffs, w)
     iw = 1.0 / w
-    return c[0] - _poly_eval((ks[2:] - 1) * c[2:], iw) * iw * iw
+    return cmap._coeffs[0] - _poly_eval(cmap._deriv_coeffs, iw) * iw * iw
 
 
 def _domain_limits(cmap):
@@ -204,8 +232,8 @@ class _PolarBoundary:
     def __init__(self, curve, center, n_dense=8192):
         self.curve = curve
         self.center = complex(center)
-        ts = np.arange(n_dense) * (TWO_PI / n_dense)
-        rel = eval_curve(curve, ts) - self.center
+        ts, pts = sample_grid(curve, n_dense)
+        rel = pts - self.center
         if np.min(np.abs(rel)) < 1e-12:
             raise MapError("polar center lies on the curve")
         psi = np.unwrap(np.angle(rel))
@@ -419,8 +447,7 @@ def _with_margin(cmap, rho_c=None):
 # ---------------------------------------------------------------------------
 
 def _interior_center(curve):
-    ts = np.arange(512) * (TWO_PI / 512)
-    return complex(np.mean(eval_curve(curve, ts)))
+    return complex(np.mean(sample_grid(curve, 512)[1]))
 
 
 def solve_interior_map(curve: AnalyticCurve, u0: BoundaryPoint,
@@ -471,10 +498,10 @@ def map_invert(cmap: ConformalMap, u, tol: float = 1e-13):
     """Preimage of u under Phi by damped Newton, elementwise for scalars or
     arrays (a scalar in gives a scalar out; infinity maps to the exterior
     pole).  Seeds, tried in turn until |Phi(v) - u| < tol (1 + |u|): the
-    linear seed (interior maps with s = 0), then the two nearest of 128
-    boundary samples.  A seed gets at most 80 steps, each halved down to
-    2^-12 until it lowers the residual and clamped radially into the
-    verified domain."""
+    linear seed (interior maps with s = 0), then the two nearest of the
+    map's 128 memoized boundary samples (_seed_ring).  A seed gets at most
+    80 steps, each halved down to 2^-12 until it lowers the residual and
+    clamped radially into the verified domain."""
     uarr = np.asarray(u, dtype=complex)
     out = uarr.ravel().copy()
     inf = ~np.isfinite(out)
@@ -484,10 +511,7 @@ def map_invert(cmap: ConformalMap, u, tol: float = 1e-13):
         out[inf] = exterior_pole(cmap)
     fin = np.nonzero(~inf)[0]
     target = out[fin]
-    m = cmap.grid
-    stride = max(1, m // 128)
-    vb = np.exp(1j * np.arange(0, m, stride) * (TWO_PI / m))
-    ub = map_eval(cmap, vb)
+    vb, ub = cmap._seed_ring
     near = np.argsort(np.abs(ub - target[:, None]), axis=1)
     seeds = [vb[near[:, 0]], vb[near[:, 1]]]
     if cmap.side == "interior" and abs(cmap.series[1]) > 0 and cmap.s == 0.0:

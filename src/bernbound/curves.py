@@ -14,6 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,6 +41,12 @@ class AnalyticCurve:
 
     def coeff(self, k: int) -> complex:
         return self.coeffs[self.order + k]
+
+    @cached_property
+    def _grids(self) -> dict:
+        """sample_grid's memo, m -> (ts, points(, tangents)): kept on the
+        object but not a field, so equality, hashing and replace() skip it."""
+        return {}
 
 
 def circle(radius: float = 1.0, center: complex = 0j) -> AnalyticCurve:
@@ -119,41 +126,46 @@ def boundary_point(curve: AnalyticCurve, t: float) -> BoundaryPoint:
     return BoundaryPoint(float(t), complex(eval_curve(curve, t)), complex(n1), complex(n2))
 
 
+def sample_grid(boundary, m: int, tangents: bool = False):
+    """(ts, points), or (ts, points, tangents) for a curve, on the uniform
+    m-point grid t_j = 2 pi j / m of a curve or an arc.
+
+    Computed on first use and kept read-only on the object, so every later
+    call with the same m (any caller) reads the same arrays back."""
+    grid = boundary._grids.get(m)
+    if grid is None:
+        ts = np.arange(m) * (TWO_PI / m)
+        pts = (arc_point(boundary, ts) if isinstance(boundary, ArcOpenUp)
+               else eval_curve(boundary, ts))
+        grid = boundary._grids[m] = (_readonly(ts), _readonly(pts))
+    if not tangents:
+        return grid[:2]
+    if len(grid) == 2:
+        dpts = _readonly(curve_derivative(boundary, grid[0]))
+        grid = boundary._grids[m] = (*grid, dpts)
+    return grid
+
+
+def _readonly(arr):
+    arr.flags.writeable = False
+    return arr
+
+
 def curve_samples(curve: AnalyticCurve, m: int):
-    ts = np.arange(m) * (TWO_PI / m)
-    return ts, eval_curve(curve, ts)
-
-
-def sampled_winding(curve: AnalyticCurve, m: int = 2048):
-    """z -> winding of gamma about z via the trapezoid rule (spectrally
-    exact), on one m-point sample of gamma and gamma' shared by every z."""
-    ts, pts = curve_samples(curve, m)
-    dpts = curve_derivative(curve, ts)
-
-    def winding(z) -> int:
-        dif = pts - z
-        if np.min(np.abs(dif)) < 1e-9:
-            raise CurveError(f"point {z} is on (or too close to) the curve")
-        w = np.mean(dpts / dif) / 1j
-        wr = float(w.real)
-        if abs(wr - round(wr)) > 0.1 or abs(w.imag) > 0.1:
-            raise CurveError(f"ambiguous winding number {w} about {z}")
-        return int(round(wr))
-
-    return winding
-
-
-def sampled_distance(curve: AnalyticCurve, m: int = 4096):
-    """z -> sampled distance from z to the curve, on one m-point sample
-    shared by every z (lower-resolution but adequate for radius budgets;
-    callers halve it anyway)."""
-    _, pts = curve_samples(curve, m)
-    return lambda z: float(np.min(np.abs(pts - z)))
+    return sample_grid(curve, m)
 
 
 def winding_number(curve: AnalyticCurve, z: complex, m: int = 2048) -> int:
     """Winding of gamma about z via the trapezoid rule (spectrally exact)."""
-    return sampled_winding(curve, m)(z)
+    _, pts, dpts = sample_grid(curve, m, tangents=True)
+    dif = pts - z
+    if np.min(np.abs(dif)) < 1e-9:
+        raise CurveError(f"point {z} is on (or too close to) the curve")
+    w = np.mean(dpts / dif) / 1j
+    wr = float(w.real)
+    if abs(wr - round(wr)) > 0.1 or abs(w.imag) > 0.1:
+        raise CurveError(f"ambiguous winding number {w} about {z}")
+    return int(round(wr))
 
 
 def point_in_curve(curve: AnalyticCurve, z: complex, m: int = 2048) -> bool:
@@ -162,7 +174,8 @@ def point_in_curve(curve: AnalyticCurve, z: complex, m: int = 2048) -> bool:
 
 def distance_to_curve(curve: AnalyticCurve, z: complex, m: int = 4096) -> float:
     """Sampled distance from z to the curve."""
-    return sampled_distance(curve, m)(z)
+    _, pts = sample_grid(curve, m)
+    return float(np.min(np.abs(pts - z)))
 
 
 @dataclass(frozen=True)
@@ -216,8 +229,8 @@ def validate_curve(curve: AnalyticCurve, m: int = 1024) -> CurveReport:
     """Grid checks: nonvanishing speed, sampled simplicity, winding +1."""
     if m < 64:
         raise CurveError("validation grid must have at least 64 points")
-    ts, pts = curve_samples(curve, m)
-    speeds = np.abs(curve_derivative(curve, ts))
+    _, pts, dpts = sample_grid(curve, m, tangents=True)
+    speeds = np.abs(dpts)
     speed_min = float(np.min(speeds))
     speed_ok = speed_min > 1e-9 * float(np.max(speeds))
 
@@ -240,7 +253,7 @@ def param_of_point(curve: AnalyticCurve, u: complex, m: int = 2048) -> float:
     if curve.kind == "circle":
         r, c = curve.params
         return float(np.angle(u - c) % TWO_PI)
-    ts, pts = curve_samples(curve, m)
+    ts, pts = sample_grid(curve, m)
     t = float(ts[int(np.argmin(np.abs(pts - u)))])
     for _ in range(40):
         g = eval_curve(curve, t) - u
@@ -330,6 +343,11 @@ class ArcOpenUp:
     fmap: RationalQuad
     z0: complex
 
+    @cached_property
+    def _grids(self) -> dict:
+        """sample_grid's memo, as AnalyticCurve._grids."""
+        return {}
+
 
 def segment_arc(za: complex = -1.0, zb: complex = 1.0) -> ArcOpenUp:
     """Straight segment [za, zb] opened up by a scaled Joukowski map."""
@@ -370,8 +388,7 @@ def arc_point(arc: ArcOpenUp, t):
 
 
 def arc_samples(arc: ArcOpenUp, m: int):
-    ts = np.arange(m) * (TWO_PI / m)
-    return ts, rq_eval(arc.fmap, eval_curve(arc.curve, ts))
+    return sample_grid(arc, m)
 
 
 def arc_endpoints(arc: ArcOpenUp):
@@ -391,7 +408,7 @@ def arc_endpoints(arc: ArcOpenUp):
 
 
 def distance_to_arc(arc: ArcOpenUp, z: complex, m: int = 4096) -> float:
-    _, pts = arc_samples(arc, m)
+    _, pts = sample_grid(arc, m)
     return float(np.min(np.abs(pts - z)))
 
 

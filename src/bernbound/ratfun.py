@@ -13,8 +13,8 @@ import numpy as np
 
 from .conformal import ConformalMap, map_derivative, map_eval
 from .curves import (TWO_PI, INFINITY, AnalyticCurve, ArcOpenUp, arc_point,
-                     eval_curve, is_infinite, sampled_distance,
-                     sampled_winding)
+                     distance_to_curve, eval_curve, is_infinite,
+                     point_in_curve, sample_grid)
 from .errors import PoleError, QuadratureError
 
 POLE_FLOOR = 1e-9
@@ -307,8 +307,7 @@ def sup_norm(f: RationalFunction, boundary, m: int | None = None):
     global-optimality certificate beyond that resolution."""
     M = int(m) if m else max(4096, 64 * max(degree(f), 1))
     h = TWO_PI / M
-    ts = np.arange(M) * h
-    pts = _boundary_points(boundary, ts)
+    ts, pts = sample_grid(boundary, M)
     for t in f.terms:
         if np.min(np.abs(pts - t.location)) < POLE_FLOOR:
             raise PoleError(f"pole {t.location} within the floor distance "
@@ -366,10 +365,8 @@ class PoleSet:
 def classify_poles(poles, curve: AnalyticCurve) -> PoleSet:
     """Classify (location, multiplicity) pairs by the winding-number test.
 
-    The curve is sampled once per call; each finite pole then gets its
-    distance check and its winding over the shared samples, in input
-    order."""
-    distance, winding = sampled_distance(curve), sampled_winding(curve)
+    Each finite pole gets its distance check and then its winding, in
+    input order, over the curve's memoized samples (sample_grid)."""
     entries, inside = [], []
     sep = math.inf
     for a, m in poles:
@@ -381,12 +378,12 @@ def classify_poles(poles, curve: AnalyticCurve) -> PoleSet:
             inside.append(False)
             continue
         a = complex(a)
-        d = distance(a)
+        d = distance_to_curve(curve, a)
         if d < POLE_FLOOR:
             raise PoleError(f"pole {a} lies on the curve (distance {d:.2e})")
         sep = min(sep, d)
         entries.append((a, m))
-        inside.append(winding(a) != 0)
+        inside.append(point_in_curve(curve, a))
     return PoleSet(tuple(entries), tuple(inside), sep)
 
 

@@ -7,7 +7,8 @@ Dirichlet solve on a Cartesian grid, Laurent coefficients by randomized
 least-squares fits.  The loop references at the end are the plain forms of
 vectorized package routines (series evaluation, the simplicity scan, the
 sup-norm peak refinement, pole classification, principal parts), kept to
-pin the fast forms against.
+pin the fast forms against.  They sample with eval_curve / arc_point on
+grids of their own, never through the package's per-object sample memo.
 """
 
 import math
@@ -16,11 +17,10 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from bernbound import (INFINITY, ArcOpenUp, PoleSet, arc_point, arc_samples,
-                       curve_samples, degree, distance_to_curve, eval_curve,
-                       is_infinite, make_rational, map_derivative, map_eval,
-                       point_in_curve, rf_eval)
-from bernbound.errors import PoleError, QuadratureError
+from bernbound import (INFINITY, ArcOpenUp, PoleSet, arc_point,
+                       curve_derivative, degree, eval_curve, is_infinite,
+                       make_rational, map_derivative, map_eval, rf_eval)
+from bernbound.errors import CurveError, PoleError, QuadratureError
 
 TWO_PI = 2.0 * np.pi
 
@@ -236,10 +236,11 @@ def loop_sup_norm(f, boundary, m=None):
     """sup_norm with one scalar boundary point and one scalar evaluation per
     local maximum; a later peak replaces the best only if strictly larger."""
     M = int(m) if m else max(4096, 64 * max(degree(f), 1))
+    ts = np.arange(M) * (TWO_PI / M)
     if isinstance(boundary, ArcOpenUp):
-        ts, pts = arc_samples(boundary, M)
+        pts = arc_point(boundary, ts)
     else:
-        ts, pts = curve_samples(boundary, M)
+        pts = eval_curve(boundary, ts)
     vals = np.abs(rf_eval(f, pts))
     is_max = (vals >= np.roll(vals, 1)) & (vals >= np.roll(vals, -1))
     h = TWO_PI / M
@@ -263,6 +264,23 @@ def loop_sup_norm(f, boundary, m=None):
     return best_v, best_t % TWO_PI
 
 
+def _fresh_distance(curve, z, m=4096):
+    ts = np.arange(m) * (TWO_PI / m)
+    return float(np.min(np.abs(eval_curve(curve, ts) - z)))
+
+
+def _fresh_winding(curve, z, m=2048):
+    ts = np.arange(m) * (TWO_PI / m)
+    dif = eval_curve(curve, ts) - z
+    if np.min(np.abs(dif)) < 1e-9:
+        raise CurveError(f"point {z} is on (or too close to) the curve")
+    w = np.mean(curve_derivative(curve, ts) / dif) / 1j
+    wr = float(w.real)
+    if abs(wr - round(wr)) > 0.1 or abs(w.imag) > 0.1:
+        raise CurveError(f"ambiguous winding number {w} about {z}")
+    return int(round(wr))
+
+
 def loop_classify_poles(poles, curve, floor=1e-9):
     """classify_poles one pole at a time: each finite pole resamples the
     curve for its distance (4,096 points) and its winding (2,048)."""
@@ -277,12 +295,12 @@ def loop_classify_poles(poles, curve, floor=1e-9):
             inside.append(False)
             continue
         a = complex(a)
-        d = distance_to_curve(curve, a)
+        d = _fresh_distance(curve, a)
         if d < floor:
             raise PoleError(f"pole {a} lies on the curve (distance {d:.2e})")
         sep = min(sep, d)
         entries.append((a, m))
-        inside.append(point_in_curve(curve, a))
+        inside.append(_fresh_winding(curve, a) != 0)
     return PoleSet(tuple(entries), tuple(inside), sep)
 
 

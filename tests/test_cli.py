@@ -12,7 +12,7 @@ import pytest
 
 import bernbound
 from bernbound import __version__, boundary_point, ellipse
-from bernbound.cli import fmt12, main, parse_run_spec
+from bernbound.cli import build_parser, fmt12, main, parse_run_spec
 from bernbound.errors import RunSpecError
 
 SPECS = Path(__file__).resolve().parent.parent / "specs"
@@ -384,6 +384,43 @@ class TestDeterminism:
         prov = json.loads((tmp_path / "provenance.json").read_text())
         assert set(prov) == {"command", "spec_sha256", "version",
                              "wall_time_s"}
+
+
+class TestParserReuse:
+    """main builds the argument parser once per process and reuses it."""
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_in_process_calls_give_identical_bundles(self, tmp_path):
+        specs = sorted(SPECS.glob("*.json"))
+        for rep in ("a", "b"):
+            for spec in specs:
+                command = json.loads(spec.read_text())["command"]
+                assert run_cli(command, spec, tmp_path / rep / spec.stem) == 0
+        for spec in specs:
+            for name in ("summary.csv", "items.csv"):
+                assert (tmp_path / "a" / spec.stem / name).read_bytes() == \
+                    (tmp_path / "b" / spec.stem / name).read_bytes()
+
+    def test_exit_codes_survive_reuse(self, tmp_path, capsys):
+        usage_errors = ([], ["nosuch"], ["bound"], ["bound", "--config"],
+                        ["bound", "--config", "x.json", "--bogus"])
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exc:
+                main(["--version"])
+            assert exc.value.code == 0
+            assert capsys.readouterr().out.strip() == __version__
+            for argv in usage_errors:
+                with pytest.raises(SystemExit) as exc:
+                    main(argv)
+                assert exc.value.code == 2
+                assert capsys.readouterr().err.startswith("usage: bern")
+            assert run_cli("bound", SPECS / "malformed" / "missing_curve.json",
+                           tmp_path / "bad") == 2
+            assert "spec error at curve:" in capsys.readouterr().err
+            assert run_cli("bound", SPECS / "bound_circle.json",
+                           tmp_path / "ok") == 0
 
 
 class TestMapCache:

@@ -409,8 +409,8 @@ class TestPoleSetLoops:
             assert str(got.value) == str(want.value)
             assert str(got.value).startswith(f"pole {on} lies on the curve")
 
-    def test_classify_samples_the_curve_once(self, ellipse_pair, monkeypatch):
-        e, _, _ = ellipse_pair
+    def test_classify_samples_the_curve_once(self, monkeypatch):
+        e = ellipse(1.2, 0.8)  # a fresh object: its sample memo is empty
         calls = []
         for name in ("eval_curve", "curve_derivative"):
             def counting(*args, fn=getattr(curves, name), name=name):
@@ -419,13 +419,15 @@ class TestPoleSetLoops:
 
             monkeypatch.setattr(curves, name, counting)
         counts = []
-        for n in (1, 9):
+        for n in (1, 9, 1):
             del calls[:]
             poles = [(complex(0.1 * k + 0.2j), 1) for k in range(n)]
             classify_poles(poles, e)
             counts.append(sorted(calls))
-        assert counts[0] == counts[1]
-        assert len(counts[0]) == 3  # 4,096 distances, 2,048 windings + tangents
+        # the first call samples 4,096 points for the distances and 2,048
+        # points with tangents for the windings; later calls sample nothing
+        assert counts[0] == ["curve_derivative", "eval_curve", "eval_curve"]
+        assert counts[1:] == [[], []]
 
     @settings(deadline=None, max_examples=25)
     @given(k=st.integers(0, 3),

@@ -1,16 +1,18 @@
 #!/usr/bin/env python3
-"""Per-layer timings of the map solves and pole-set routines, as BENCH_<n>.json.
+"""Per-layer timings of the map solves, pole-set routines, sampling and the
+ratio check, as BENCH_<n>.json.
 
 Run from the repository root:
 
-    python3 tools/bench.py --out BENCH_7.json
+    python3 tools/bench.py --out BENCH_8.json [--parent parent.json]
 
 Each case is timed with time.perf_counter: a repeat runs the case NUMBER
 (20) times, and the record keeps the median per-call time over REPEATS (9)
 repeats, after one untimed warm-up call.  The BLAS/OpenMP thread variables
 default to 1 (as in perfbench/run.py), so one product never spreads over
 idle cores.  To compare two commits, run this file from a checkout of each
-and compare the median_s of matching (layer, case) records.
+and compare the median_s of matching (layer, case) records; --parent reads
+the other run's output and stores its median_s as parent_median_s.
 
 Map solves (work: the two sides of a pair, or the one map measured):
 
@@ -28,6 +30,16 @@ sweep curve; the map pair is solved once, outside the timings):
     bernstein_bound  the corpus pole set, orders (3, 2, 3, 2)
     principal_parts  the golden n = 20 picks (8 distinct, cycle_list)
     map_invert       8 interior and 8 exterior points in one array each
+    verify_ratio     10 seeded corpus functions (tests/helpers.py, seed
+                     1729): "corpus" reuses the curve, anchor and map pair,
+                     as a batch of items on one curve does; "corpus_cold"
+                     makes a fresh curve and parses fresh maps (map_from_json)
+                     for every call, so each pays the first use of its
+                     per-object geometry memos
+    sup_norm         40 simple poles at 1.5 gamma(t_k), default sampling
+                     (4,096 points) on the reused curve
+    curve_samples    4,096 points of a fresh ellipse(1.2, 0.8) per call: the
+                     cost of one first-use sampling
 """
 
 import argparse
@@ -54,7 +66,10 @@ sys.path.insert(0, os.path.join(ROOT, "tests"))
 
 import bernbound as bb  # noqa: E402
 from helpers import (CORPUS_EXTERIOR, CORPUS_INTERIOR,  # noqa: E402
+                     DEFAULT_SEED, random_corpus_function,
                      sweep_interior_poles)
+
+CORPUS_FUNCTIONS = 10
 
 
 def _golden_config():
@@ -98,6 +113,20 @@ def build_cases():
     outer = np.array([complex(1.6 * bb.eval_curve(curve, t))
                       for t in np.arange(8) * (2 * np.pi / 8)])
 
+    rng = np.random.default_rng(DEFAULT_SEED)
+    functions = [random_corpus_function(rng)[0]
+                 for _ in range(CORPUS_FUNCTIONS)]
+
+    def corpus_cold():
+        for f in functions:
+            c = bb.ellipse(cfg["a"], cfg["b"])
+            fresh = bb.MapPair(c, *(bb.map_from_json(e) for e in entries))
+            bb.verify_ratio(f, c, bb.boundary_point(c, cfg["t"]), fresh)
+
+    deg40 = bb.make_rational(
+        [(complex(1.5 * bb.eval_curve(curve, t)), (1.0 + 0j,))
+         for t in 0.1 + np.arange(40) * (2 * np.pi / 40)])
+
     return solves + [
         ("conformal", "_measure_margin/ellipse_interior", 1,
          lambda: bb.conformal._measure_margin(pair.interior)),
@@ -115,6 +144,13 @@ def build_cases():
          lambda: bb.map_invert(pair.interior, inner)),
         ("conformal", "map_invert/exterior_8", len(outer),
          lambda: bb.map_invert(pair.exterior, outer)),
+        ("potential", "verify_ratio/corpus", len(functions),
+         lambda: [bb.verify_ratio(f, curve, u0, pair) for f in functions]),
+        ("potential", "verify_ratio/corpus_cold", len(functions),
+         corpus_cold),
+        ("ratfun", "sup_norm/deg40", 1, lambda: bb.sup_norm(deg40, curve)),
+        ("curves", "curve_samples/4096", 4096,
+         lambda: bb.curve_samples(bb.ellipse(cfg["a"], cfg["b"]), 4096)),
     ]
 
 
@@ -142,14 +178,24 @@ def git_commit():
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="BENCH_<n>.json path")
+    parser.add_argument("--parent", default=None,
+                        help="this script's output on the parent commit")
     args = parser.parse_args(argv)
+    parent, parent_s = None, {}
+    if args.parent:
+        with open(args.parent, encoding="utf-8") as fh:
+            parent = json.load(fh)
+        parent_s = {(r["layer"], r["case"]): r["median_s"]
+                    for r in parent["records"]}
 
     records = []
     for layer, case, work, fn in build_cases():
         median = time_case(fn)
-        records.append({"layer": layer, "case": case, "median_s": median,
-                        "repeats": REPEATS, "number": NUMBER,
-                        "work": work})
+        record = {"layer": layer, "case": case, "median_s": median,
+                  "repeats": REPEATS, "number": NUMBER, "work": work}
+        if (layer, case) in parent_s:
+            record["parent_median_s"] = parent_s[layer, case]
+        records.append(record)
         print(f"{layer:10s} {case:34s} {median * 1e3:9.3f} ms")
     result = {
         "environment": {
@@ -163,6 +209,8 @@ def main(argv=None):
         "version": bb.__version__,
         "records": records,
     }
+    if parent is not None:
+        result["parent_commit"] = parent["commit"]
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=1)
         fh.write("\n")
