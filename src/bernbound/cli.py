@@ -24,6 +24,7 @@ import math
 import os
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,10 +40,6 @@ from .potential import arc_bound, bernstein_bound, green_domain, verify_ratio
 from .ratfun import (RationalFunction, blaschke_product, classify_poles,
                      make_rational)
 
-_COMMANDS = ("bound", "verify", "sharpness", "map", "greens")
-_TOP_KEYS = {"command", "curve", "arc", "t", "point", "poles", "function",
-             "sharpness", "greens", "tol_map", "tol_q", "sup_m", "m_map"}
-
 
 def fmt12(x) -> str:
     """Fixed 12-significant-digit scientific rendering (CSV currency)."""
@@ -56,8 +53,12 @@ def fmt12(x) -> str:
 
 
 # ---------------------------------------------------------------------------
-# spec parsing (hand-rolled so error paths name the exact field)
+# spec parsing: each object declares its fields once, and every error names
+# the exact field path
 # ---------------------------------------------------------------------------
+
+_REQUIRED = object()
+
 
 def _sub(path: str, key) -> str:
     if isinstance(key, int):
@@ -65,10 +66,58 @@ def _sub(path: str, key) -> str:
     return f"{path}.{key}" if path else str(key)
 
 
-def _need(obj: dict, key: str, path: str):
-    if key not in obj:
-        raise RunSpecError(_sub(path, key), "missing required field")
-    return obj[key]
+def _fields(obj, path: str, fields: dict) -> dict:
+    """Read a spec object whose allowed keys are `fields`: key -> (reader,
+    default), the default being _REQUIRED for a key that must be given.
+
+    Unknown keys are rejected before any value is read; then each key is
+    read, in table order, by reader(value, path of the key)."""
+    if not isinstance(obj, dict):
+        raise RunSpecError(path, "expected an object")
+    for key in obj:
+        if key not in fields:
+            raise RunSpecError(_sub(path, key), "unknown field")
+    out = {}
+    for key, (reader, default) in fields.items():
+        if key in obj:
+            out[key] = reader(obj[key], _sub(path, key))
+        elif default is _REQUIRED:
+            raise RunSpecError(_sub(path, key), "missing required field")
+        else:
+            out[key] = default
+    return out
+
+
+def _object(fields: dict, build=dict):
+    """Reader of an object with the given fields, passed to build."""
+    return lambda obj, path: build(**_fields(obj, path, fields))
+
+
+def _kinded(what: str, kinds: dict):
+    """Reader of an object whose "kind" picks (build, fields) from kinds."""
+    def read(obj, path):
+        if not isinstance(obj, dict):
+            raise RunSpecError(path, "expected an object")
+        if "kind" not in obj:
+            raise RunSpecError(_sub(path, "kind"), "missing required field")
+        kind = obj["kind"]
+        if not isinstance(kind, str) or kind not in kinds:
+            raise RunSpecError(_sub(path, "kind"),
+                               f"unknown {what} kind {kind!r}")
+        build, fields = kinds[kind]
+        rest = {k: v for k, v in obj.items() if k != "kind"}
+        return build(**_fields(rest, path, fields))
+    return read
+
+
+def _list_of(reader, nonempty=True):
+    """Reader of a list whose items are read at path[i]."""
+    def read(v, path):
+        if not isinstance(v, list) or (nonempty and not v):
+            raise RunSpecError(path, "expected a nonempty list" if nonempty
+                               else "expected a list")
+        return [reader(x, _sub(path, i)) for i, x in enumerate(v)]
+    return read
 
 
 def _number(v, path, positive=False) -> float:
@@ -104,236 +153,141 @@ def _complex_pair(v, path, allow_inf=False) -> complex:
     return z
 
 
-def _parse_curve(obj, path) -> AnalyticCurve:
-    if not isinstance(obj, dict):
-        raise RunSpecError(path, "expected an object")
-    kind = _need(obj, "kind", path)
-    if kind == "circle":
-        radius = _number(obj.get("radius", 1.0), _sub(path, "radius"),
-                         positive=True)
-        center = _complex_pair(obj.get("center", [0.0, 0.0]),
-                               _sub(path, "center"))
-        return circle(radius, center)
-    if kind == "ellipse":
-        a = _number(_need(obj, "a", path), _sub(path, "a"), positive=True)
-        b = _number(_need(obj, "b", path), _sub(path, "b"), positive=True)
-        return ellipse(a, b)
-    if kind == "trig":
-        pairs = _need(obj, "pairs", path)
-        if not isinstance(pairs, list) or not pairs:
-            raise RunSpecError(_sub(path, "pairs"),
-                               "expected a nonempty list of [k, [re, im]]")
-        out = []
-        for i, item in enumerate(pairs):
-            ipath = _sub(_sub(path, "pairs"), i)
-            if not isinstance(item, (list, tuple)) or len(item) != 2:
-                raise RunSpecError(ipath, "expected [k, [re, im]]")
-            k = _integer(item[0], _sub(ipath, 0))
-            out.append((k, _complex_pair(item[1], _sub(ipath, 1))))
-        return trig_curve(out)
-    raise RunSpecError(_sub(path, "kind"), f"unknown curve kind {kind!r}")
+_positive = functools.partial(_number, positive=True)
+_point = functools.partial(_complex_pair, allow_inf=True)
 
 
-def _parse_arc(obj, path) -> ArcOpenUp:
-    if not isinstance(obj, dict):
-        raise RunSpecError(path, "expected an object")
-    kind = _need(obj, "kind", path)
-    if kind == "segment":
-        za = _complex_pair(obj.get("za", [-1.0, 0.0]), _sub(path, "za"))
-        zb = _complex_pair(obj.get("zb", [1.0, 0.0]), _sub(path, "zb"))
-        if za == zb:
-            raise RunSpecError(_sub(path, "zb"), "endpoints coincide")
-        return segment_arc(za, zb)
-    if kind == "circular":
-        theta0 = _number(_need(obj, "theta0", path), _sub(path, "theta0"),
-                         positive=True)
-        if theta0 >= math.pi:
-            raise RunSpecError(_sub(path, "theta0"), "must be below pi")
-        radius = _number(obj.get("radius", 1.0), _sub(path, "radius"),
-                         positive=True)
-        center = _complex_pair(obj.get("center", [0.0, 0.0]),
-                               _sub(path, "center"))
-        rotation = _number(obj.get("rotation", 0.0), _sub(path, "rotation"))
-        return circular_arc(theta0, radius, center, rotation)
-    raise RunSpecError(_sub(path, "kind"), f"unknown arc kind {kind!r}")
+def _at_least(minimum):
+    return functools.partial(_integer, minimum=minimum)
 
 
-def _parse_poles(obj, path):
-    if not isinstance(obj, list) or not obj:
-        raise RunSpecError(path, "expected a nonempty list of pole objects")
-    out = []
-    for i, item in enumerate(obj):
-        ipath = _sub(path, i)
-        if not isinstance(item, dict):
-            raise RunSpecError(ipath, 'expected {"point": ..., "order": ...}')
-        loc = _complex_pair(_need(item, "point", ipath),
-                            _sub(ipath, "point"), allow_inf=True)
-        order = _integer(item.get("order", 1), _sub(ipath, "order"),
-                         minimum=1)
-        out.append((loc, order))
-    return tuple(out)
+def _sup_m(v, path):
+    """An integer of at least 16, or null for the default sampling."""
+    return None if v is None else _integer(v, path, minimum=16)
 
 
-def _parse_function(obj, path) -> RationalFunction:
-    if not isinstance(obj, dict):
-        raise RunSpecError(path, "expected an object")
-    kind = _need(obj, "kind", path)
-    if kind == "blaschke":
-        pts = _need(obj, "points", path)
-        if not isinstance(pts, list) or not pts:
-            raise RunSpecError(_sub(path, "points"),
-                               "expected a nonempty list")
-        points = [_complex_pair(p, _sub(_sub(path, "points"), i),
-                                allow_inf=True) for i, p in enumerate(pts)]
-        return blaschke_product(points)
-    if kind == "partial_fractions":
-        terms_obj = _need(obj, "terms", path)
-        if not isinstance(terms_obj, list):
-            raise RunSpecError(_sub(path, "terms"), "expected a list")
-        terms = []
-        for i, item in enumerate(terms_obj):
-            ipath = _sub(_sub(path, "terms"), i)
-            if not isinstance(item, dict):
-                raise RunSpecError(ipath,
-                                   'expected {"pole": ..., "coeffs": ...}')
-            pole = _complex_pair(_need(item, "pole", ipath),
-                                 _sub(ipath, "pole"))
-            cobj = _need(item, "coeffs", ipath)
-            if not isinstance(cobj, list) or not cobj:
-                raise RunSpecError(_sub(ipath, "coeffs"),
-                                   "expected a nonempty list of [re, im]")
-            coeffs = [_complex_pair(c, _sub(_sub(ipath, "coeffs"), j))
-                      for j, c in enumerate(cobj)]
-            terms.append((pole, tuple(coeffs)))
-        pobj = obj.get("poly", [])
-        if not isinstance(pobj, list):
-            raise RunSpecError(_sub(path, "poly"), "expected a list")
-        poly = [_complex_pair(c, _sub(_sub(path, "poly"), j))
-                for j, c in enumerate(pobj)]
-        if not terms and not poly:
-            raise RunSpecError(_sub(path, "terms"),
-                               "function has no terms and no polynomial part")
-        return make_rational(terms, tuple(poly))
-    raise RunSpecError(_sub(path, "kind"), f"unknown function kind {kind!r}")
+def _half_angle(v, path) -> float:
+    v = _number(v, path, positive=True)
+    if v >= math.pi:
+        raise RunSpecError(path, "must be below pi")
+    return v
 
 
-def _parse_sharpness(obj, path):
-    if not isinstance(obj, dict):
-        raise RunSpecError(path, "expected an object")
-    pts = _need(obj, "interior_poles", path)
-    if not isinstance(pts, list) or not pts:
-        raise RunSpecError(_sub(path, "interior_poles"),
-                           "expected a nonempty list of [re, im]")
-    interior = [_complex_pair(p, _sub(_sub(path, "interior_poles"), i))
-                for i, p in enumerate(pts)]
-    zeta0 = _complex_pair(_need(obj, "zeta0", path), _sub(path, "zeta0"))
-    nobj = _need(obj, "n_list", path)
-    if not isinstance(nobj, list):
-        raise RunSpecError(_sub(path, "n_list"), "expected a list")
-    n_list = [_integer(n, _sub(_sub(path, "n_list"), i), minimum=1)
-              for i, n in enumerate(nobj)]
-    policy = obj.get("policy", "cycle_list")
-    if policy not in ("repeat_single_pole", "cycle_list"):
-        raise RunSpecError(_sub(path, "policy"),
-                           f"unknown picks policy {policy!r}")
-    for key in obj:
-        if key not in {"interior_poles", "zeta0", "n_list", "policy"}:
-            raise RunSpecError(_sub(path, key), "unknown field")
-    return {"interior_poles": interior, "zeta0": zeta0, "n_list": n_list,
-            "policy": policy}
+def _policy(v, path) -> str:
+    if v not in ("repeat_single_pole", "cycle_list"):
+        raise RunSpecError(path, f"unknown picks policy {v!r}")
+    return v
 
 
-def _parse_greens(obj, path):
-    if not isinstance(obj, dict):
-        raise RunSpecError(path, "expected an object")
-    pobj = _need(obj, "poles", path)
-    if not isinstance(pobj, list) or not pobj:
-        raise RunSpecError(_sub(path, "poles"), "expected a nonempty list")
-    poles = [_complex_pair(p, _sub(_sub(path, "poles"), i), allow_inf=True)
-             for i, p in enumerate(pobj)]
-    qobj = _need(obj, "probes", path)
-    if not isinstance(qobj, list) or not qobj:
-        raise RunSpecError(_sub(path, "probes"), "expected a nonempty list")
-    probes = [_complex_pair(p, _sub(_sub(path, "probes"), i))
-              for i, p in enumerate(qobj)]
-    for key in obj:
-        if key not in {"poles", "probes"}:
-            raise RunSpecError(_sub(path, key), "unknown field")
-    return {"poles": poles, "probes": probes}
+def _trig_pair(v, path):
+    if not isinstance(v, (list, tuple)) or len(v) != 2:
+        raise RunSpecError(path, "expected [k, [re, im]]")
+    return _integer(v[0], _sub(path, 0)), _complex_pair(v[1], _sub(path, 1))
+
+
+def _segment(za, zb) -> ArcOpenUp:
+    if za == zb:
+        raise RunSpecError("arc.zb", "endpoints coincide")
+    return segment_arc(za, zb)
+
+
+def _partial_fractions(terms, poly) -> RationalFunction:
+    if not terms and not poly:
+        raise RunSpecError("function.terms",
+                           "function has no terms and no polynomial part")
+    return make_rational(terms, tuple(poly))
+
+
+_CURVE = _kinded("curve", {
+    "circle": (circle, {"radius": (_positive, 1.0),
+                        "center": (_complex_pair, 0j)}),
+    "ellipse": (ellipse, {"a": (_positive, _REQUIRED),
+                          "b": (_positive, _REQUIRED)}),
+    "trig": (trig_curve, {"pairs": (_list_of(_trig_pair), _REQUIRED)}),
+})
+
+_ARC = _kinded("arc", {
+    "segment": (_segment, {"za": (_complex_pair, -1.0 + 0j),
+                           "zb": (_complex_pair, 1.0 + 0j)}),
+    "circular": (circular_arc, {"theta0": (_half_angle, _REQUIRED),
+                                "radius": (_positive, 1.0),
+                                "center": (_complex_pair, 0j),
+                                "rotation": (_number, 0.0)}),
+})
+
+_POLE = _object({"point": (_point, _REQUIRED), "order": (_at_least(1), 1)},
+                lambda point, order: (point, order))
+
+_TERM = _object({"pole": (_complex_pair, _REQUIRED),
+                 "coeffs": (_list_of(_complex_pair), _REQUIRED)},
+                lambda pole, coeffs: (pole, tuple(coeffs)))
+
+_FUNCTION = _kinded("function", {
+    "blaschke": (blaschke_product, {"points": (_list_of(_point), _REQUIRED)}),
+    "partial_fractions": (_partial_fractions, {
+        "terms": (_list_of(_TERM, nonempty=False), _REQUIRED),
+        "poly": (_list_of(_complex_pair, nonempty=False), ())}),
+})
+
+_SHARPNESS = _object({"interior_poles": (_list_of(_complex_pair), _REQUIRED),
+                      "zeta0": (_complex_pair, _REQUIRED),
+                      "n_list": (_list_of(_at_least(1), nonempty=False),
+                                 _REQUIRED),
+                      "policy": (_policy, "cycle_list")})
+
+_GREENS = _object({"poles": (_list_of(_point), _REQUIRED),
+                   "probes": (_list_of(_complex_pair), _REQUIRED)})
 
 
 @dataclass
 class RunSpec:
+    """A parsed spec; a field the command does not read keeps its default."""
     command: str
-    curve: AnalyticCurve | None
-    arc: ArcOpenUp | None
-    t: float | None
-    point: complex | None
-    poles: tuple
-    function: RationalFunction | None
-    sharp: dict | None
-    greens: dict | None
-    tol_map: float
-    tol_q: float
-    sup_m: int | None
-    m_map: int
     sha256: str
+    curve: AnalyticCurve | None = None
+    arc: ArcOpenUp | None = None
+    t: float | None = None
+    point: complex | None = None
+    poles: list | None = None
+    function: RationalFunction | None = None
+    sharpness: dict | None = None
+    greens: dict | None = None
+    tol_map: float = 1e-11
+    tol_q: float = 1e-9
+    sup_m: int | None = None
+    m_map: int = 1024
+
+
+# top-level fields of a spec on a curve or on an arc; each command adds its own
+_ON_CURVE = {"curve": (_CURVE, _REQUIRED), "t": (_number, _REQUIRED),
+             "tol_map": (_positive, RunSpec.tol_map),
+             "m_map": (_at_least(128), RunSpec.m_map)}
+_ON_ARC = {"arc": (_ARC, _REQUIRED), "point": (_complex_pair, _REQUIRED)}
 
 
 def parse_run_spec(data, sha256: str, cli_command: str | None = None) -> RunSpec:
     if not isinstance(data, dict):
         raise RunSpecError("", "run spec must be a JSON object")
-    for key in data:
-        if key not in _TOP_KEYS:
-            raise RunSpecError(str(key), "unknown field")
-    command = _need(data, "command", "")
-    if command not in _COMMANDS:
+    if "command" not in data:
+        raise RunSpecError("command", "missing required field")
+    command = data["command"]
+    if not isinstance(command, str) or command not in _COMMANDS:
         raise RunSpecError("command", f"unknown command {command!r}")
     if cli_command is not None and cli_command != command:
         raise RunSpecError("command",
                            f"spec says {command!r} but the CLI was invoked "
                            f"with {cli_command!r}")
-
+    cmd = _COMMANDS[command]
     if "curve" in data and "arc" in data:
         raise RunSpecError("arc", 'give either "curve" or "arc", not both')
-    curve = _parse_curve(data["curve"], "curve") if "curve" in data else None
-    arc = _parse_arc(data["arc"], "arc") if "arc" in data else None
-    if command in ("sharpness", "map", "greens") and curve is None:
+    if "arc" in data and not cmd.arcs:
         raise RunSpecError("curve", f"{command} requires a curve")
-    if curve is None and arc is None:
+    if "arc" not in data and "curve" not in data:
         raise RunSpecError("curve", "missing required field")
-
-    t = None
-    point = None
-    if curve is not None:
-        if command == "greens":
-            t = _number(data.get("t", 0.0), "t")
-        else:
-            t = _number(_need(data, "t", ""), "t")
-    else:
-        point = _complex_pair(_need(data, "point", ""), "point")
-
-    poles = ()
-    if command == "bound":
-        poles = _parse_poles(_need(data, "poles", ""), "poles")
-    function = None
-    if command == "verify":
-        function = _parse_function(_need(data, "function", ""), "function")
-    sharp = None
-    if command == "sharpness":
-        sharp = _parse_sharpness(_need(data, "sharpness", ""), "sharpness")
-    greens = None
-    if command == "greens":
-        greens = _parse_greens(_need(data, "greens", ""), "greens")
-
-    tol_map = _number(data.get("tol_map", 1e-11), "tol_map", positive=True)
-    tol_q = _number(data.get("tol_q", 1e-9), "tol_q", positive=True)
-    sup_m = None
-    if data.get("sup_m") is not None:
-        sup_m = _integer(data["sup_m"], "sup_m", minimum=16)
-    m_map = _integer(data.get("m_map", 1024), "m_map", minimum=128)
-    return RunSpec(command, curve, arc, t, point, poles, function, sharp,
-                   greens, tol_map, tol_q, sup_m, m_map, sha256)
+    where = _ON_ARC if "arc" in data else _ON_CURVE
+    rest = {k: v for k, v in data.items() if k != "command"}
+    return RunSpec(command, sha256,
+                   **_fields(rest, "", {**where, **cmd.fields}))
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +308,8 @@ def _pair_cache_key(curve, t, tol_map, m_map) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _solve_pair(spec: RunSpec, cache_dir=None) -> MapPair:
+def _solve_pair(spec: RunSpec, cache_dir=None):
+    """(map pair, anchor u0) of the spec's curve, from the cache if given."""
     u0 = boundary_point(spec.curve, spec.t)
     path = None
     if cache_dir:
@@ -364,7 +319,7 @@ def _solve_pair(spec: RunSpec, cache_dir=None) -> MapPair:
             with open(path, encoding="utf-8") as fh:
                 stored = json.load(fh)
             return MapPair(spec.curve, map_from_dict(stored["interior"]),
-                           map_from_dict(stored["exterior"]))
+                           map_from_dict(stored["exterior"])), u0
         except (OSError, ValueError, KeyError, TypeError):
             pass  # a missing, torn or corrupt entry is a miss: solve afresh
     pair = solve_map_pair(spec.curve, u0, tol=spec.tol_map, m=spec.m_map)
@@ -376,7 +331,7 @@ def _solve_pair(spec: RunSpec, cache_dir=None) -> MapPair:
             json.dump({"interior": map_to_dict(pair.interior),
                        "exterior": map_to_dict(pair.exterior)}, fh)
         os.replace(tmp, path)
-    return pair
+    return pair, u0
 
 
 # ---------------------------------------------------------------------------
@@ -398,8 +353,7 @@ def _run_bound(spec: RunSpec, cache_dir):
         report = arc_bound(spec.point, spec.poles, spec.arc)
         t_val, pt = math.nan, spec.point
     else:
-        maps = _solve_pair(spec, cache_dir)
-        u0 = boundary_point(spec.curve, spec.t)
+        maps, u0 = _solve_pair(spec, cache_dir)
         report = bernstein_bound(u0, classify_poles(spec.poles, spec.curve),
                                  maps)
         t_val, pt = spec.t, u0.point
@@ -415,8 +369,7 @@ def _run_verify(spec: RunSpec, cache_dir):
                            sup_m=spec.sup_m)
         t_val, pt = math.nan, spec.point
     else:
-        maps = _solve_pair(spec, cache_dir)
-        u0 = boundary_point(spec.curve, spec.t)
+        maps, u0 = _solve_pair(spec, cache_dir)
         rec = verify_ratio(spec.function, spec.curve, u0, maps,
                            sup_m=spec.sup_m)
         t_val, pt = spec.t, u0.point
@@ -428,11 +381,8 @@ def _run_verify(spec: RunSpec, cache_dir):
 
 
 def _run_sharpness(spec: RunSpec, cache_dir):
-    maps = _solve_pair(spec, cache_dir)
-    u0 = boundary_point(spec.curve, spec.t)
-    rows = sharpness_sweep(spec.curve, maps, u0,
-                           spec.sharp["interior_poles"], spec.sharp["zeta0"],
-                           spec.sharp["n_list"], policy=spec.sharp["policy"],
+    maps, u0 = _solve_pair(spec, cache_dir)
+    rows = sharpness_sweep(spec.curve, maps, u0, **spec.sharpness,
                            tol_q=spec.tol_q)
     header = ("n", "N6", "r_n", "bound", "sup_norm", "deriv_mod",
               "residual_flags")
@@ -446,7 +396,7 @@ def _run_sharpness(spec: RunSpec, cache_dir):
 
 
 def _run_map(spec: RunSpec, cache_dir):
-    maps = _solve_pair(spec, cache_dir)
+    maps, _ = _solve_pair(spec, cache_dir)
     header = ("side", "anchor_re", "anchor_im", "anchor_deriv_re",
               "anchor_deriv_im", "delta", "tail", "n_coeffs")
     summary, items = [], []
@@ -460,7 +410,7 @@ def _run_map(spec: RunSpec, cache_dir):
 
 
 def _run_greens(spec: RunSpec, cache_dir):
-    maps = _solve_pair(spec, cache_dir)
+    maps, _ = _solve_pair(spec, cache_dir)
     poles, probes = spec.greens["poles"], spec.greens["probes"]
     probe_inside = np.array([point_in_curve(spec.curve, q) for q in probes])
     pole_inside = classify_poles([(p, 1) for p in poles], spec.curve).inside
@@ -483,6 +433,41 @@ def _run_greens(spec: RunSpec, cache_dir):
                              "probe_im", "value"), items
 
 
+@dataclass(frozen=True)
+class _Command:
+    run: Callable   # handler: (spec, cache_dir) -> the bundle's four parts
+    fields: dict    # its top-level fields besides those of the curve or arc
+    arcs: bool = False
+    plots: tuple = ()
+
+
+_COMMANDS = {
+    "bound": _Command(_run_bound, {"poles": (_list_of(_POLE), _REQUIRED)},
+                      arcs=True, plots=("contributions",)),
+    "verify": _Command(_run_verify, {"function": (_FUNCTION, _REQUIRED),
+                                     "sup_m": (_sup_m, RunSpec.sup_m)},
+                       arcs=True, plots=("contributions",)),
+    "sharpness": _Command(_run_sharpness,
+                          {"sharpness": (_SHARPNESS, _REQUIRED),
+                           "tol_q": (_positive, RunSpec.tol_q)},
+                          plots=("ratio_vs_n",)),
+    "map": _Command(_run_map, {}),
+    "greens": _Command(_run_greens, {"t": (_number, 0.0),
+                                     "greens": (_GREENS, _REQUIRED)}),
+}
+
+
+def _check_plot(command: str, kind: str) -> None:
+    """Reject a plot kind the command does not emit."""
+    if kind in _COMMANDS[command].plots:
+        return
+    owners = [name for name, cmd in _COMMANDS.items() if kind in cmd.plots]
+    if not owners:
+        raise RunSpecError("plot", f"unknown plot kind {kind!r}")
+    raise RunSpecError("plot", f"{kind} needs a {' or '.join(owners)} "
+                       f"bundle, got {command!r}")
+
+
 # ---------------------------------------------------------------------------
 # bundles
 # ---------------------------------------------------------------------------
@@ -500,21 +485,11 @@ class ReportBundle:
 
 def run(spec: RunSpec, cache_dir=None) -> ReportBundle:
     start = time.perf_counter()
-    if spec.command == "bound":
-        parts = _run_bound(spec, cache_dir)
-    elif spec.command == "verify":
-        parts = _run_verify(spec, cache_dir)
-    elif spec.command == "sharpness":
-        parts = _run_sharpness(spec, cache_dir)
-    elif spec.command == "map":
-        parts = _run_map(spec, cache_dir)
-    else:
-        parts = _run_greens(spec, cache_dir)
+    parts = _COMMANDS[spec.command].run(spec, cache_dir)
     provenance = {"version": __version__, "command": spec.command,
                   "spec_sha256": spec.sha256,
                   "wall_time_s": time.perf_counter() - start}
-    return ReportBundle(spec.command, spec.sha256, parts[0], parts[1],
-                        parts[2], parts[3], provenance)
+    return ReportBundle(spec.command, spec.sha256, *parts, provenance)
 
 
 def _cell(v) -> str:
@@ -548,23 +523,16 @@ def write_bundle(bundle: ReportBundle, out_dir: str) -> dict:
 
 def emit_plot_data(bundle: ReportBundle, kind: str) -> str:
     """Two-column text for external plotting; the header pins the run spec."""
+    _check_plot(bundle.command, kind)
     lines = [f"# spec_sha256={bundle.spec_sha256}"]
     if kind == "ratio_vs_n":
-        if bundle.command != "sharpness":
-            raise RunSpecError("plot", "ratio_vs_n needs a sharpness bundle, "
-                               f"got {bundle.command!r}")
         lines.append("# n r_n")
         for row in bundle.summary_rows:
             lines.append(f"{int(row[0])} {fmt12(row[2])}")
-    elif kind == "contributions":
-        if bundle.command not in ("bound", "verify"):
-            raise RunSpecError("plot", "contributions needs a bound or "
-                               f"verify bundle, got {bundle.command!r}")
+    else:
         lines.append("# pole_index contribution")
         for row in bundle.items_rows:
             lines.append(f"{int(row[0])} {fmt12(row[4])}")
-    else:
-        raise RunSpecError("plot", f"unknown plot kind {kind!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -582,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "curves and arcs.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
+    for name, cmd in _COMMANDS.items():
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True,
                         help="JSON run-spec file")
@@ -591,33 +559,34 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--cache", default=None,
                         help="conformal-map cache directory")
         sp.add_argument("--plot", default=None,
-                        help="also emit plot data: ratio_vs_n | contributions")
+                        help="also emit plot data: "
+                             + (" | ".join(cmd.plots) or "none"))
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        with open(args.config, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        print(f"spec error at config: {exc}", file=sys.stderr)
-        return 2
-    sha = hashlib.sha256(raw).hexdigest()
-    try:
+        if args.plot:
+            _check_plot(args.command, args.plot)
+        try:
+            with open(args.config, "rb") as fh:
+                raw = fh.read()
+        except OSError as exc:
+            raise RunSpecError("config", str(exc))
         try:
             data = json.loads(raw)
         except json.JSONDecodeError as exc:
             raise RunSpecError("config", f"invalid JSON: {exc}")
-        spec = parse_run_spec(data, sha, args.command)
+        spec = parse_run_spec(data, hashlib.sha256(raw).hexdigest(),
+                              args.command)
         bundle = run(spec, cache_dir=args.cache)
-        paths = write_bundle(bundle, args.out)
+        write_bundle(bundle, args.out)
         if args.plot:
             text = emit_plot_data(bundle, args.plot)
             plot_path = os.path.join(args.out, f"plot_{args.plot}.txt")
             with open(plot_path, "w", encoding="utf-8") as fh:
                 fh.write(text)
-            paths["plot"] = plot_path
     except RunSpecError as exc:
         print(f"spec error at {exc.path}: {exc.reason}", file=sys.stderr)
         return 2

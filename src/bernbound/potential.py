@@ -184,6 +184,15 @@ def _interior_preimage(arc: ArcOpenUp, pole):
     return inner[0]
 
 
+def _arc_side_value(uj, fp, a) -> float:
+    """Disk normal derivative at the base-circle point uj for the interior
+    preimage a, divided by fp = |F'(uj)|."""
+    if fp <= 1e-12:
+        raise DomainError(f"open-up map critical at the preimage {uj}")
+    # rotation-invariant disk normal derivative at the boundary point uj
+    return (1.0 - abs(a) ** 2) / abs(uj - a) ** 2 / fp
+
+
 def arc_normal_derivative(z0, side: str, pole, arc: ArcOpenUp) -> float:
     """One-sided normal derivative at the arc point z0 for the given pole.
 
@@ -197,22 +206,24 @@ def arc_normal_derivative(z0, side: str, pole, arc: ArcOpenUp) -> float:
     u1, u2 = openup_preimages(arc, z0)
     uj = u1 if side == "n1" else u2
     a = _interior_preimage(arc, pole)
-    # rotation-invariant disk normal derivative at the boundary point uj
-    val = (1.0 - abs(a) ** 2) / abs(uj - a) ** 2
-    fp = abs(rq_derivative(arc.fmap, uj))
-    if fp <= 1e-12:
-        raise DomainError(f"open-up map critical at the preimage {uj}")
-    return val / fp
+    return _arc_side_value(uj, abs(rq_derivative(arc.fmap, uj)), a)
 
 
 def arc_bound(z0, poles, arc: ArcOpenUp) -> BoundReport:
     """Arc version of the bound: every pole contributes to both one-sided
-    sums; the inner/outer slots of the report hold the n1/n2 sums."""
+    sums; the inner/outer slots of the report hold the n1/n2 sums.  The
+    preimages of z0, |F'| there and each pole's preimage are solved once."""
+    from .conformal import openup_preimages
+
     contributions = []
+    sides = None
     for a, m in poles:
         a = INFINITY if is_infinite(a) else complex(a)
-        v1 = arc_normal_derivative(z0, "n1", a, arc)
-        v2 = arc_normal_derivative(z0, "n2", a, arc)
+        if sides is None:  # at the first pole: no poles, nothing solved
+            sides = [(u, abs(rq_derivative(arc.fmap, u)))
+                     for u in openup_preimages(arc, z0)]
+        pre = _interior_preimage(arc, a)
+        v1, v2 = (_arc_side_value(u, fp, pre) for u, fp in sides)
         if not (v1 > 0.0 and v2 > 0.0):
             raise DomainError(f"nonpositive contribution at pole {a}")
         for _ in range(int(m)):

@@ -308,10 +308,6 @@ def sup_norm(f: RationalFunction, boundary, m: int | None = None):
     M = int(m) if m else max(4096, 64 * max(degree(f), 1))
     h = TWO_PI / M
     ts, pts = sample_grid(boundary, M)
-    for t in f.terms:
-        if np.min(np.abs(pts - t.location)) < POLE_FLOOR:
-            raise PoleError(f"pole {t.location} within the floor distance "
-                            "of the boundary")
     vals = np.abs(rf_eval(f, pts))
     is_max = (vals >= np.roll(vals, 1)) & (vals >= np.roll(vals, -1))
     peaks = np.nonzero(is_max)[0]

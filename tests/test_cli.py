@@ -1,7 +1,10 @@
+import copy
 import csv
+import functools
 import hashlib
 import json
 import math
+import operator
 import os
 import shutil
 import subprocess
@@ -49,6 +52,48 @@ def sharp_data(**over):
     inner.update(over)
     return {"command": "sharpness", "curve": {"kind": "circle"}, "t": 0.0,
             "sharpness": inner}
+
+
+VERIFY_SEGMENT = {"command": "verify", "arc": {"kind": "segment"},
+                  "point": [0.1, 0.0],
+                  "function": {"kind": "blaschke", "points": [[0.0, 0.5]]}}
+
+# one spec per curve kind, arc kind and function kind, in the shapes of the
+# generated batch specs; the shipped specs cover the rest of the schema
+KIND_SPECS = {
+    "circle": {"command": "bound",
+               "curve": {"kind": "circle", "radius": 1.3,
+                         "center": [0.2, -0.1]},
+               "t": 0.7,
+               "poles": [{"point": [0.3, 0.1], "order": 2},
+                         {"point": [3.0, 1.0], "order": 1},
+                         {"point": "inf", "order": 1}]},
+    "ellipse": {"command": "verify", "curve": {"kind": "ellipse", "a": 1.2,
+                                               "b": 0.8},
+                "t": 0.4,
+                "function": {"kind": "partial_fractions",
+                             "terms": [{"pole": [0.1, 0.2],
+                                        "coeffs": [[1.0, 0.5], [0.2, 0.0]]},
+                                       {"pole": [2.5, 0.0],
+                                        "coeffs": [[0.3, 0.0]]}],
+                             "poly": [[0.1, 0.0], [1.0, 0.0]]}},
+    "trig": {"command": "map",
+             "curve": {"kind": "trig",
+                       "pairs": [[1, [1.0, 0.0]], [-1, [0.1, 0.0]]]},
+             "t": 0.2},
+    "segment": {"command": "bound",
+                "arc": {"kind": "segment", "za": [-1.2, 0.1],
+                        "zb": [0.9, -0.2]},
+                "point": [0.0, 0.0],
+                "poles": [{"point": [0.0, 1.0], "order": 2},
+                          {"point": "inf", "order": 1}]},
+    "circular": {"command": "verify",
+                 "arc": {"kind": "circular", "theta0": 0.8, "radius": 1.1,
+                         "center": [0.1, 0.0], "rotation": 0.5},
+                 "point": [0.1 + 1.1 * math.cos(0.6), 1.1 * math.sin(0.6)],
+                 "function": {"kind": "blaschke",
+                              "points": [[0.5, 0.0], [0.0, 0.3]]}},
+}
 
 
 class TestFmt12:
@@ -104,7 +149,16 @@ BAD_SPECS = [
     ({"command": "greens", "curve": {"kind": "circle"},
       "greens": {"poles": ["inf"]}}, "greens.probes"),
     (bound_data(tol_map=0.0), "tol_map"),
-    (bound_data(sup_m=8), "sup_m"),
+    # a key that the object, or the command, does not read
+    (bound_data(curve={"kind": "circle", "raduis": 2.0}), "curve.raduis"),
+    (bound_data(poles=[{"point": [0.5, 0.0], "ordr": 3}, {"point": "inf"}]),
+     "poles[0].ordr"),
+    ({"command": "verify", "arc": {"kind": "segment"}, "point": [0.1, 0.0],
+      "function": {"kind": "partial_fractions", "terms": [],
+                   "polly": [[0.0, 0.0], [1.0, 0.0]]}}, "function.polly"),
+    (bound_data(sup_m=4096), "sup_m"),
+    (bound_data(tol_q=1e-9), "tol_q"),
+    (bound_data(point=[1.0, 0.0]), "point"),
     # removed knobs: even their old default values are unknown fields
     (bound_data(threads=1), "threads"),
     (bound_data(seed=1729), "seed"),
@@ -130,6 +184,25 @@ class TestSpecParsing:
         spec = write_spec(tmp_path, bound_data(**{key: value}))
         assert run_cli("bound", spec, tmp_path / "out") == 2
         assert f"spec error at {key}: unknown field" in capsys.readouterr().err
+
+    def test_sup_m_floor(self):
+        with pytest.raises(RunSpecError) as err:
+            parse_run_spec(VERIFY_SEGMENT | {"sup_m": 8}, "deadbeef")
+        assert err.value.path == "sup_m"
+        assert "at least 16" in err.value.reason
+
+    def test_unknown_command_comes_before_unknown_keys(self):
+        with pytest.raises(RunSpecError) as err:
+            parse_run_spec({"command": "fly", "frobnicate": 1}, "deadbeef")
+        assert err.value.path == "command"
+
+    def test_curve_only_commands_name_the_curve(self):
+        data = {"command": "map", "arc": {"kind": "segment"},
+                "point": [0.0, 0.0]}
+        with pytest.raises(RunSpecError) as err:
+            parse_run_spec(data, "deadbeef")
+        assert err.value.path == "curve"
+        assert "map requires a curve" in err.value.reason
 
     def test_command_mismatch_names_both(self):
         with pytest.raises(RunSpecError) as err:
@@ -356,11 +429,131 @@ class TestExitCodes:
         assert run_cli("bound", SPECS / "bound_circle.json",
                        tmp_path / "out", "--plot", "ratio_vs_n") == 2
         assert "spec error at plot:" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "summary.csv").exists()
 
     def test_unknown_plot_kind(self, tmp_path, capsys):
         assert run_cli("bound", SPECS / "bound_circle.json",
                        tmp_path / "out", "--plot", "pie") == 2
         assert "unknown plot kind" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "summary.csv").exists()
+
+    def test_map_emits_no_plot(self, tmp_path, capsys):
+        assert run_cli("map", SPECS / "map_ellipse.json", tmp_path / "out",
+                       "--plot", "contributions") == 2
+        assert "contributions needs a bound or verify bundle, got 'map'" \
+            in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+def sub_path(path, key):
+    if isinstance(key, int):
+        return f"{path}[{key}]"
+    return f"{path}.{key}" if path else key
+
+
+def object_paths(obj, path="", keys=()):
+    """(field path, key sequence) of every object in a spec, itself first."""
+    if isinstance(obj, dict):
+        yield path, keys
+        children = obj.items()
+    elif isinstance(obj, list):
+        children = enumerate(obj)
+    else:
+        return
+    for key, value in children:
+        yield from object_paths(value, sub_path(path, key), keys + (key,))
+
+
+def edited(data, keys):
+    """A deep copy of data and the copy's object at keys."""
+    out = copy.deepcopy(data)
+    return out, functools.reduce(operator.getitem, keys, out)
+
+
+SCHEMA_SPECS = {**{path.stem: json.loads(path.read_text(encoding="utf-8"))
+                   for path in sorted(SPECS.glob("*.json"))},
+                **KIND_SPECS}
+OPTIONAL_KEYS = {"radius", "center", "za", "zb", "rotation", "order", "poly",
+                 "policy", "tol_map", "tol_q", "sup_m", "m_map"}
+
+# (spec that omits optional keys, [(object keys, the keys at their defaults)])
+DEFAULTS_WRITTEN = [
+    (bound_data(poles=[{"point": [0.2, 0.1]}, {"point": "inf", "order": 2}]),
+     [((), {"tol_map": 1e-11, "m_map": 1024}),
+      (("curve",), {"radius": 1.0, "center": [0.0, 0.0]}),
+      (("poles", 0), {"order": 1})]),
+    ({"command": "verify", "arc": {"kind": "segment"}, "point": [0.1, 0.0],
+      "function": {"kind": "partial_fractions",
+                   "terms": [{"pole": [0.3, 0.5], "coeffs": [[1.0, 0.0]]}]}},
+     [(("arc",), {"za": [-1.0, 0.0], "zb": [1.0, 0.0]}),
+      (("function",), {"poly": []})]),
+    ({"command": "bound", "arc": {"kind": "circular", "theta0": 0.8},
+      "point": [math.cos(0.2), math.sin(0.2)],
+      "poles": [{"point": [0.0, 0.0]}, {"point": [2.0, 1.0], "order": 2}]},
+     [(("arc",), {"radius": 1.0, "center": [0.0, 0.0], "rotation": 0.0}),
+      (("poles", 0), {"order": 1})]),
+    ({"command": "sharpness", "curve": {"kind": "circle"}, "t": 0.3,
+      "sharpness": {"interior_poles": [[0.0, 0.0], [0.2, 0.1]],
+                    "zeta0": [3.0, 0.0], "n_list": [1, 3]}},
+     [((), {"tol_map": 1e-11, "tol_q": 1e-9, "m_map": 1024}),
+      (("sharpness",), {"policy": "cycle_list"})]),
+    (SCHEMA_SPECS["greens_ellipse"],
+     [((), {"t": 0.0, "tol_map": 1e-11, "m_map": 1024})]),
+]
+
+
+class TestSchema:
+    """Every object of a spec accepts exactly its documented keys."""
+
+    @pytest.mark.parametrize("name", sorted(SCHEMA_SPECS))
+    def test_unknown_key_at_every_level(self, tmp_path, capsys, name):
+        data = SCHEMA_SPECS[name]
+        out = tmp_path / "out"
+        for path, keys in object_paths(data):
+            spec, node = edited(data, keys)
+            node["zz_extra"] = 1
+            assert run_cli(data["command"], write_spec(tmp_path, spec),
+                           out) == 2
+            err = capsys.readouterr().err
+            assert f"spec error at {sub_path(path, 'zz_extra')}: " \
+                "unknown field" in err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("name", sorted(SCHEMA_SPECS))
+    def test_each_missing_required_key_is_named(self, tmp_path, capsys,
+                                                name):
+        data = SCHEMA_SPECS[name]
+        for path, keys in object_paths(data):
+            for key in edited(data, keys)[1]:
+                if key in OPTIONAL_KEYS or (
+                        data["command"] == "greens" and key == "t"):
+                    continue
+                spec, node = edited(data, keys)
+                del node[key]
+                # an arc spec without its arc reads as a curve spec
+                want = "curve" if keys + (key,) == ("arc",) \
+                    else sub_path(path, key)
+                assert run_cli(data["command"], write_spec(tmp_path, spec),
+                               tmp_path / "out") == 2
+                assert f"spec error at {want}: missing required field" \
+                    in capsys.readouterr().err
+
+    @pytest.mark.parametrize("data,fills", DEFAULTS_WRITTEN,
+                             ids=["circle", "segment", "circular",
+                                  "sharpness", "greens"])
+    def test_defaults_written_out_change_nothing(self, tmp_path, data,
+                                                 fills):
+        full = copy.deepcopy(data)
+        for keys, values in fills:
+            functools.reduce(operator.getitem, keys, full).update(values)
+        outs = []
+        for name, spec in (("omitted", data), ("written", full)):
+            outs.append(tmp_path / name)
+            config = write_spec(tmp_path, spec, f"{name}.json")
+            assert run_cli(data["command"], config, outs[-1]) == 0
+        for name in ("summary.csv", "items.csv"):
+            assert (outs[0] / name).read_bytes() == \
+                (outs[1] / name).read_bytes()
 
 
 class TestDeterminism:

@@ -4,7 +4,7 @@ ratio check, as BENCH_<n>.json.
 
 Run from the repository root:
 
-    python3 tools/bench.py --out BENCH_8.json [--parent parent.json]
+    python3 tools/bench.py --out BENCH_9.json [--parent parent.json]
 
 Each case is timed with time.perf_counter: a repeat runs the case NUMBER
 (20) times, and the record keeps the median per-call time over REPEATS (9)
@@ -40,6 +40,13 @@ sweep curve; the map pair is solved once, outside the timings):
                      (4,096 points) on the reused curve
     curve_samples    4,096 points of a fresh ellipse(1.2, 0.8) per call: the
                      cost of one first-use sampling
+
+End to end, one case per shipped spec:
+
+    bern/<spec>      specs/<spec>.json through bern's main in-process:
+                     parse, run (with no map cache, so curve specs solve
+                     their map pair every call) and write the bundle to a
+                     temporary directory
 """
 
 import argparse
@@ -49,6 +56,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
@@ -65,6 +73,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "tests"))
 
 import bernbound as bb  # noqa: E402
+from bernbound import cli  # noqa: E402
 from helpers import (CORPUS_EXTERIOR, CORPUS_INTERIOR,  # noqa: E402
                      DEFAULT_SEED, random_corpus_function,
                      sweep_interior_poles)
@@ -76,6 +85,28 @@ def _golden_config():
     path = os.path.join(ROOT, "tests", "golden", "ellipse_sweep.json")
     with open(path, encoding="utf-8") as fh:
         return json.load(fh)["config"]
+
+
+def _bern(argv):
+    if cli.main(argv) != 0:
+        raise RuntimeError(f"bern {' '.join(argv)} failed")
+
+
+def bern_cases(out_dir):
+    """(layer, case, work, callable) for each specs/*.json run in-process."""
+    cases = []
+    spec_dir = os.path.join(ROOT, "specs")
+    for name in sorted(os.listdir(spec_dir)):
+        if not name.endswith(".json"):
+            continue
+        path = os.path.join(spec_dir, name)
+        with open(path, encoding="utf-8") as fh:
+            command = json.load(fh)["command"]
+        stem = name[:-len(".json")]
+        argv = [command, "--config", path,
+                "--out", os.path.join(out_dir, stem)]
+        cases.append(("cli", f"bern/{stem}", 1, lambda a=argv: _bern(a)))
+    return cases
 
 
 def build_cases():
@@ -189,14 +220,15 @@ def main(argv=None):
                     for r in parent["records"]}
 
     records = []
-    for layer, case, work, fn in build_cases():
-        median = time_case(fn)
-        record = {"layer": layer, "case": case, "median_s": median,
-                  "repeats": REPEATS, "number": NUMBER, "work": work}
-        if (layer, case) in parent_s:
-            record["parent_median_s"] = parent_s[layer, case]
-        records.append(record)
-        print(f"{layer:10s} {case:34s} {median * 1e3:9.3f} ms")
+    with tempfile.TemporaryDirectory() as out_dir:
+        for layer, case, work, fn in build_cases() + bern_cases(out_dir):
+            median = time_case(fn)
+            record = {"layer": layer, "case": case, "median_s": median,
+                      "repeats": REPEATS, "number": NUMBER, "work": work}
+            if (layer, case) in parent_s:
+                record["parent_median_s"] = parent_s[layer, case]
+            records.append(record)
+            print(f"{layer:10s} {case:34s} {median * 1e3:9.3f} ms")
     result = {
         "environment": {
             "cores": os.cpu_count(),
