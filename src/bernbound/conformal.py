@@ -11,7 +11,8 @@ General curves are solved by the Theodorsen boundary-correspondence
 iteration on a uniform FFT grid; the exterior problem is first carried to a
 bounded one through the plane inversion w = 1/(u - z_c).  Circles get the
 exact linear map on both sides, the ellipse exterior the classical
-Joukowski-type closed form.
+Joukowski-type closed form; map_invert inverts these closed forms exactly
+and runs Newton only on series maps.
 
 A map keeps only what evaluation, inversion and the map cache read: the core
 series, the prefix (rot, s), the anchor and the derivative there, the grid
@@ -175,24 +176,29 @@ def _value_at_infinity(cmap):
 
 
 def map_eval(cmap: ConformalMap, v):
-    """Phi(v) for scalars or arrays, guarding the verified domain."""
+    """Phi(v) for scalars or arrays, guarding the verified domain.  A
+    non-finite v stands for infinity (exterior maps only)."""
     varr = np.asarray(v, dtype=complex)
     scalar = varr.ndim == 0
-    varr = np.atleast_1d(varr).astype(complex)
-    inf_mask = ~(np.isfinite(varr.real) & np.isfinite(varr.imag))
-    if np.any(inf_mask) and cmap.side != "exterior":
+    varr = np.atleast_1d(varr)
+    fin = np.isfinite(varr)
+    every = bool(fin.all())
+    if not every and cmap.side != "exterior":
         raise MapError("interior map evaluated at infinity")
-    r = np.abs(np.where(inf_mask, 1.0, varr))
-    lo, hi = _domain_limits(cmap)
-    tol = 1e-12
-    if np.any((r < lo - tol) & ~inf_mask) or np.any((r > hi + tol) & ~inf_mask):
-        raise MapError(f"evaluation outside the verified {cmap.side} domain")
-    out = np.empty(varr.shape, dtype=complex)
-    if np.any(inf_mask):
-        out[inf_mask] = _value_at_infinity(cmap)
-    fin = ~inf_mask
-    if np.any(fin):
-        out[fin] = _core_eval(cmap, _moebius(cmap, varr[fin]))
+    vfin = varr if every else varr[fin]
+    if vfin.size:
+        r = np.abs(vfin)
+        lo, hi = _domain_limits(cmap)
+        tol = 1e-12
+        if r.min() < lo - tol or r.max() > hi + tol:
+            raise MapError(f"evaluation outside the verified {cmap.side} domain")
+    if every:
+        out = _core_eval(cmap, _moebius(cmap, varr))
+    else:
+        out = np.empty(varr.shape, dtype=complex)
+        out[~fin] = _value_at_infinity(cmap)
+        if vfin.size:
+            out[fin] = _core_eval(cmap, _moebius(cmap, vfin))
     return complex(out[0]) if scalar else out
 
 
@@ -281,13 +287,14 @@ def _theodorsen(log_rho, m, tol, max_iter=800):
 
 
 def _trim_series(series, keep_min=8):
+    """series cut after its last coefficient above _TRIM_REL of the
+    largest, keeping (zero-padded if need be) at least keep_min terms, so
+    that no series core is as short as a closed form (_is_closed_form)."""
     series = np.asarray(series, dtype=complex)
-    scale = float(np.max(np.abs(series)))
-    if scale == 0.0:
-        return series[:keep_min]
-    big = np.nonzero(np.abs(series) > _TRIM_REL * scale)[0]
-    cut = max(int(big[-1]) + 1, keep_min) if len(big) else keep_min
-    return series[:min(cut, len(series))]
+    mods = np.abs(series)
+    big = np.nonzero(mods > _TRIM_REL * np.max(mods, initial=0.0))[0]
+    cut = max(int(big[-1]) + 1 if len(big) else 0, keep_min)
+    return np.pad(series[:cut], (0, max(0, cut - len(series))))
 
 
 def _interior_core(curve, z_c, m, tol):
@@ -494,40 +501,90 @@ def solve_map_pair(curve: AnalyticCurve, u0: BoundaryPoint,
 # inversion
 # ---------------------------------------------------------------------------
 
-def map_invert(cmap: ConformalMap, u, tol: float = 1e-13):
-    """Preimage of u under Phi by damped Newton, elementwise for scalars or
-    arrays (a scalar in gives a scalar out; infinity maps to the exterior
-    pole).  Seeds, tried in turn until |Phi(v) - u| < tol (1 + |u|): the
-    linear seed (interior maps with s = 0), then the two nearest of the
-    map's 128 memoized boundary samples (_seed_ring).  A seed gets at most
-    80 steps, each halved down to 2^-12 until it lowers the residual and
-    clamped radially into the verified domain."""
-    uarr = np.asarray(u, dtype=complex)
-    out = uarr.ravel().copy()
-    inf = ~np.isfinite(out)
-    if np.any(inf):
-        if cmap.side != "exterior":
-            raise MapInvertError("infinity has no interior-map preimage")
-        out[inf] = exterior_pole(cmap)
-    fin = np.nonzero(~inf)[0]
-    target = out[fin]
+def _prefix_inverse(cmap, w):
+    """The v with _moebius(cmap, v) = w."""
+    x = w / cmap.rot
+    return (x - cmap.s) / (1.0 - cmap.s * x)
+
+
+def _clamp(v, lo, hi):
+    """v pulled radially into lo <= |v| <= hi."""
+    rad = np.maximum(np.abs(v), 1e-300)
+    return v * np.where(rad > hi, hi / rad, np.where(rad < lo, lo / rad, 1.0))
+
+
+def _is_closed_form(cmap) -> bool:
+    """Whether the core is one of the closed forms: c0 + c1 w (circle
+    interior), c0 w + c1 (circle exterior) or c0 w + c1 + c2/w (ellipse
+    exterior).  Series cores keep at least 8 terms (_trim_series)."""
+    n = len(cmap.series)
+    assert n >= 8 or n == 2 or (n == 3 and cmap.side == "exterior"), \
+        f"a {n}-term {cmap.side} core is neither a closed form nor a series"
+    return n < 8
+
+
+def _closed_core_inverse(cmap, u):
+    """The core preimages w of u for a closed-form core: the linear solve,
+    or the larger-modulus root of c0 w^2 + (c1 - u) w + c2 = 0 by the
+    cancellation-free quadratic formula.  The roots multiply to c2/c0, so
+    that root lies in |w| >= rho_c = sqrt(|c2/c0|), where the core is
+    univalent."""
+    c = cmap._coeffs
+    if cmap.side == "interior":
+        return (u - c[0]) / c[1]
+    if len(c) == 2 or c[2] == 0:
+        return (u - c[1]) / c[0]
+    b = c[1] - u
+    root = np.sqrt(b * b - 4.0 * c[0] * c[2])
+    root = np.where((b.conjugate() * root).real >= 0.0, root, -root)
+    return -0.5 * (b + root) / c[0]
+
+
+def _newton_seeds(cmap, target):
+    """Newton seeds for a series map, one row per point in the order that
+    point tries them, and their residuals Phi(seed) - u: the two nearest
+    of the memoized ring samples (_seed_ring) and, for interior maps, the
+    linear seed (u - c0)/c1 taken through the prefix inverse, ordered by
+    ascending |residual|.  The ring residuals are free; the linear seeds
+    cost one map_eval."""
     vb, ub = cmap._seed_ring
-    near = np.argsort(np.abs(ub - target[:, None]), axis=1)
-    seeds = [vb[near[:, 0]], vb[near[:, 1]]]
-    if cmap.side == "interior" and abs(cmap.series[1]) > 0 and cmap.s == 0.0:
-        lin = (target - cmap.series[0]) / (cmap.rot * cmap.series[1])
-        seeds.insert(0, np.where(np.abs(lin) < 1.0, lin, np.nan))
-    lo, hi = _domain_limits(cmap)
-    hi = min(hi, 1e6)
-    atol = tol * (1.0 + np.abs(target))
+    gap = ub - target[:, None]
+    dist = np.abs(gap)
+    rows = np.arange(len(target))
+    seeds, res = [], []
+    for _ in range(2):
+        k = dist.argmin(axis=1)
+        dist[rows, k] = np.inf
+        seeds.append(vb[k])
+        res.append(gap[rows, k])
+    c = cmap._coeffs
+    if cmap.side == "interior" and c[1] != 0:
+        lin = _prefix_inverse(cmap, (target - c[0]) / c[1])
+        ok = np.abs(lin) < 1.0
+        lin_res = np.full(len(target), np.inf, dtype=complex)
+        if np.any(ok):
+            lin_res[ok] = map_eval(cmap, lin[ok]) - target[ok]
+        seeds.insert(0, lin)
+        res.insert(0, lin_res)
+    seeds, res = np.array(seeds).T, np.array(res).T
+    order = np.argsort(np.abs(res), axis=1, kind="stable")
+    return (np.take_along_axis(seeds, order, axis=1),
+            np.take_along_axis(res, order, axis=1))
+
+
+def _newton(cmap, target, atol, lo, hi):
+    """Damped Newton from each point's seeds (_newton_seeds) in turn, until
+    |Phi(v) - u| < atol: a seed gets at most 80 steps, each halved down
+    to 2^-12 until it lowers the residual and clamped into lo <= |v| <= hi.
+    Returns v and the residual Phi(v) - u."""
+    seeds, seed_res = _newton_seeds(cmap, target)
     v = np.empty(len(target), dtype=complex)
     r = np.full(len(target), np.inf, dtype=complex)  # Phi(v) - u
-    for seed in seeds:
-        live = ~(np.abs(r) < atol) & np.isfinite(seed)
+    for seed, res in zip(seeds.T, seed_res.T):
+        live = ~(np.abs(r) < atol) & np.isfinite(res)
         if not np.any(live):
             continue
-        v[live] = seed[live]
-        r[live] = map_eval(cmap, v[live]) - target[live]
+        v[live], r[live] = seed[live], res[live]
         for _ in range(80):
             live &= ~(np.abs(r) < atol)
             idx = np.nonzero(live)[0]
@@ -539,21 +596,56 @@ def map_invert(cmap: ConformalMap, u, tol: float = 1e-13):
             idx, step = idx[ok], r[idx[ok]] / d[ok]
             lam = 1.0
             while lam > 2 ** -12 and len(idx):
-                vt = v[idx] - lam * step
-                rad = np.maximum(np.abs(vt), 1e-300)
-                vt = vt * np.where(rad > hi, hi / rad,
-                                   np.where(rad < lo, lo / rad, 1.0))
+                vt = _clamp(v[idx] - lam * step, lo, hi)
                 rt = map_eval(cmap, vt) - target[idx]
                 win = np.abs(rt) < np.abs(r[idx])
                 v[idx[win]], r[idx[win]] = vt[win], rt[win]
                 idx, step = idx[~win], step[~win]
                 lam /= 2.0
             live[idx] = False  # no step lowered the residual
-    bad = np.nonzero(~(np.abs(r) < atol))[0]
-    if len(bad):
-        raise MapInvertError(f"Newton inversion failed for {target[bad[0]]}",
-                             residual=float(abs(r[bad[0]])))
-    out[fin] = v
+    return v, r
+
+
+def map_invert(cmap: ConformalMap, u, tol: float = 1e-13):
+    """Preimage of u under Phi, elementwise for scalars or arrays (a scalar
+    in gives a scalar out).  Infinity (a part that is +-inf) maps to the
+    exterior pole; a NaN is a MapInvertError.
+
+    A closed-form core (_is_closed_form) is inverted exactly: the core
+    solve (_closed_core_inverse), then the prefix inverse, clamped into the
+    verified domain and checked by one map_eval.  A series map runs damped
+    Newton (_newton) from seeds ordered by their starting residual.  Either
+    way every point must end with |Phi(v) - u| < tol (1 + |u|), or a
+    MapInvertError names the first that does not."""
+    uarr = np.asarray(u, dtype=complex)
+    out = uarr.ravel().copy()
+    inf = np.isinf(out)
+    nan = np.isnan(out) & ~inf
+    if np.any(nan):
+        raise MapInvertError(f"cannot invert {out[np.argmax(nan)]}: "
+                             "not a number")
+    if np.any(inf):
+        if cmap.side != "exterior":
+            raise MapInvertError("infinity has no interior-map preimage")
+        out[inf] = exterior_pole(cmap)
+    fin = np.nonzero(~inf)[0]
+    if len(fin):
+        target = out[fin]
+        lo, hi = _domain_limits(cmap)
+        hi = min(hi, 1e6)
+        atol = tol * (1.0 + np.abs(target))
+        if _is_closed_form(cmap):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                v = _prefix_inverse(cmap, _closed_core_inverse(cmap, target))
+            v = _clamp(np.where(np.isfinite(v), v, hi), lo, hi)
+            r = map_eval(cmap, v) - target
+        else:
+            v, r = _newton(cmap, target, atol, lo, hi)
+        bad = np.nonzero(~(np.abs(r) < atol))[0]
+        if len(bad):
+            raise MapInvertError(f"inversion failed for {target[bad[0]]}",
+                                 residual=float(abs(r[bad[0]])))
+        out[fin] = v
     return complex(out[0]) if uarr.ndim == 0 else out.reshape(uarr.shape)
 
 

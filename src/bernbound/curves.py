@@ -275,8 +275,10 @@ INFINITY = complex(math.inf, 0.0)
 
 
 def is_infinite(z) -> bool:
+    """Whether z stands for the point at infinity: a part is +-inf.  A NaN
+    with no infinite part is not infinite, and is no location at all."""
     z = complex(z)
-    return not (math.isfinite(z.real) and math.isfinite(z.imag))
+    return math.isinf(z.real) or math.isinf(z.imag)
 
 
 @dataclass(frozen=True)

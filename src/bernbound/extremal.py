@@ -10,6 +10,7 @@ sharpness ratio r_n = |f_n'(u0)| / (sup norm * bound) then approaches 1.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -149,7 +150,7 @@ def build_transferred_extremal(curve: AnalyticCurve, maps: MapPair, picks,
         raise ExtremalError("the construction needs at least one interior pick")
     if any(abs(v) >= 1.0 - _OFF_CIRCLE for v in picks):
         raise ExtremalError("pole picks must lie strictly inside the disk")
-    if is_infinite(zeta0):
+    if not cmath.isfinite(complex(zeta0)):
         raise ExtremalError("the exterior anchor must be finite")
     zeta0 = complex(zeta0)
     if u0 is None:

@@ -17,11 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conformal import MapPair, map_invert
-from .curves import (INFINITY, AnalyticCurve, ArcOpenUp, BoundaryPoint,
+from .curves import (AnalyticCurve, ArcOpenUp, BoundaryPoint,
                      is_infinite, point_in_curve, rq_derivative, rq_solve)
 from .errors import DomainError, PoleError
-from .ratfun import (PoleSet, RationalFunction, classify_poles, degree,
-                     poles_of, rf_derivative, sup_norm)
+from .ratfun import (PoleSet, RationalFunction, _pole_location,
+                     classify_poles, degree, poles_of, rf_derivative,
+                     sup_norm)
 
 _CIRCLE_TOL = 1e-9
 
@@ -218,7 +219,7 @@ def arc_bound(z0, poles, arc: ArcOpenUp) -> BoundReport:
     contributions = []
     sides = None
     for a, m in poles:
-        a = INFINITY if is_infinite(a) else complex(a)
+        a = _pole_location(a)
         if sides is None:  # at the first pole: no poles, nothing solved
             sides = [(u, abs(rq_derivative(arc.fmap, u)))
                      for u in openup_preimages(arc, z0)]

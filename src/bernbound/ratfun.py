@@ -6,6 +6,7 @@ pole count with multiplicity: sum of finite orders plus polynomial degree.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -19,6 +20,17 @@ from .errors import PoleError, QuadratureError
 
 POLE_FLOOR = 1e-9
 _CLUSTER_TOL = 1e-12
+
+
+def _pole_location(a) -> complex:
+    """A pole location as a complex number, INFINITY when a part is +-inf
+    (is_infinite); a NaN is a PoleError naming the value."""
+    if is_infinite(a):
+        return INFINITY
+    a = complex(a)
+    if cmath.isnan(a):
+        raise PoleError(f"pole {a} is not a number")
+    return a
 
 
 @dataclass(frozen=True)
@@ -185,7 +197,7 @@ def blaschke_product(points) -> RationalFunction:
     All points must lie strictly on one side of the unit circle (infinity
     counts as exterior); the coefficient arithmetic is done by
     principal_parts applied to the product evaluator."""
-    pts = [complex(p) if not is_infinite(p) else INFINITY for p in points]
+    pts = [_pole_location(p) for p in points]
     if not pts:
         raise PoleError("a Blaschke product needs at least one pole")
     finite = [p for p in pts if not is_infinite(p)]
@@ -369,11 +381,11 @@ def classify_poles(poles, curve: AnalyticCurve) -> PoleSet:
         m = int(m)
         if m < 1:
             raise PoleError("multiplicities must be at least 1")
+        a = _pole_location(a)
         if is_infinite(a):
-            entries.append((INFINITY, m))
+            entries.append((a, m))
             inside.append(False)
             continue
-        a = complex(a)
         d = distance_to_curve(curve, a)
         if d < POLE_FLOOR:
             raise PoleError(f"pole {a} lies on the curve (distance {d:.2e})")

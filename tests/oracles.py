@@ -6,7 +6,8 @@ finite differences, Green's functions by a five-point Shortley-Weller
 Dirichlet solve on a Cartesian grid, Laurent coefficients by randomized
 least-squares fits.  The loop references at the end are the plain forms of
 vectorized package routines (series evaluation, the simplicity scan, the
-sup-norm peak refinement, pole classification, principal parts), kept to
+sup-norm peak refinement, pole classification, principal parts, map
+inversion), kept to
 pin the fast forms against.  They sample with eval_curve / arc_point on
 grids of their own, never through the package's per-object sample memo.
 """
@@ -20,7 +21,9 @@ import scipy.sparse.linalg as spla
 from bernbound import (INFINITY, ArcOpenUp, PoleSet, arc_point,
                        curve_derivative, degree, eval_curve, is_infinite,
                        make_rational, map_derivative, map_eval, rf_eval)
-from bernbound.errors import CurveError, PoleError, QuadratureError
+from bernbound.conformal import exterior_pole
+from bernbound.errors import (CurveError, MapInvertError, PoleError,
+                              QuadratureError)
 
 TWO_PI = 2.0 * np.pi
 
@@ -350,3 +353,69 @@ def loop_principal_parts(g, poles, cmap=None, q=64, rel_tol=1e-9):
             center = a if cmap is None else complex(map_eval(cmap, a))
             terms.append((center, tuple(c2[:top])))
     return make_rational(terms, ())
+
+
+def newton_map_invert(cmap, u, tol=1e-13):
+    """map_invert by damped Newton for every map, closed forms included:
+    seeds tried in turn are the linear seed (interior maps with s = 0),
+    then the two nearest of 128 samples of Phi on its own copy of the
+    solve's uniform ring.  A seed gets at most 80 steps, each halved down
+    to 2^-12 until it lowers the residual and clamped radially into the
+    verified domain."""
+    uarr = np.asarray(u, dtype=complex)
+    out = uarr.ravel().copy()
+    inf = ~np.isfinite(out)
+    if np.any(inf):
+        if cmap.side != "exterior":
+            raise MapInvertError("infinity has no interior-map preimage")
+        out[inf] = exterior_pole(cmap)
+    fin = np.nonzero(~inf)[0]
+    target = out[fin]
+    m = cmap.grid
+    vb = np.exp(1j * np.arange(0, m, max(1, m // 128)) * (TWO_PI / m))
+    ub = map_eval(cmap, vb)
+    near = np.argsort(np.abs(ub - target[:, None]), axis=1)
+    seeds = [vb[near[:, 0]], vb[near[:, 1]]]
+    if cmap.side == "interior" and abs(cmap.series[1]) > 0 and cmap.s == 0.0:
+        lin = (target - cmap.series[0]) / (cmap.rot * cmap.series[1])
+        seeds.insert(0, np.where(np.abs(lin) < 1.0, lin, np.nan))
+    d = max(cmap.delta, 0.0)
+    lo, hi = ((0.0, 1.0 + d) if cmap.side == "interior"
+              else (max(1.0 - d, 1e-12), math.inf))
+    hi = min(hi, 1e6)
+    atol = tol * (1.0 + np.abs(target))
+    v = np.empty(len(target), dtype=complex)
+    r = np.full(len(target), np.inf, dtype=complex)  # Phi(v) - u
+    for seed in seeds:
+        live = ~(np.abs(r) < atol) & np.isfinite(seed)
+        if not np.any(live):
+            continue
+        v[live] = seed[live]
+        r[live] = map_eval(cmap, v[live]) - target[live]
+        for _ in range(80):
+            live &= ~(np.abs(r) < atol)
+            idx = np.nonzero(live)[0]
+            if not len(idx):
+                break
+            dv = map_derivative(cmap, v[idx])
+            ok = (dv != 0) & np.isfinite(np.abs(dv))
+            live[idx[~ok]] = False
+            idx, step = idx[ok], r[idx[ok]] / dv[ok]
+            lam = 1.0
+            while lam > 2 ** -12 and len(idx):
+                vt = v[idx] - lam * step
+                rad = np.maximum(np.abs(vt), 1e-300)
+                vt = vt * np.where(rad > hi, hi / rad,
+                                   np.where(rad < lo, lo / rad, 1.0))
+                rt = map_eval(cmap, vt) - target[idx]
+                win = np.abs(rt) < np.abs(r[idx])
+                v[idx[win]], r[idx[win]] = vt[win], rt[win]
+                idx, step = idx[~win], step[~win]
+                lam /= 2.0
+            live[idx] = False  # no step lowered the residual
+    bad = np.nonzero(~(np.abs(r) < atol))[0]
+    if len(bad):
+        raise MapInvertError(f"Newton inversion failed for {target[bad[0]]}",
+                             residual=float(abs(r[bad[0]])))
+    out[fin] = v
+    return complex(out[0]) if uarr.ndim == 0 else out.reshape(uarr.shape)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
-from oracles import horner_eval, richardson_directional
+from helpers import CORPUS_EXTERIOR, CORPUS_INTERIOR
+from oracles import horner_eval, newton_map_invert, richardson_directional
 
 
 def true_curve_distances(curve, zs, m=4096):
@@ -289,6 +291,113 @@ class TestArrayInversion:
         u = np.array([0.5 * eval_curve(curve, 0.2), 40.0 + 3.0j])
         with pytest.raises(MapInvertError, match=r"\(40\+3j\)"):
             map_invert(pair.interior, u)
+
+    def test_nan_is_not_infinity(self, ellipse_pair):
+        # both used to read the NaN as infinity: the exterior map returned
+        # its pole, the interior map refused "infinity"
+        _, _, pair = ellipse_pair
+        with pytest.raises(MapInvertError, match=r"nan.*not a number"):
+            map_invert(pair.exterior, complex(math.nan, 0.0))
+        with pytest.raises(MapInvertError, match=r"nan.*not a number"):
+            map_invert(pair.interior, math.nan)
+        u = np.array([2.5, complex(math.nan, 1.0), np.inf])
+        with pytest.raises(MapInvertError, match=r"nan\+1j"):
+            map_invert(pair.exterior, u)
+
+
+@pytest.fixture(scope="session",
+                params=[("circle_pair", "interior"), ("circle_pair", "exterior"),
+                        ("shifted_circle_pair", "interior"),
+                        ("shifted_circle_pair", "exterior"),
+                        ("ellipse_pair", "exterior")])
+def closed_map(request):
+    """(curve, map) for each closed-form core: circle interior c0 + c1 w,
+    circle exterior c0 w + c1, ellipse exterior c0 w + c1 + c2/w."""
+    name, side = request.param
+    curve, _, pair = request.getfixturevalue(name)
+    return curve, getattr(pair, side)
+
+
+class TestClosedFormInversion:
+    """The exact inverse of the closed-form cores against damped Newton."""
+
+    @settings(deadline=None, max_examples=25)
+    @given(draws=st.lists(_SCALED, min_size=1, max_size=6))
+    def test_matches_newton(self, closed_map, draws):
+        curve, cmap = closed_map
+        inside = cmap.side == "interior"
+        u = np.array([r * eval_curve(curve, t) for r, t in draws
+                      if (r < 1.0) == inside], dtype=complex)
+        if not inside:
+            u = np.append(u, np.inf)
+        v = map_invert(cmap, u)
+        want = newton_map_invert(cmap, u)
+        # both routes stop at |Phi(v) - u| < 1e-13 (1 + |u|), so their
+        # preimages may differ by up to twice that over |Phi'(v)|: Newton
+        # stops as soon as it is inside, the exact route lands on the root
+        fin = np.isfinite(u)
+        slack = 2e-13 * (1.0 + np.abs(u[fin]))
+        assert np.all(np.abs(v[fin] - want[fin])
+                      <= slack / np.abs(map_derivative(cmap, v[fin])))
+        if not inside:
+            assert v[-1] == want[-1] == exterior_pole(cmap)
+
+    @settings(deadline=None, max_examples=25)
+    @given(angles=st.lists(st.floats(0.0, 2 * np.pi, exclude_max=True),
+                           min_size=1, max_size=4),
+           beyond=st.floats(0.05, 0.5))
+    def test_points_beyond_the_verified_domain_raise(self, closed_map,
+                                                     angles, beyond):
+        # u = core(prefix(v)) for v past the verified domain |v| <= 1 + delta
+        # (interior) or |v| >= 1 - delta (exterior), where the core is still
+        # univalent: |w| > rho_c = sqrt(|c2/c0|)
+        curve, cmap = closed_map
+        if cmap.side == "interior":
+            radius = (1.0 + cmap.delta) * (1.0 + beyond)
+        else:
+            radius = (1.0 - cmap.delta) * (1.0 - beyond)
+        c = np.array(cmap.series)
+        rho_c = math.sqrt(abs(c[2] / c[0])) if len(c) == 3 else 0.0
+        w = _moebius(cmap, radius * np.exp(1j * np.array(angles)))
+        w = w[np.isfinite(w) & (np.abs(w) > 1.01 * rho_c)]
+        assume(len(w))
+        far = conformal._core_eval(cmap, w)
+        near = 0.5 * eval_curve(curve, 0.3) if cmap.side == "interior" \
+            else 2.0 * eval_curve(curve, 0.3)
+        with pytest.raises(MapInvertError, match=re.escape(str(far[0]))):
+            map_invert(cmap, np.concatenate([[near], far]))
+
+    def test_one_map_eval_and_no_derivative(self, closed_map, monkeypatch):
+        curve, cmap = closed_map
+        calls = []
+        for name in ("map_eval", "map_derivative"):
+            def counting(m, v, fn=getattr(conformal, name), name=name):
+                calls.append(name)
+                return fn(m, v)
+            monkeypatch.setattr(conformal, name, counting)
+        scale = 0.5 if cmap.side == "interior" else 1.6
+        u = scale * eval_curve(curve, np.arange(8) * (2 * np.pi / 8))
+        map_invert(cmap, u)
+        assert calls == ["map_eval"]
+
+    def test_series_kernel_calls_on_the_corpus_poles(self, ellipse_pair,
+                                                     monkeypatch):
+        # the exterior pole is one closed-form map_eval; the interior pair
+        # (s = 0.293) starts from its best seed by residual
+        _, _, pair = ellipse_pair
+        pair.interior._seed_ring  # a memo filled once per map
+        calls = []
+
+        def counting(c, x, fn=conformal._poly_eval):
+            calls.append(np.size(x))
+            return fn(c, x)
+
+        monkeypatch.setattr(conformal, "_poly_eval", counting)
+        map_invert(pair.exterior, np.array(CORPUS_EXTERIOR))
+        assert len(calls) == 1
+        del calls[:]
+        map_invert(pair.interior, np.array(CORPUS_INTERIOR))
+        assert len(calls) <= 8
 
 
 class TestSeriesKernel:

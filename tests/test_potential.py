@@ -270,6 +270,11 @@ class TestArcs:
         with pytest.raises(DomainError):
             arc_normal_derivative(0.0, "left", INFINITY, segment)
 
+    def test_nan_pole_is_not_infinity(self, segment):
+        # the NaN used to count as infinity, giving a bound of 2.645
+        with pytest.raises(PoleError, match=r"nan"):
+            arc_bound(0.2, [(float("nan"), 1), (2j, 1)], segment)
+
     def test_pole_on_arc_rejected(self, segment):
         with pytest.raises(PoleError):
             arc_normal_derivative(0.3, "n1", 0.5, segment)

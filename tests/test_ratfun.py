@@ -118,6 +118,11 @@ class TestBlaschke:
         f = blaschke_product([2.0])
         assert abs(rf_eval(f, 1.0) - 1.0) < 1e-10
 
+    def test_nan_pole_is_not_infinity(self):
+        # the NaN used to count as infinity, giving the monomial v^2
+        with pytest.raises(PoleError, match=r"nan"):
+            blaschke_product([float("nan"), INFINITY])
+
     def test_pole_at_infinity_is_monomial(self):
         f = blaschke_product([INFINITY, INFINITY])
         assert f.terms == ()
@@ -338,6 +343,14 @@ class TestClassification:
         e, _, _ = ellipse_pair
         with pytest.raises(PoleError):
             classify_poles([(1.2, 1)], e)
+
+    def test_nan_pole_is_not_infinity(self, ellipse_pair):
+        e, _, _ = ellipse_pair
+        with pytest.raises(PoleError, match=r"nan"):
+            classify_poles([(float("nan"), 1)], e)
+        # a part that is +-inf is infinity, whatever the other part holds
+        ps = classify_poles([(complex(float("nan"), float("inf")), 1)], e)
+        assert ps.poles == ((INFINITY, 1),)
 
     def test_bad_multiplicity_rejected(self, ellipse_pair):
         e, _, _ = ellipse_pair

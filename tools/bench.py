@@ -4,15 +4,18 @@ ratio check, as BENCH_<n>.json.
 
 Run from the repository root:
 
-    python3 tools/bench.py --out BENCH_9.json [--parent parent.json]
+    python3 tools/bench.py --out BENCH_10.json [--parent parent.json]
 
 Each case is timed with time.perf_counter: a repeat runs the case NUMBER
-(20) times, and the record keeps the median per-call time over REPEATS (9)
-repeats, after one untimed warm-up call.  The BLAS/OpenMP thread variables
-default to 1 (as in perfbench/run.py), so one product never spreads over
-idle cores.  To compare two commits, run this file from a checkout of each
-and compare the median_s of matching (layer, case) records; --parent reads
-the other run's output and stores its median_s as parent_median_s.
+(20) times, and the record keeps the median and the quartiles (q1_s, q3_s)
+of the per-call time over REPEATS (9) repeats, after one untimed warm-up
+call.  The BLAS/OpenMP thread variables default to 1 (as in
+perfbench/run.py), so one product never spreads over idle cores.  To
+compare two commits, run this file from a checkout of each and compare the
+median_s of matching (layer, case) records against the spread q1_s..q3_s
+of both: a gap inside either run's spread is not resolved.  --parent reads
+the other run's output and stores its median_s, q1_s and q3_s as
+parent_median_s, parent_q1_s and parent_q3_s.
 
 Map solves (work: the two sides of a pair, or the one map measured):
 
@@ -29,7 +32,11 @@ sweep curve; the map pair is solved once, outside the timings):
     classify_poles   the 3 corpus poles with infinity; 9 poles, 3 inside
     bernstein_bound  the corpus pole set, orders (3, 2, 3, 2)
     principal_parts  the golden n = 20 picks (8 distinct, cycle_list)
-    map_invert       8 interior and 8 exterior points in one array each
+    map_invert       8 interior and 8 exterior points in one array each;
+                     "boundary_30": 30 points on the curve through the
+                     interior map (the shape of the extremal's Leja nodes);
+                     "corpus_poles": the 3 corpus poles, one call per side
+                     as bernstein_bound makes them
     verify_ratio     10 seeded corpus functions (tests/helpers.py, seed
                      1729): "corpus" reuses the curve, anchor and map pair,
                      as a batch of items on one curve does; "corpus_cold"
@@ -143,6 +150,9 @@ def build_cases():
     inner = np.array(ring, dtype=complex)
     outer = np.array([complex(1.6 * bb.eval_curve(curve, t))
                       for t in np.arange(8) * (2 * np.pi / 8)])
+    on_curve = bb.eval_curve(curve, 0.05 + np.arange(30) * (2 * np.pi / 30))
+    corpus_in = np.array(CORPUS_INTERIOR)
+    corpus_out = np.array(CORPUS_EXTERIOR)
 
     rng = np.random.default_rng(DEFAULT_SEED)
     functions = [random_corpus_function(rng)[0]
@@ -175,6 +185,12 @@ def build_cases():
          lambda: bb.map_invert(pair.interior, inner)),
         ("conformal", "map_invert/exterior_8", len(outer),
          lambda: bb.map_invert(pair.exterior, outer)),
+        ("conformal", "map_invert/boundary_30", len(on_curve),
+         lambda: bb.map_invert(pair.interior, on_curve)),
+        ("conformal", "map_invert/corpus_poles",
+         len(corpus_in) + len(corpus_out),
+         lambda: (bb.map_invert(pair.interior, corpus_in),
+                  bb.map_invert(pair.exterior, corpus_out))),
         ("potential", "verify_ratio/corpus", len(functions),
          lambda: [bb.verify_ratio(f, curve, u0, pair) for f in functions]),
         ("potential", "verify_ratio/corpus_cold", len(functions),
@@ -186,6 +202,7 @@ def build_cases():
 
 
 def time_case(fn):
+    """(q1, median, q3) of the per-call time over REPEATS repeats."""
     fn()  # warm-up
     per_call = []
     for _ in range(REPEATS):
@@ -193,7 +210,7 @@ def time_case(fn):
         for _ in range(NUMBER):
             fn()
         per_call.append((time.perf_counter() - start) / NUMBER)
-    return statistics.median(per_call)
+    return tuple(statistics.quantiles(per_call, n=4))
 
 
 def git_commit():
@@ -216,19 +233,21 @@ def main(argv=None):
     if args.parent:
         with open(args.parent, encoding="utf-8") as fh:
             parent = json.load(fh)
-        parent_s = {(r["layer"], r["case"]): r["median_s"]
-                    for r in parent["records"]}
+        parent_s = {(r["layer"], r["case"]): r for r in parent["records"]}
 
     records = []
     with tempfile.TemporaryDirectory() as out_dir:
         for layer, case, work, fn in build_cases() + bern_cases(out_dir):
-            median = time_case(fn)
+            q1, median, q3 = time_case(fn)
             record = {"layer": layer, "case": case, "median_s": median,
+                      "q1_s": q1, "q3_s": q3,
                       "repeats": REPEATS, "number": NUMBER, "work": work}
-            if (layer, case) in parent_s:
-                record["parent_median_s"] = parent_s[layer, case]
+            for key in ("median_s", "q1_s", "q3_s"):
+                if key in parent_s.get((layer, case), {}):
+                    record["parent_" + key] = parent_s[layer, case][key]
             records.append(record)
-            print(f"{layer:10s} {case:34s} {median * 1e3:9.3f} ms")
+            print(f"{layer:10s} {case:34s} {median * 1e3:9.3f} ms "
+                  f"[{q1 * 1e3:.3f}, {q3 * 1e3:.3f}]")
     result = {
         "environment": {
             "cores": os.cpu_count(),
