@@ -7,10 +7,11 @@ disk automorphism  v -> rot * (v + s)/(1 + s v)  realizing the normalization;
 the hyperbolic factor fixes +-1 and scales the boundary derivative by
 (1 - s)/(1 + s).
 
-General curves are solved by the Theodorsen boundary-correspondence
-iteration on a uniform FFT grid; the exterior problem is first carried to a
-bounded one through the plane inversion w = 1/(u - z_c).  Circles get the
-exact linear map on both sides, the ellipse exterior the classical
+General curves are solved by Theodorsen's iteration on a uniform FFT grid,
+run on the boundary correspondence in the curve parameter t (one curve
+evaluation per step, no inversion of the polar angle); the exterior problem
+is the same iteration on the inverted boundary w = 1/(u - z_c).  Circles
+get the exact linear map on both sides, the ellipse exterior the classical
 Joukowski-type closed form; map_invert inverts these closed forms exactly
 and runs Newton only on series maps.
 
@@ -34,8 +35,8 @@ from functools import cached_property
 import numpy as np
 
 from .curves import (TWO_PI, AnalyticCurve, ArcOpenUp, BoundaryPoint,
-                     _readonly, _simplicity_margin, curve_derivative,
-                     eval_curve, is_infinite, rq_solve, sample_grid)
+                     _coeff_array, _readonly, _simplicity_margin, eval_curve,
+                     is_infinite, rq_solve, sample_grid)
 from .errors import ArcError, MapError, MapInvertError
 
 _MARGIN_LADDER = tuple(0.02 * 1.25 ** j for j in range(22))
@@ -231,58 +232,59 @@ def _conjugate_periodic(x):
     return np.real(np.fft.ifft(f * mult))
 
 
-class _PolarBoundary:
-    """Star-shaped boundary about a center: polar radius as a function of the
-    polar angle, its curve parameter inverted by table lookup plus Newton."""
-
-    def __init__(self, curve, center, n_dense=8192):
-        self.curve = curve
-        self.center = complex(center)
-        ts, pts = sample_grid(curve, n_dense)
-        rel = pts - self.center
-        if np.min(np.abs(rel)) < 1e-12:
-            raise MapError("polar center lies on the curve")
-        psi = np.unwrap(np.angle(rel))
-        if np.any(np.diff(psi) <= 0):
-            raise MapError("curve is not star-shaped about the chosen center")
-        self._ts = np.concatenate([ts, [TWO_PI]])
-        self._psi = np.concatenate([psi, [psi[0] + TWO_PI]])
-        self._psi0 = psi[0]
-
-    def t_of_angle(self, phi):
-        phi = np.asarray(phi, dtype=float)
-        ph = (phi - self._psi0) % TWO_PI + self._psi0
-        t = np.interp(ph, self._psi, self._ts)
-        for _ in range(4):
-            rel = eval_curve(self.curve, t) - self.center
-            err = np.angle(rel * np.exp(-1j * ph))
-            slope = np.imag(curve_derivative(self.curve, t) / rel)
-            t = t - err / slope
-        return t
-
-    def radius(self, phi):
-        t = self.t_of_angle(phi)
-        return np.abs(eval_curve(self.curve, t) - self.center)
+def _polar_seed(curve, center, angles, n_dense=8192):
+    """Curve parameters t with arg(gamma(t) - center) close to the given
+    angles, by linear interpolation in a dense polar-angle table; the table
+    also checks that the curve is star-shaped about center."""
+    ts, pts = sample_grid(curve, n_dense)
+    rel = pts - center
+    if np.min(np.abs(rel)) < 1e-12:
+        raise MapError("polar center lies on the curve")
+    psi = np.unwrap(np.angle(rel))
+    if np.any(np.diff(psi) <= 0):
+        raise MapError("curve is not star-shaped about the chosen center")
+    ph = (angles - psi[0]) % TWO_PI + psi[0]
+    return np.interp(ph, np.append(psi, psi[0] + TWO_PI),
+                     np.append(ts, TWO_PI))
 
 
-def _theodorsen(log_rho, m, tol, max_iter=800):
-    """Fixed point of phi = theta + K[log rho(phi)] with adaptive
-    under-relaxation; returns phi on the uniform grid and the residual."""
+def _theodorsen(curve, center, m, tol, sign, max_iter=800):
+    """Theodorsen's iteration phi = theta + K[log rho(phi)] with adaptive
+    under-relaxation, run on the curve parameter: the state is t on the
+    uniform m-point theta grid.  With (rho, psi) the polar coordinates of
+    gamma(t) - center, sign = +1 solves for the interior boundary (angle
+    phi = psi, log radius log rho) and sign = -1 for the inverted boundary
+    w = 1/(gamma - center) (angle -psi, log radius -log rho).
+
+    Each iteration builds one curve jet exp(i t k) for gamma and gamma',
+    reads phi (unwrapped against theta) and log rho, forms the target and
+    moves t one Newton step toward the relaxed goal phi + relax (target -
+    phi): dt = relax (target - phi) / (dphi/dt).  Once max |target - phi| <
+    tol, t takes one full step to the target and gamma is returned there."""
     thetas = np.arange(m) * (TWO_PI / m)
-    phi = thetas.copy()
+    ks = np.arange(-curve.order, curve.order + 1)
+    c = _coeff_array(curve)
+    dc = 1j * ks * c
+    unturn = np.exp(-1j * thetas)
+    t = _polar_seed(curve, center, sign * thetas)
     relax, prev, bad = 1.0, math.inf, 0
     for _ in range(max_iter):
-        target = thetas + _conjugate_periodic(log_rho(phi))
+        jet = np.exp(1j * np.multiply.outer(t, ks))
+        rel = jet @ c - center
+        # conj(rel) has the angle of 1/rel
+        phi = thetas + np.angle((rel if sign > 0 else rel.conj()) * unturn)
+        slope = sign * np.imag((jet @ dc) / rel)
+        target = thetas + _conjugate_periodic(sign * np.log(np.abs(rel)))
         res = float(np.max(np.abs(target - phi)))
         if res < tol:
-            return target, res
+            return eval_curve(curve, t + (target - phi) / slope)
         if res > prev * 1.02:
             bad += 1
             if bad >= 3:
                 relax = max(relax / 2.0, 0.05)
                 bad = 0
         prev = res
-        phi = (1.0 - relax) * phi + relax * target
+        t = t + relax * (target - phi) / slope
     raise MapError("Theodorsen iteration did not converge", residual=prev)
 
 
@@ -299,13 +301,7 @@ def _trim_series(series, keep_min=8):
 
 def _interior_core(curve, z_c, m, tol):
     """Raw interior map about z_c: series and tail."""
-    polar = _PolarBoundary(curve, z_c)
-
-    def log_rho(phi):
-        return np.log(polar.radius(phi))
-
-    phi, _ = _theodorsen(log_rho, m, tol * 1e-2)
-    bnd = z_c + polar.radius(phi) * np.exp(1j * phi)
+    bnd = _theodorsen(curve, z_c, m, tol * 1e-2, +1)
     bins = np.fft.fft(bnd) / m
     kmax = m // 2
     series = np.concatenate([[z_c], bins[1:kmax]])
@@ -317,17 +313,9 @@ def _interior_core(curve, z_c, m, tol):
 
 def _exterior_core(curve, z_c, m, tol):
     """Raw exterior map through the inversion w = 1/(u - z_c)."""
-    polar = _PolarBoundary(curve, z_c)
-
-    def log_rho_w(phi):
-        # inverted boundary: radius 1/rho_u at angle phi, u-angle -phi
-        return -np.log(polar.radius(-np.asarray(phi)))
-
-    phi, _ = _theodorsen(log_rho_w, m, tol * 1e-2)
-    wbnd = np.exp(1j * phi) / polar.radius(-phi)
-    # Psi(e^{i theta}) = z_c + 1/W(e^{-i theta}); index m-j realizes -theta_j
-    w_rev = np.concatenate([wbnd[:1], wbnd[1:][::-1]])
-    bins = np.fft.fft(z_c + 1.0 / w_rev) / m
+    bnd = _theodorsen(curve, z_c, m, tol * 1e-2, -1)
+    # Psi(e^{i theta}) = z_c + 1/W(e^{-i theta}) = gamma at W's theta_{m-j}
+    bins = np.fft.fft(np.concatenate([bnd[:1], bnd[1:][::-1]])) / m
     kmax = m // 2
     series = np.concatenate([bins[1:2], bins[0:1], bins[:kmax:-1]])
     scale = float(np.max(np.abs(series)))
@@ -572,51 +560,84 @@ def _newton_seeds(cmap, target):
             np.take_along_axis(res, order, axis=1))
 
 
+def _newton_chart(cmap, lo, hi):
+    """(to_z, f, df, clamp, to_v) for the variable z that _newton iterates
+    in: v -> z for the seeds, the map and its derivative in z, the radial
+    clamp of v into lo <= |v| <= hi and z -> v.  Interior maps run in v.
+    Exterior maps (hi = inf) run in the core variable w = _moebius(cmap, v),
+    exact both ways: there v = infinity is the ordinary point w = rot/s
+    once s != 0, so a point at or near the finite value Phi2(infinity)
+    converges instead of running off in v."""
+    if cmap.side == "interior":
+        return (lambda v: v, lambda z: map_eval(cmap, z),
+                lambda z: map_derivative(cmap, z),
+                lambda z: _clamp(z, lo, hi), lambda z: z)
+
+    def clamp(w):
+        v = _prefix_inverse(cmap, w)
+        low = np.abs(v) < lo
+        w[low] = _moebius(cmap, _clamp(v[low], lo, hi))
+        return w
+
+    def to_v(w):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            v = _prefix_inverse(cmap, w)
+        return np.where(np.isfinite(v), v, _INF)
+
+    return (lambda v: _moebius(cmap, v), lambda w: _core_eval(cmap, w),
+            lambda w: _core_deriv(cmap, w), clamp, to_v)
+
+
 def _newton(cmap, target, atol, lo, hi):
     """Damped Newton from each point's seeds (_newton_seeds) in turn, until
     |Phi(v) - u| < atol: a seed gets at most 80 steps, each halved down
-    to 2^-12 until it lowers the residual and clamped into lo <= |v| <= hi.
-    Returns v and the residual Phi(v) - u."""
+    to 2^-12 until it lowers the residual and clamped into lo <= |v| <= hi,
+    in the variable of _newton_chart.  Returns v and the residual
+    Phi(v) - u."""
     seeds, seed_res = _newton_seeds(cmap, target)
-    v = np.empty(len(target), dtype=complex)
+    to_z, f, df, clamp, to_v = _newton_chart(cmap, lo, hi)
+    z = np.empty(len(target), dtype=complex)
     r = np.full(len(target), np.inf, dtype=complex)  # Phi(v) - u
-    for seed, res in zip(seeds.T, seed_res.T):
+    for seed, res in zip(to_z(seeds).T, seed_res.T):
         live = ~(np.abs(r) < atol) & np.isfinite(res)
         if not np.any(live):
             continue
-        v[live], r[live] = seed[live], res[live]
+        z[live], r[live] = seed[live], res[live]
         for _ in range(80):
             live &= ~(np.abs(r) < atol)
             idx = np.nonzero(live)[0]
             if not len(idx):
                 break
-            d = map_derivative(cmap, v[idx])
+            d = df(z[idx])
             ok = (d != 0) & np.isfinite(np.abs(d))
             live[idx[~ok]] = False
             idx, step = idx[ok], r[idx[ok]] / d[ok]
             lam = 1.0
             while lam > 2 ** -12 and len(idx):
-                vt = _clamp(v[idx] - lam * step, lo, hi)
-                rt = map_eval(cmap, vt) - target[idx]
+                zt = clamp(z[idx] - lam * step)
+                rt = f(zt) - target[idx]
                 win = np.abs(rt) < np.abs(r[idx])
-                v[idx[win]], r[idx[win]] = vt[win], rt[win]
+                z[idx[win]], r[idx[win]] = zt[win], rt[win]
                 idx, step = idx[~win], step[~win]
                 lam /= 2.0
             live[idx] = False  # no step lowered the residual
-    return v, r
+    return to_v(z), r
 
 
 def map_invert(cmap: ConformalMap, u, tol: float = 1e-13):
     """Preimage of u under Phi, elementwise for scalars or arrays (a scalar
     in gives a scalar out).  Infinity (a part that is +-inf) maps to the
-    exterior pole; a NaN is a MapInvertError.
+    exterior pole; a NaN is a MapInvertError.  On the exterior side |v| has
+    no upper cap: with s != 0, Phi2(infinity) is finite, and it and the
+    points near it invert to v = infinity or to a large |v|.
 
     A closed-form core (_is_closed_form) is inverted exactly: the core
-    solve (_closed_core_inverse), then the prefix inverse, clamped into the
-    verified domain and checked by one map_eval.  A series map runs damped
-    Newton (_newton) from seeds ordered by their starting residual.  Either
-    way every point must end with |Phi(v) - u| < tol (1 + |u|), or a
-    MapInvertError names the first that does not."""
+    solve (_closed_core_inverse), then the prefix inverse (infinity where
+    it is not finite), clamped into the verified domain and checked by one
+    map_eval.  A series map runs damped Newton (_newton) from seeds ordered
+    by their starting residual.  Either way every point must end with
+    |Phi(v) - u| < tol (1 + |u|), or a MapInvertError names the first that
+    does not."""
     uarr = np.asarray(u, dtype=complex)
     out = uarr.ravel().copy()
     inf = np.isinf(out)
@@ -632,12 +653,13 @@ def map_invert(cmap: ConformalMap, u, tol: float = 1e-13):
     if len(fin):
         target = out[fin]
         lo, hi = _domain_limits(cmap)
-        hi = min(hi, 1e6)
         atol = tol * (1.0 + np.abs(target))
         if _is_closed_form(cmap):
             with np.errstate(divide="ignore", invalid="ignore"):
                 v = _prefix_inverse(cmap, _closed_core_inverse(cmap, target))
-            v = _clamp(np.where(np.isfinite(v), v, hi), lo, hi)
+                # a non-finite prefix inverse is v = infinity: on the
+                # exterior side (hi = inf) the check reads Phi2(infinity)
+                v = np.where(np.isfinite(v), _clamp(v, lo, hi), hi)
             r = map_eval(cmap, v) - target
         else:
             v, r = _newton(cmap, target, atol, lo, hi)

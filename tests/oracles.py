@@ -7,7 +7,7 @@ Dirichlet solve on a Cartesian grid, Laurent coefficients by randomized
 least-squares fits.  The loop references at the end are the plain forms of
 vectorized package routines (series evaluation, the simplicity scan, the
 sup-norm peak refinement, pole classification, principal parts, map
-inversion), kept to
+inversion, the Theodorsen solve by polar re-inversion), kept to
 pin the fast forms against.  They sample with eval_curve / arc_point on
 grids of their own, never through the package's per-object sample memo.
 """
@@ -21,8 +21,8 @@ import scipy.sparse.linalg as spla
 from bernbound import (INFINITY, ArcOpenUp, PoleSet, arc_point,
                        curve_derivative, degree, eval_curve, is_infinite,
                        make_rational, map_derivative, map_eval, rf_eval)
-from bernbound.conformal import exterior_pole
-from bernbound.errors import (CurveError, MapInvertError, PoleError,
+from bernbound.conformal import _TRIM_REL, _trim_series, exterior_pole
+from bernbound.errors import (CurveError, MapError, MapInvertError, PoleError,
                               QuadratureError)
 
 TWO_PI = 2.0 * np.pi
@@ -419,3 +419,74 @@ def newton_map_invert(cmap, u, tol=1e-13):
                              residual=float(abs(r[bad[0]])))
     out[fin] = v
     return complex(out[0]) if uarr.ndim == 0 else out.reshape(uarr.shape)
+
+
+def _fft_conjugate(x):
+    """Boundary conjugation on a uniform grid: mode k times -i sign(k)."""
+    m = len(x)
+    mult = np.zeros(m, dtype=complex)
+    mult[1:(m + 1) // 2] = -1j
+    mult[m // 2 + 1:] = 1j
+    return np.real(np.fft.ifft(np.fft.fft(x) * mult))
+
+
+def polar_theodorsen_core(curve, center, m, tol, side):
+    """The raw Theodorsen core (series, tail) of a map solve, by the polar
+    route: the iterate is the polar angle phi on the uniform theta grid,
+    and every iteration inverts phi to the curve parameter afresh (table
+    lookup in 8,192 samples, then 4 Newton steps) to read the polar radius
+    rho(phi) of gamma - center.  side "interior" iterates on log rho; side
+    "exterior" on the inverted boundary w = 1/(gamma - center), radius
+    1/rho at angle -phi.  Same residual test, relaxation and tail as the
+    package's core solves (tol * 1e-2 on the residual, the cut of
+    _trim_series)."""
+    center = complex(center)
+    ts = np.arange(8192) * (TWO_PI / 8192)
+    psi = np.unwrap(np.angle(eval_curve(curve, ts) - center))
+    ts_ext = np.append(ts, TWO_PI)
+    psi_ext = np.append(psi, psi[0] + TWO_PI)
+
+    def radius(phi):
+        ph = (phi - psi[0]) % TWO_PI + psi[0]
+        t = np.interp(ph, psi_ext, ts_ext)
+        for _ in range(4):
+            rel = eval_curve(curve, t) - center
+            err = np.angle(rel * np.exp(-1j * ph))
+            t = t - err / np.imag(curve_derivative(curve, t) / rel)
+        return np.abs(eval_curve(curve, t) - center)
+
+    sign = 1.0 if side == "interior" else -1.0
+
+    def log_rho(phi):
+        return sign * np.log(radius(sign * phi))
+
+    thetas = np.arange(m) * (TWO_PI / m)
+    phi = thetas.copy()
+    relax, prev, bad = 1.0, math.inf, 0
+    for _ in range(800):
+        target = thetas + _fft_conjugate(log_rho(phi))
+        res = float(np.max(np.abs(target - phi)))
+        if res < tol * 1e-2:
+            break
+        if res > prev * 1.02:
+            bad += 1
+            if bad >= 3:
+                relax = max(relax / 2.0, 0.05)
+                bad = 0
+        prev = res
+        phi = (1.0 - relax) * phi + relax * target
+    else:
+        raise MapError("Theodorsen iteration did not converge", residual=prev)
+    kmax = m // 2
+    if side == "interior":
+        bins = np.fft.fft(center + radius(target) * np.exp(1j * target)) / m
+        series = np.concatenate([[center], bins[1:kmax]])
+        err = max(float(np.max(np.abs(bins[kmax:]))), abs(bins[0] - center))
+    else:
+        wbnd = np.exp(1j * target) / radius(-target)
+        w_rev = np.concatenate([wbnd[:1], wbnd[1:][::-1]])
+        bins = np.fft.fft(center + 1.0 / w_rev) / m
+        series = np.concatenate([bins[1:2], bins[0:1], bins[:kmax:-1]])
+        err = float(np.max(np.abs(bins[2:kmax + 1])))
+    scale = float(np.max(np.abs(series)))
+    return _trim_series(series), max(err / scale, _TRIM_REL)

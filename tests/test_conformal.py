@@ -15,12 +15,14 @@ from bernbound import conformal
 from bernbound.conformal import (_MARGIN_LADDER, _moebius, _poly_eval,
                                  exterior_pole)
 from bernbound.errors import ArcError, MapError, MapInvertError, NumericsError
+from bernbound.potential import domain_normal_derivative
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
 
 from helpers import CORPUS_EXTERIOR, CORPUS_INTERIOR
-from oracles import horner_eval, newton_map_invert, richardson_directional
+from oracles import (horner_eval, newton_map_invert, polar_theodorsen_core,
+                     richardson_directional)
 
 
 def true_curve_distances(curve, zs, m=4096):
@@ -225,6 +227,93 @@ class TestTheodorsen:
         e, u0, pair = ellipse_pair
         pts = [0.2 + 0.1j, -0.4 - 0.2j, 0.6j]
         assert roundtrip_residual(pair.interior, pts) < 1e-9
+
+
+# (curve, anchor t) solved both ways: Theodorsen on the curve parameter
+# against the polar re-inversion of oracles.polar_theodorsen_core
+_ORACLE_CASES = [(ellipse(1.0, b), 6.3)
+                 for b in (0.5, 0.6, 0.7, 0.742654, 0.8, 0.9)] + [
+    (ellipse(1.2, 0.8), 0.4),
+    (trig_curve([(1, 1.0 + 0j), (4, 0.06 + 0j)]), 0.3)]
+
+
+class TestTheodorsenOracle:
+    @pytest.mark.parametrize("curve,t", _ORACLE_CASES)
+    def test_matches_polar_reinversion(self, curve, t):
+        # both sides of every case, the ellipse exteriors included (their
+        # solve takes the closed form, but the core solves them as curves);
+        # the normalized maps share the anchor, so delta and tail compare
+        u0 = boundary_point(curve, t)
+        z_c = conformal._interior_center(curve)
+        for side, core in (("interior", conformal._interior_core),
+                           ("exterior", conformal._exterior_core)):
+            series, tail = core(curve, z_c, 1024, 1e-11)
+            want, want_tail = polar_theodorsen_core(curve, z_c, 1024, 1e-11,
+                                                    side)
+            assert len(series) == len(want)
+            scale = np.max(np.abs(want))
+            assert np.max(np.abs(series - want)) <= 1e-13 * scale
+            got, ref = (conformal._with_margin(conformal.normalize_at_anchor(
+                conformal._raw_map(side, c, tl, 1024), u0))
+                for c, tl in ((series, tail), (want, want_tail)))
+            assert got.delta == ref.delta
+            # at the trim floor the tails are equal; above it (ellipse(1,
+            # 0.5) interior, 4.9e-14) both read a genuine truncation that
+            # the two converged iterates sample a rounding apart
+            assert (got.tail == ref.tail if ref.tail == conformal._TRIM_REL
+                    else got.tail == pytest.approx(ref.tail, rel=1e-6))
+
+    def test_no_per_step_curve_evaluation(self, monkeypatch):
+        # each step reads gamma and gamma' from its own jet; eval_curve
+        # runs once, at the converged correspondence
+        calls = []
+        real = conformal.eval_curve
+
+        def counting(curve, t):
+            calls.append(np.size(t))
+            return real(curve, t)
+
+        monkeypatch.setattr(conformal, "eval_curve", counting)
+        e = ellipse(1.2, 0.8)
+        conformal._interior_core(e, conformal._interior_center(e), 1024,
+                                 1e-11)
+        assert calls == [1024]
+
+
+class TestPreimageOfInfinity:
+    """With s != 0 the exterior map sends v = infinity to a finite point;
+    map_invert finds it and the points near it (no cap on |v|)."""
+
+    @pytest.fixture(scope="class", params=["shifted_circle_pair",
+                                           "ellipse_pair", "trig"])
+    def exterior(self, request):
+        if request.param == "trig":
+            c = trig_curve([(1, 1.0 + 0j), (4, 0.06 + 0j)])
+            u0 = boundary_point(c, 0.3)
+            return c, u0, solve_map_pair(c, u0)
+        return request.getfixturevalue(request.param)
+
+    def test_value_at_infinity_and_nearby_points(self, exterior):
+        _, _, pair = exterior
+        cmap = pair.exterior
+        assert abs(cmap.s) > 1e-3
+        u_inf = map_eval(cmap, complex(np.inf))
+        assert np.isfinite(u_inf)
+        u = u_inf + np.array([0.0, 1e-9, 1e-6, 1e-3]) * (1.0 + 1.0j)
+        v = map_invert(cmap, u)
+        assert not np.isfinite(v[0]) or abs(v[0]) > 1e12
+        assert np.all(np.abs(map_eval(cmap, v) - u) < 1e-13 * (1 + np.abs(u)))
+        assert np.all(np.abs(v[1:]) > 1e2)
+        assert abs(v[1]) > abs(v[2]) > abs(v[3])
+        scalar = map_invert(cmap, complex(u_inf))
+        assert isinstance(scalar, complex)
+
+    def test_outer_term_of_a_pole_at_phi2_infinity(self, exterior):
+        # the disk sum term of v = infinity is 1
+        _, u0, pair = exterior
+        u_inf = map_eval(pair.exterior, complex(np.inf))
+        val = domain_normal_derivative(u0, u_inf, pair, inside=False)
+        assert val == pytest.approx(1.0, abs=1e-12)
 
 
 @pytest.fixture(scope="session",

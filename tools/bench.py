@@ -4,7 +4,7 @@ ratio check, as BENCH_<n>.json.
 
 Run from the repository root:
 
-    python3 tools/bench.py --out BENCH_10.json [--parent parent.json]
+    python3 tools/bench.py --out BENCH_11.json [--parent parent.json]
 
 Each case is timed with time.perf_counter: a repeat runs the case NUMBER
 (20) times, and the record keeps the median and the quartiles (q1_s, q3_s)
@@ -20,11 +20,16 @@ parent_median_s, parent_q1_s and parent_q3_s.
 Map solves (work: the two sides of a pair, or the one map measured):
 
     solve_map_pair   circle() at t = 0, circle(1.7, 0.3+0.2i) at t = 0.15
-                     (closed forms, exact margins) and ellipse(1.2, 0.8) at
-                     t = 0.4 (Theodorsen interior, closed-form exterior)
+                     (closed forms, exact margins); ellipse(1.2, 0.8) at
+                     t = 0.4 and, as "ellipse_thin", ellipse(1, 0.5) at
+                     t = 0 (Theodorsen series interior, closed-form
+                     exterior); "trig", the curve e^{it} + 0.06 e^{4it} at
+                     t = 0.3 (Theodorsen series on both sides)
     _measure_margin  the sampled ladder walk on that ellipse's interior map
     map_from_json    a map-cache hit: parsing that ellipse pair's two
                      serialized entries (one per side) back into maps
+    map_eval         that ellipse's interior map at 1 point and at 4,096
+                     points of the circle |v| = 0.9
 
 The other cases, all on ellipse(1.2, 0.8) anchored at t = 0.4 (the golden
 sweep curve; the map pair is solved once, outside the timings):
@@ -125,7 +130,9 @@ def build_cases():
     solves = []
     for name, c, t in (("circle", bb.circle(), 0.0),
                        ("shifted_circle", bb.circle(1.7, 0.3 + 0.2j), 0.15),
-                       ("ellipse", curve, cfg["t"])):
+                       ("ellipse", curve, cfg["t"]),
+                       ("ellipse_thin", bb.ellipse(1.0, 0.5), 0.0),
+                       ("trig", bb.trig_curve([(1, 1.0), (4, 0.06)]), 0.3)):
         u = bb.boundary_point(c, t)
         solves.append(("conformal", f"solve_map_pair/{name}", 2,
                        lambda c=c, u=u: bb.solve_map_pair(c, u)))
@@ -151,6 +158,8 @@ def build_cases():
     outer = np.array([complex(1.6 * bb.eval_curve(curve, t))
                       for t in np.arange(8) * (2 * np.pi / 8)])
     on_curve = bb.eval_curve(curve, 0.05 + np.arange(30) * (2 * np.pi / 30))
+    disk_1 = np.array([0.9 * np.exp(0.3j)])
+    disk_4096 = 0.9 * np.exp(1j * np.arange(4096) * (2 * np.pi / 4096))
     corpus_in = np.array(CORPUS_INTERIOR)
     corpus_out = np.array(CORPUS_EXTERIOR)
 
@@ -173,6 +182,10 @@ def build_cases():
          lambda: bb.conformal._measure_margin(pair.interior)),
         ("conformal", "map_from_json/ellipse_pair", len(entries),
          lambda: [bb.map_from_json(text) for text in entries]),
+        ("conformal", "map_eval/interior_1", len(disk_1),
+         lambda: bb.map_eval(pair.interior, disk_1)),
+        ("conformal", "map_eval/interior_4096", len(disk_4096),
+         lambda: bb.map_eval(pair.interior, disk_4096)),
         ("ratfun", "classify_poles/3+inf", len(corpus),
          lambda: bb.classify_poles(corpus, curve)),
         ("ratfun", "classify_poles/9", len(nine),
