@@ -8,17 +8,15 @@ constant cannot be improved.
 """
 
 from ._version import __version__
-from .conformal import (ConformalMap, MapPair, boundary_values, map_eval,
-                        map_derivative, map_from_dict, map_from_json,
-                        map_invert, map_to_dict, map_to_json,
-                        normalize_at_anchor, roundtrip_residual,
-                        openup_preimages, solve_exterior_map,
+from .conformal import (ConformalMap, MapPair, map_derivative, map_eval,
+                        map_from_dict, map_from_json, map_invert, map_to_dict,
+                        map_to_json, normalize_at_anchor, openup_preimages,
+                        roundtrip_residual, solve_exterior_map,
                         solve_interior_map, solve_map_pair)
 from .curves import (INFINITY, AnalyticCurve, ArcOpenUp, BoundaryPoint,
                      CurveReport, OpenUpReport, RationalQuad, arc_endpoints,
-                     arc_point, arc_samples, boundary_point, circle,
-                     circular_arc, curve_derivative, curve_samples,
-                     distance_to_arc, distance_to_curve, ellipse, eval_curve,
+                     arc_point, boundary_point, circle, circular_arc,
+                     curve_derivative, distance_to_curve, ellipse, eval_curve,
                      is_infinite, param_of_point, point_in_curve,
                      rq_derivative, rq_eval, rq_solve, sample_grid,
                      segment_arc, trig_curve, unit_normals, validate_curve,

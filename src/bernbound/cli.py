@@ -252,15 +252,12 @@ class RunSpec:
     function: RationalFunction | None = None
     sharpness: dict | None = None
     greens: dict | None = None
-    tol_map: float = 1e-11
-    tol_q: float = 1e-9
     sup_m: int | None = None
     m_map: int = 1024
 
 
 # top-level fields of a spec on a curve or on an arc; each command adds its own
 _ON_CURVE = {"curve": (_CURVE, _REQUIRED), "t": (_number, _REQUIRED),
-             "tol_map": (_positive, RunSpec.tol_map),
              "m_map": (_at_least(128), RunSpec.m_map)}
 _ON_ARC = {"arc": (_ARC, _REQUIRED), "point": (_complex_pair, _REQUIRED)}
 
@@ -299,11 +296,10 @@ def _curve_payload(curve: AnalyticCurve):
             "coeffs": [[fmt12(c.real), fmt12(c.imag)] for c in curve.coeffs]}
 
 
-def _pair_cache_key(curve, t, tol_map, m_map) -> str:
+def _pair_cache_key(curve, t, m_map) -> str:
     # the version keeps a changed solver from serving maps it did not write
     payload = {"curve": _curve_payload(curve), "t": fmt12(t),
-               "tol_map": fmt12(tol_map), "m": int(m_map),
-               "version": __version__}
+               "m": int(m_map), "version": __version__}
     blob = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
 
@@ -313,7 +309,7 @@ def _solve_pair(spec: RunSpec, cache_dir=None):
     u0 = boundary_point(spec.curve, spec.t)
     path = None
     if cache_dir:
-        key = _pair_cache_key(spec.curve, spec.t, spec.tol_map, spec.m_map)
+        key = _pair_cache_key(spec.curve, spec.t, spec.m_map)
         path = os.path.join(cache_dir, key + ".json")
         try:
             with open(path, encoding="utf-8") as fh:
@@ -322,7 +318,7 @@ def _solve_pair(spec: RunSpec, cache_dir=None):
                            map_from_dict(stored["exterior"])), u0
         except (OSError, ValueError, KeyError, TypeError):
             pass  # a missing, torn or corrupt entry is a miss: solve afresh
-    pair = solve_map_pair(spec.curve, u0, tol=spec.tol_map, m=spec.m_map)
+    pair = solve_map_pair(spec.curve, u0, m=spec.m_map)
     if path is not None:
         # renaming a private temp file means no reader sees a partial entry
         os.makedirs(cache_dir, exist_ok=True)
@@ -382,8 +378,7 @@ def _run_verify(spec: RunSpec, cache_dir):
 
 def _run_sharpness(spec: RunSpec, cache_dir):
     maps, u0 = _solve_pair(spec, cache_dir)
-    rows = sharpness_sweep(spec.curve, maps, u0, **spec.sharpness,
-                           tol_q=spec.tol_q)
+    rows = sharpness_sweep(spec.curve, maps, u0, **spec.sharpness)
     header = ("n", "N6", "r_n", "bound", "sup_norm", "deriv_mod",
               "residual_flags")
     summary = [(r.n, r.n_interp, r.ratio, r.bound, r.sup, r.deriv_mod,
@@ -448,8 +443,7 @@ _COMMANDS = {
                                      "sup_m": (_sup_m, RunSpec.sup_m)},
                        arcs=True, plots=("contributions",)),
     "sharpness": _Command(_run_sharpness,
-                          {"sharpness": (_SHARPNESS, _REQUIRED),
-                           "tol_q": (_positive, RunSpec.tol_q)},
+                          {"sharpness": (_SHARPNESS, _REQUIRED)},
                           plots=("ratio_vs_n",)),
     "map": _Command(_run_map, {}),
     "greens": _Command(_run_greens, {"t": (_number, 0.0),

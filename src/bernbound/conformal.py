@@ -42,6 +42,16 @@ from .errors import ArcError, MapError, MapInvertError
 _MARGIN_LADDER = tuple(0.02 * 1.25 ** j for j in range(22))
 _INF = complex(math.inf, 0.0)
 _TRIM_REL = 1e-14
+# Theodorsen's iteration stops once max |target - phi| falls below
+# _THEODORSEN_TOL, a hundredth of 1e-11 (the product rounds to
+# 9.999999999999999e-14, not 1e-13), or refuses after _MAX_ITER steps;
+# _POLAR_M points of the polar table check the star shape and seed t
+_THEODORSEN_TOL = 1e-11 * 1e-2
+_MAX_ITER = 800
+_POLAR_M = 8192
+_SERIES_MIN = 8       # a series core keeps at least this many terms
+_MARGIN_M = 512       # ring size of the sampled margin walk
+_INVERT_TOL = 1e-13   # map_invert's relative residual, |Phi(v) - u| / (1 + |u|)
 
 
 @dataclass(frozen=True)
@@ -212,12 +222,6 @@ def map_derivative(cmap: ConformalMap, v):
     return complex(out[0]) if scalar else out
 
 
-def boundary_values(cmap: ConformalMap):
-    """(theta_j, Phi(e^{i theta_j})) on the uniform final grid."""
-    thetas = np.arange(cmap.grid) * (TWO_PI / cmap.grid)
-    return thetas, map_eval(cmap, np.exp(1j * thetas))
-
-
 # ---------------------------------------------------------------------------
 # Theodorsen machinery
 # ---------------------------------------------------------------------------
@@ -232,11 +236,11 @@ def _conjugate_periodic(x):
     return np.real(np.fft.ifft(f * mult))
 
 
-def _polar_seed(curve, center, angles, n_dense=8192):
+def _polar_seed(curve, center, angles):
     """Curve parameters t with arg(gamma(t) - center) close to the given
     angles, by linear interpolation in a dense polar-angle table; the table
     also checks that the curve is star-shaped about center."""
-    ts, pts = sample_grid(curve, n_dense)
+    ts, pts = sample_grid(curve, _POLAR_M)
     rel = pts - center
     if np.min(np.abs(rel)) < 1e-12:
         raise MapError("polar center lies on the curve")
@@ -248,7 +252,7 @@ def _polar_seed(curve, center, angles, n_dense=8192):
                      np.append(ts, TWO_PI))
 
 
-def _theodorsen(curve, center, m, tol, sign, max_iter=800):
+def _theodorsen(curve, center, m, sign):
     """Theodorsen's iteration phi = theta + K[log rho(phi)] with adaptive
     under-relaxation, run on the curve parameter: the state is t on the
     uniform m-point theta grid.  With (rho, psi) the polar coordinates of
@@ -260,7 +264,8 @@ def _theodorsen(curve, center, m, tol, sign, max_iter=800):
     reads phi (unwrapped against theta) and log rho, forms the target and
     moves t one Newton step toward the relaxed goal phi + relax (target -
     phi): dt = relax (target - phi) / (dphi/dt).  Once max |target - phi| <
-    tol, t takes one full step to the target and gamma is returned there."""
+    _THEODORSEN_TOL, t takes one full step to the target and gamma is
+    returned there."""
     thetas = np.arange(m) * (TWO_PI / m)
     ks = np.arange(-curve.order, curve.order + 1)
     c = _coeff_array(curve)
@@ -268,7 +273,7 @@ def _theodorsen(curve, center, m, tol, sign, max_iter=800):
     unturn = np.exp(-1j * thetas)
     t = _polar_seed(curve, center, sign * thetas)
     relax, prev, bad = 1.0, math.inf, 0
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         jet = np.exp(1j * np.multiply.outer(t, ks))
         rel = jet @ c - center
         # conj(rel) has the angle of 1/rel
@@ -276,7 +281,7 @@ def _theodorsen(curve, center, m, tol, sign, max_iter=800):
         slope = sign * np.imag((jet @ dc) / rel)
         target = thetas + _conjugate_periodic(sign * np.log(np.abs(rel)))
         res = float(np.max(np.abs(target - phi)))
-        if res < tol:
+        if res < _THEODORSEN_TOL:
             return eval_curve(curve, t + (target - phi) / slope)
         if res > prev * 1.02:
             bad += 1
@@ -288,20 +293,20 @@ def _theodorsen(curve, center, m, tol, sign, max_iter=800):
     raise MapError("Theodorsen iteration did not converge", residual=prev)
 
 
-def _trim_series(series, keep_min=8):
+def _trim_series(series):
     """series cut after its last coefficient above _TRIM_REL of the
-    largest, keeping (zero-padded if need be) at least keep_min terms, so
-    that no series core is as short as a closed form (_is_closed_form)."""
+    largest, keeping (zero-padded if need be) at least _SERIES_MIN terms,
+    so that no series core is as short as a closed form (_is_closed_form)."""
     series = np.asarray(series, dtype=complex)
     mods = np.abs(series)
     big = np.nonzero(mods > _TRIM_REL * np.max(mods, initial=0.0))[0]
-    cut = max(int(big[-1]) + 1 if len(big) else 0, keep_min)
+    cut = max(int(big[-1]) + 1 if len(big) else 0, _SERIES_MIN)
     return np.pad(series[:cut], (0, max(0, cut - len(series))))
 
 
-def _interior_core(curve, z_c, m, tol):
+def _interior_core(curve, z_c, m):
     """Raw interior map about z_c: series and tail."""
-    bnd = _theodorsen(curve, z_c, m, tol * 1e-2, +1)
+    bnd = _theodorsen(curve, z_c, m, +1)
     bins = np.fft.fft(bnd) / m
     kmax = m // 2
     series = np.concatenate([[z_c], bins[1:kmax]])
@@ -311,9 +316,9 @@ def _interior_core(curve, z_c, m, tol):
     return series, max(err / scale, _TRIM_REL)
 
 
-def _exterior_core(curve, z_c, m, tol):
+def _exterior_core(curve, z_c, m):
     """Raw exterior map through the inversion w = 1/(u - z_c)."""
-    bnd = _theodorsen(curve, z_c, m, tol * 1e-2, -1)
+    bnd = _theodorsen(curve, z_c, m, -1)
     # Psi(e^{i theta}) = z_c + 1/W(e^{-i theta}) = gamma at W's theta_{m-j}
     bins = np.fft.fft(np.concatenate([bnd[:1], bnd[1:][::-1]])) / m
     kmax = m // 2
@@ -385,11 +390,11 @@ def _ladder_margin(cmap: ConformalMap, rung_ok) -> float:
     return best / 2.0
 
 
-def _measure_margin(cmap: ConformalMap, m: int = 512) -> float:
+def _measure_margin(cmap: ConformalMap) -> float:
     """Ladder margin of a series map: at each rung the analytically
     continued map must pass sampled univalence, derivative, and truncation
-    checks on the circle |v| = 1 +- d."""
-    ring = np.exp(1j * np.arange(m) * (TWO_PI / m))
+    checks on _MARGIN_M points of the circle |v| = 1 +- d."""
+    ring = np.exp(1j * np.arange(_MARGIN_M) * (TWO_PI / _MARGIN_M))
     klast = len(cmap.series) - 1
 
     def rung_ok(d):
@@ -411,14 +416,24 @@ def _measure_margin(cmap: ConformalMap, m: int = 512) -> float:
     return _ladder_margin(cmap, rung_ok)
 
 
-def _closed_margin(cmap: ConformalMap, rho_c: float) -> float:
+def _critical_radius(c) -> float:
+    """rho_c of a closed-form core: sqrt(|c2|/|c0|) for c0 w + c1 + c2/w,
+    0 for a 2-term Moebius core.  The quotient of moduli, not |c2/c0|:
+    numpy's complex division rounds the ellipse's real ratio
+    (a - b)/(a + b) differently for some a, b (a = 40, b = 0.5)."""
+    return math.sqrt(abs(c[2]) / abs(c[0])) if len(c) == 3 else 0.0
+
+
+def _closed_margin(cmap: ConformalMap) -> float:
     """Ladder margin of a closed-form core from exact rung tests.  The core
-    is the Moebius c + r w (interior) or c0 w + c1 + c2/w (exterior), which
-    is univalent for |w| > rho_c = sqrt(|c2/c0|), and on the whole plane
-    when rho_c = 0.  Interior: the prefix pole |v| = 1/|s| lies beyond
-    |v| = 1 + d.  Exterior: when R = 1 - d exceeds |s|, the prefix sends
-    |v| > R outside |w| = (R - |s|)/(1 - |s| R), which must clear rho_c."""
+    is the Moebius c0 + c1 w or c0 w + c1 (2 terms), univalent on the whole
+    plane (rho_c = 0), or c0 w + c1 + c2/w (3 terms, exterior), univalent
+    for |w| > rho_c = sqrt(|c2/c0|).  Interior: the prefix pole |v| = 1/|s|
+    lies beyond |v| = 1 + d.  Exterior: when R = 1 - d exceeds |s|, the
+    prefix sends |v| > R outside |w| = (R - |s|)/(1 - |s| R), which must
+    clear rho_c."""
     s = abs(cmap.s)
+    rho_c = _critical_radius(cmap.series)
 
     def rung_ok(d):
         if cmap.side == "interior":
@@ -429,12 +444,12 @@ def _closed_margin(cmap: ConformalMap, rho_c: float) -> float:
     return _ladder_margin(cmap, rung_ok)
 
 
-def _with_margin(cmap, rho_c=None):
-    """cmap with its ladder margin: exact for a closed-form core univalent
-    for |w| > rho_c, sampled (_measure_margin) for a series (rho_c None)."""
-    if rho_c is None:
-        return replace(cmap, delta=_measure_margin(cmap))
-    return replace(cmap, delta=_closed_margin(cmap, rho_c))
+def _with_margin(cmap):
+    """cmap with its ladder margin: exact for a closed-form core
+    (_closed_margin), sampled (_measure_margin) for a series."""
+    if _is_closed_form(cmap):
+        return replace(cmap, delta=_closed_margin(cmap))
+    return replace(cmap, delta=_measure_margin(cmap))
 
 
 # ---------------------------------------------------------------------------
@@ -446,43 +461,37 @@ def _interior_center(curve):
 
 
 def solve_interior_map(curve: AnalyticCurve, u0: BoundaryPoint,
-                       tol: float = 1e-11, m: int = 1024) -> ConformalMap:
+                       m: int = 1024) -> ConformalMap:
     """Normalized Riemann map of the open unit disk onto the bounded side."""
-    rho_c = None
     if curve.kind == "circle":
         r, c = curve.params
         series, tail = np.array([c, r], dtype=complex), 0.0
-        rho_c = 0.0
     else:
-        series, tail = _interior_core(curve, _interior_center(curve), m, tol)
+        series, tail = _interior_core(curve, _interior_center(curve), m)
     raw = _raw_map("interior", series, tail, m)
-    return _with_margin(normalize_at_anchor(raw, u0), rho_c)
+    return _with_margin(normalize_at_anchor(raw, u0))
 
 
 def solve_exterior_map(curve: AnalyticCurve, u0: BoundaryPoint,
-                       tol: float = 1e-11, m: int = 1024) -> ConformalMap:
+                       m: int = 1024) -> ConformalMap:
     """Normalized Riemann map of {|v| > 1} onto the unbounded side: the
     closed form for circles and ellipses, the inversion route otherwise."""
     tail = 0.0
     if curve.kind == "circle":
         r, c = curve.params
         series = np.array([r, c], dtype=complex)
-        rho_c = 0.0
     elif curve.kind == "ellipse":
-        a, b = curve.params
-        series = _closed_exterior_ellipse(a, b)
-        rho_c = math.sqrt(abs(a - b) / (a + b))
+        series = _closed_exterior_ellipse(*curve.params)
     else:
-        series, tail = _exterior_core(curve, _interior_center(curve), m, tol)
-        rho_c = None
+        series, tail = _exterior_core(curve, _interior_center(curve), m)
     raw = _raw_map("exterior", series, tail, m)
-    return _with_margin(normalize_at_anchor(raw, u0), rho_c)
+    return _with_margin(normalize_at_anchor(raw, u0))
 
 
 def solve_map_pair(curve: AnalyticCurve, u0: BoundaryPoint,
-                   tol: float = 1e-11, m: int = 1024) -> MapPair:
-    return MapPair(curve, solve_interior_map(curve, u0, tol, m),
-                   solve_exterior_map(curve, u0, tol, m))
+                   m: int = 1024) -> MapPair:
+    return MapPair(curve, solve_interior_map(curve, u0, m),
+                   solve_exterior_map(curve, u0, m))
 
 
 # ---------------------------------------------------------------------------
@@ -504,11 +513,13 @@ def _clamp(v, lo, hi):
 def _is_closed_form(cmap) -> bool:
     """Whether the core is one of the closed forms: c0 + c1 w (circle
     interior), c0 w + c1 (circle exterior) or c0 w + c1 + c2/w (ellipse
-    exterior).  Series cores keep at least 8 terms (_trim_series)."""
+    exterior).  Series cores keep at least _SERIES_MIN terms
+    (_trim_series)."""
     n = len(cmap.series)
-    assert n >= 8 or n == 2 or (n == 3 and cmap.side == "exterior"), \
+    assert (n >= _SERIES_MIN or n == 2
+            or (n == 3 and cmap.side == "exterior")), \
         f"a {n}-term {cmap.side} core is neither a closed form nor a series"
-    return n < 8
+    return n < _SERIES_MIN
 
 
 def _closed_core_inverse(cmap, u):
@@ -624,7 +635,7 @@ def _newton(cmap, target, atol, lo, hi):
     return to_v(z), r
 
 
-def map_invert(cmap: ConformalMap, u, tol: float = 1e-13):
+def map_invert(cmap: ConformalMap, u):
     """Preimage of u under Phi, elementwise for scalars or arrays (a scalar
     in gives a scalar out).  Infinity (a part that is +-inf) maps to the
     exterior pole; a NaN is a MapInvertError.  On the exterior side |v| has
@@ -633,11 +644,15 @@ def map_invert(cmap: ConformalMap, u, tol: float = 1e-13):
 
     A closed-form core (_is_closed_form) is inverted exactly: the core
     solve (_closed_core_inverse), then the prefix inverse (infinity where
-    it is not finite), clamped into the verified domain and checked by one
-    map_eval.  A series map runs damped Newton (_newton) from seeds ordered
-    by their starting residual.  Either way every point must end with
-    |Phi(v) - u| < tol (1 + |u|), or a MapInvertError names the first that
-    does not."""
+    it is not finite), clamped into the verified domain.  The residual is
+    the core's at its root w, |core(w) - u|, taken before the prefix
+    inverse: near the exterior pole -1/s a far point's v carries a rounding
+    error that grows like |u|, which w does not.  Only points the clamp
+    moved are checked through map_eval at their clamped v.  A series map
+    runs damped Newton (_newton) from seeds ordered by their starting
+    residual.  Either way every point must end with |Phi(v) - u| <
+    _INVERT_TOL (1 + |u|), or a MapInvertError names the first that does
+    not."""
     uarr = np.asarray(u, dtype=complex)
     out = uarr.ravel().copy()
     inf = np.isinf(out)
@@ -653,14 +668,18 @@ def map_invert(cmap: ConformalMap, u, tol: float = 1e-13):
     if len(fin):
         target = out[fin]
         lo, hi = _domain_limits(cmap)
-        atol = tol * (1.0 + np.abs(target))
+        atol = _INVERT_TOL * (1.0 + np.abs(target))
         if _is_closed_form(cmap):
+            w = _closed_core_inverse(cmap, target)
+            r = _core_eval(cmap, w) - target
             with np.errstate(divide="ignore", invalid="ignore"):
-                v = _prefix_inverse(cmap, _closed_core_inverse(cmap, target))
-                # a non-finite prefix inverse is v = infinity: on the
-                # exterior side (hi = inf) the check reads Phi2(infinity)
-                v = np.where(np.isfinite(v), _clamp(v, lo, hi), hi)
-            r = map_eval(cmap, v) - target
+                root = _prefix_inverse(cmap, w)
+                # a non-finite prefix inverse is v = infinity, which the
+                # exterior side (hi = inf) keeps and the interior clamps
+                v = np.where(np.isfinite(root), _clamp(root, lo, hi), hi)
+            moved = np.isfinite(v) & (v != root)
+            if np.any(moved):
+                r[moved] = map_eval(cmap, v[moved]) - target[moved]
         else:
             v, r = _newton(cmap, target, atol, lo, hi)
         bad = np.nonzero(~(np.abs(r) < atol))[0]

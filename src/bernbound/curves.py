@@ -6,8 +6,8 @@ A closed curve is a trigonometric polynomial
 
 stored by its coefficient vector.  Positive orientation means the bounded
 component sits on the left of gamma'(t).  An arc is represented indirectly:
-a base curve together with a degree-2 rational "open-up" map F that sends
-both sides of the base curve onto the complement of the arc.
+the unit circle together with a degree-2 rational "open-up" map F that
+sends both sides of the circle onto the complement of the arc.
 """
 from __future__ import annotations
 
@@ -21,6 +21,12 @@ import numpy as np
 from .errors import ArcError, CurveError
 
 TWO_PI = 2.0 * math.pi
+# grid sizes of the sampled geometry: the distance to a curve or arc, the
+# Newton seed of param_of_point, and the angles of validate_openup's
+# injectivity grid
+_DISTANCE_M = 4096
+_PARAM_SEED_M = 2048
+_OPENUP_M = 48
 
 
 # ---------------------------------------------------------------------------
@@ -38,9 +44,6 @@ class AnalyticCurve:
     @property
     def order(self) -> int:
         return (len(self.coeffs) - 1) // 2
-
-    def coeff(self, k: int) -> complex:
-        return self.coeffs[self.order + k]
 
     @cached_property
     def _grids(self) -> dict:
@@ -89,11 +92,11 @@ def eval_curve(curve: AnalyticCurve, t):
     return vals if tarr.ndim else complex(vals)
 
 
-def curve_derivative(curve: AnalyticCurve, t, order: int = 1):
-    """d^order/dt^order of gamma at t."""
+def curve_derivative(curve: AnalyticCurve, t):
+    """gamma'(t); t may be a scalar or an array."""
     tarr = np.asarray(t, dtype=float)
     ks = np.arange(-curve.order, curve.order + 1)
-    weights = (1j * ks) ** order * _coeff_array(curve)
+    weights = 1j * ks * _coeff_array(curve)
     vals = np.exp(1j * np.multiply.outer(tarr, ks)) @ weights
     return vals if tarr.ndim else complex(vals)
 
@@ -135,8 +138,7 @@ def sample_grid(boundary, m: int, tangents: bool = False):
     grid = boundary._grids.get(m)
     if grid is None:
         ts = np.arange(m) * (TWO_PI / m)
-        pts = (arc_point(boundary, ts) if isinstance(boundary, ArcOpenUp)
-               else eval_curve(boundary, ts))
+        pts = _boundary_points(boundary, ts)
         grid = boundary._grids[m] = (_readonly(ts), _readonly(pts))
     if not tangents:
         return grid[:2]
@@ -146,13 +148,16 @@ def sample_grid(boundary, m: int, tangents: bool = False):
     return grid
 
 
+def _boundary_points(boundary, t):
+    """gamma(t) on a curve, or the arc point reached from t (arc_point)."""
+    if isinstance(boundary, ArcOpenUp):
+        return arc_point(boundary, t)
+    return eval_curve(boundary, t)
+
+
 def _readonly(arr):
     arr.flags.writeable = False
     return arr
-
-
-def curve_samples(curve: AnalyticCurve, m: int):
-    return sample_grid(curve, m)
 
 
 def winding_number(curve: AnalyticCurve, z: complex, m: int = 2048) -> int:
@@ -168,13 +173,13 @@ def winding_number(curve: AnalyticCurve, z: complex, m: int = 2048) -> int:
     return int(round(wr))
 
 
-def point_in_curve(curve: AnalyticCurve, z: complex, m: int = 2048) -> bool:
-    return winding_number(curve, z, m) != 0
+def point_in_curve(curve: AnalyticCurve, z: complex) -> bool:
+    return winding_number(curve, z) != 0
 
 
-def distance_to_curve(curve: AnalyticCurve, z: complex, m: int = 4096) -> float:
-    """Sampled distance from z to the curve."""
-    _, pts = sample_grid(curve, m)
+def distance_to_curve(boundary, z: complex) -> float:
+    """Sampled distance from z to a curve or an arc."""
+    _, pts = sample_grid(boundary, _DISTANCE_M)
     return float(np.min(np.abs(pts - z)))
 
 
@@ -248,12 +253,12 @@ def validate_curve(curve: AnalyticCurve, m: int = 1024) -> CurveReport:
                        bool(speed_ok), simple_ok, orientation_ok)
 
 
-def param_of_point(curve: AnalyticCurve, u: complex, m: int = 2048) -> float:
+def param_of_point(curve: AnalyticCurve, u: complex) -> float:
     """Parameter of a point lying on the curve (nearest-sample + Newton)."""
     if curve.kind == "circle":
         r, c = curve.params
         return float(np.angle(u - c) % TWO_PI)
-    ts, pts = sample_grid(curve, m)
+    ts, pts = sample_grid(curve, _PARAM_SEED_M)
     t = float(ts[int(np.argmin(np.abs(pts - u)))])
     for _ in range(40):
         g = eval_curve(curve, t) - u
@@ -334,14 +339,13 @@ def rq_solve(F: RationalQuad, z):
 
 @dataclass(frozen=True)
 class ArcOpenUp:
-    """An arc described by a base curve and its 2:1 open-up map.
+    """An arc described by its 2:1 open-up map F.
 
-    F maps both the interior and the exterior of `curve` conformally onto
-    the complement of the arc; z0 is a reference interior point of the arc
-    kept for validation.
+    F maps both the interior and the exterior of the unit circle
+    conformally onto the complement of the arc; z0 is a reference interior
+    point of the arc kept for validation.
     """
 
-    curve: AnalyticCurve
     fmap: RationalQuad
     z0: complex
 
@@ -360,7 +364,7 @@ def segment_arc(za: complex = -1.0, zb: complex = 1.0) -> ArcOpenUp:
     s = (zb - za) / 2.0
     # c + s*(u + 1/u)/2 = (s u^2 + 2 c u + s) / (2 u)
     F = RationalQuad((s, 2 * c, s), (0j, 2 + 0j, 0j))
-    return ArcOpenUp(circle(), F, c)
+    return ArcOpenUp(F, c)
 
 
 def circular_arc(theta0: float, radius: float = 1.0, center: complex = 0j,
@@ -381,20 +385,16 @@ def circular_arc(theta0: float, radius: float = 1.0, center: complex = 0j,
     # post-compose with the similarity center + rot * w
     n = tuple(center * d + rot * nn for nn, d in zip(num, den))
     F = RationalQuad(n, den)
-    return ArcOpenUp(circle(), F, center + rot)
+    return ArcOpenUp(F, center + rot)
 
 
 def arc_point(arc: ArcOpenUp, t):
-    """Point of the arc reached from base-curve parameter t."""
-    return rq_eval(arc.fmap, eval_curve(arc.curve, t))
-
-
-def arc_samples(arc: ArcOpenUp, m: int):
-    return sample_grid(arc, m)
+    """Point of the arc reached from the unit-circle point e^{it}."""
+    return rq_eval(arc.fmap, np.exp(1j * np.asarray(t, dtype=float)))
 
 
 def arc_endpoints(arc: ArcOpenUp):
-    """Endpoints = critical values of F on the base curve."""
+    """Endpoints = critical values of F on the unit circle."""
     n0, n1, n2 = arc.fmap.num
     d0, d1, d2 = arc.fmap.den
     # numerator of F' is a quadratic: (n'd - nd') with the u^3 terms cancelling
@@ -405,13 +405,9 @@ def arc_endpoints(arc: ArcOpenUp):
     ends = [complex(rq_eval(arc.fmap, r)) for r in roots
             if abs(abs(r) - 1.0) < 1e-9]
     if len(ends) != 2:
-        raise ArcError("open-up map must have exactly two critical points on the base curve")
+        raise ArcError("open-up map must have exactly two critical points "
+                       "on the unit circle")
     return ends[0], ends[1]
-
-
-def distance_to_arc(arc: ArcOpenUp, z: complex, m: int = 4096) -> float:
-    _, pts = sample_grid(arc, m)
-    return float(np.min(np.abs(pts - z)))
 
 
 @dataclass(frozen=True)
@@ -426,7 +422,7 @@ class OpenUpReport:
                 and self.injectivity_ok)
 
 
-def validate_openup(arc: ArcOpenUp, m: int = 48) -> OpenUpReport:
+def validate_openup(arc: ArcOpenUp) -> OpenUpReport:
     """Sampled sanity checks for the open-up structure."""
     from .conformal import openup_preimages  # local import to avoid a cycle
 
@@ -437,7 +433,7 @@ def validate_openup(arc: ArcOpenUp, m: int = 48) -> OpenUpReport:
 
     # injectivity of F on a sampled interior grid
     rads = np.linspace(0.15, 0.9, 6)
-    angs = np.arange(m) * (TWO_PI / m)
+    angs = np.arange(_OPENUP_M) * (TWO_PI / _OPENUP_M)
     grid = (rads[:, None] * np.exp(1j * angs)[None, :]).ravel()
     vals = rq_eval(arc.fmap, grid)
     vals = vals[np.isfinite(vals.real) & np.isfinite(vals.imag)]

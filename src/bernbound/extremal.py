@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conformal import MapPair, map_eval, map_invert
-from .curves import (TWO_PI, AnalyticCurve, BoundaryPoint, boundary_point,
-                     curve_samples, is_infinite, param_of_point)
+from .curves import (TWO_PI, AnalyticCurve, BoundaryPoint, is_infinite,
+                     sample_grid)
 from .errors import ExtremalError, MapInvertError, NumericsError
 from .potential import BoundReport, bernstein_bound, disk_normal_derivative
 from .ratfun import (RationalFunction, blaschke_derivative, blaschke_eval,
@@ -27,6 +27,10 @@ from .ratfun import (RationalFunction, blaschke_derivative, blaschke_eval,
                      rf_eval, sup_norm)
 
 _OFF_CIRCLE = 1e-9
+_CANDIDATES_M = 1024   # curve samples offered as the remainder's Leja nodes
+# the remainder, and each order of its expansion, is dropped below this
+# size; the transplanted sup norm is about 1
+_REMAINDER_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -40,19 +44,15 @@ class LejaSet:
     indices: tuple  # positions of the nodes in the candidate array
 
 
-def leja_points(boundary, count: int, seed=None, m: int = 2048) -> LejaSet:
+def leja_points(candidates, count: int, seed=None) -> LejaSet:
     """Greedy Leja nodes: each one maximizes the product of distances to its
-    predecessors over the sampled boundary (first index wins ties).
+    predecessors over the candidate array (first index wins ties).
 
-    boundary is an AnalyticCurve or an explicit candidate array; seed is
-    snapped to the nearest candidate and defaults to the point farthest from
-    the candidate centroid."""
+    seed is snapped to the nearest candidate and defaults to the point
+    farthest from the candidate centroid."""
     if count < 1:
         raise ExtremalError("node count must be at least 1")
-    if isinstance(boundary, AnalyticCurve):
-        _, cand = curve_samples(boundary, m)
-    else:
-        cand = np.asarray(boundary, dtype=complex).ravel()
+    cand = np.asarray(candidates, dtype=complex).ravel()
     if len(cand) < count:
         raise ExtremalError("fewer candidates than requested nodes")
     if seed is None:
@@ -135,8 +135,7 @@ def _hermite_coefficients(xi, vals, dval0):
 
 
 def build_transferred_extremal(curve: AnalyticCurve, maps: MapPair, picks,
-                               zeta0, u0: BoundaryPoint | None = None,
-                               tol_q: float = 1e-9, m: int = 1024) -> ExtremalRun:
+                               zeta0, u0: BoundaryPoint) -> ExtremalRun:
     """Extremal candidate of degree about n from disk-side pole picks.
 
     Steps: Blaschke product over the picks; principal parts of its
@@ -153,8 +152,6 @@ def build_transferred_extremal(curve: AnalyticCurve, maps: MapPair, picks,
     if not cmath.isfinite(complex(zeta0)):
         raise ExtremalError("the exterior anchor must be finite")
     zeta0 = complex(zeta0)
-    if u0 is None:
-        u0 = boundary_point(curve, param_of_point(curve, maps.anchor))
     if abs(maps.anchor - u0.point) > 1e-8 * (1.0 + abs(u0.point)):
         raise ExtremalError("map pair is not anchored at the boundary point")
 
@@ -162,7 +159,7 @@ def build_transferred_extremal(curve: AnalyticCurve, maps: MapPair, picks,
 
     # principal parts of the transplant B o Phi1^{-1} at the image poles
     f1 = principal_parts(lambda v: blaschke_eval(picks, v),
-                         cluster_points(picks), maps.interior, rel_tol=tol_q)
+                         cluster_points(picks), maps.interior)
 
     phi0 = complex(blaschke_eval(picks, 1.0 + 0j)) - complex(rf_eval(f1, u0.point))
     dphi0 = (complex(blaschke_derivative(picks, 1.0 + 0j))
@@ -191,7 +188,7 @@ def build_transferred_extremal(curve: AnalyticCurve, maps: MapPair, picks,
     dpsi0 = -1.0 / (u0.point - zeta0) ** 2
 
     n_interp = int(math.floor(n ** 0.8 + 1e-12))
-    ts, pts = curve_samples(curve, m)
+    _, pts = sample_grid(curve, _CANDIDATES_M)
     wc = 1.0 / (pts - zeta0)
     keep = np.abs(wc - w0) > 1e-8 * max(float(np.max(np.abs(wc))), 1.0)
     cand_w, cand_u = wc[keep], pts[keep]
@@ -203,7 +200,7 @@ def build_transferred_extremal(curve: AnalyticCurve, maps: MapPair, picks,
                  - rf_eval(f1, u_nodes))
     remainder_scale = max(float(np.max(np.abs(node_vals))), abs(phi0),
                           abs(dphi0))
-    if remainder_scale <= tol_q:
+    if remainder_scale <= _REMAINDER_TOL:
         # The transplanted product is already rational with poles at the
         # picks (identity-like maps): skip the correction rather than
         # interpolate pure noise, which divided differences would
@@ -224,7 +221,7 @@ def build_transferred_extremal(curve: AnalyticCurve, maps: MapPair, picks,
                 neg[k - j] += ck * poly[j]
             poly = np.convolve(poly, [1.0, -xi[k]])
         # Trim expansion orders whose worst-case boundary contribution
-        # |c_p| * max_Γ |u - zeta0|^{-p} falls below tol_q (the
+        # |c_p| * max_Γ |u - zeta0|^{-p} falls below _REMAINDER_TOL (the
         # transplanted sup norm is ~1 by construction).  Magnitude alone
         # is the wrong yardstick: a vestigial order with residue 1e-10
         # perturbs the function by nothing yet would still count fully,
@@ -232,9 +229,9 @@ def build_transferred_extremal(curve: AnalyticCurve, maps: MapPair, picks,
         # ratio.
         dist = float(np.min(np.abs(pts - zeta0)))
         prin = list(neg[1:])
-        while prin and abs(prin[-1]) * dist ** (-len(prin)) <= tol_q:
+        while prin and abs(prin[-1]) * dist ** -len(prin) <= _REMAINDER_TOL:
             prin.pop()
-        const = complex(neg[0]) if abs(neg[0]) > tol_q else 0j
+        const = complex(neg[0]) if abs(neg[0]) > _REMAINDER_TOL else 0j
     f2_terms = [(zeta0, tuple(prin))] if prin else []
     fn = make_rational(list(f1.terms) + f2_terms, (const,) if const else ())
 
@@ -275,7 +272,7 @@ def _expand_picks(base, n, policy):
 
 def sharpness_sweep(curve: AnalyticCurve, maps: MapPair, u0: BoundaryPoint,
                     interior_poles, zeta0, n_list,
-                    policy: str = "cycle_list", tol_q: float = 1e-9):
+                    policy: str = "cycle_list"):
     """One ExtremalRun per n, in input order; failures become flagged rows
     and the sweep continues.  An interior pole that does not lie inside the
     curve fails the whole sweep before any row."""
@@ -299,8 +296,7 @@ def sharpness_sweep(curve: AnalyticCurve, maps: MapPair, u0: BoundaryPoint,
     def one(n):
         try:
             run = build_transferred_extremal(
-                curve, maps, _expand_picks(base, int(n), policy), zeta0,
-                u0=u0, tol_q=tol_q)
+                curve, maps, _expand_picks(base, int(n), policy), zeta0, u0)
         except NumericsError as exc:
             return SweepRow(int(n), 0, math.nan, math.nan, math.nan,
                             math.nan, f"{type(exc).__name__}: {exc}", None)

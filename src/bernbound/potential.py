@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conformal import MapPair, map_invert
-from .curves import (AnalyticCurve, ArcOpenUp, BoundaryPoint,
-                     is_infinite, point_in_curve, rq_derivative, rq_solve)
+from .curves import (ArcOpenUp, BoundaryPoint, is_infinite, rq_derivative,
+                     rq_solve)
 from .errors import DomainError, PoleError
 from .ratfun import (PoleSet, RationalFunction, _pole_location,
                      classify_poles, degree, poles_of, rf_derivative,
@@ -120,30 +120,21 @@ def _check_anchor(u0: BoundaryPoint, maps: MapPair):
         raise DomainError("map pair is not anchored at the given boundary point")
 
 
-def _pole_side(pole, curve: AnalyticCurve) -> bool:
-    if is_infinite(pole):
-        return False
-    return point_in_curve(curve, complex(pole))
-
-
 def domain_normal_derivative(u0: BoundaryPoint, pole, maps: MapPair,
-                             inside: bool | None = None) -> float:
-    """Normal derivative at u0 of the Green's function of the pole's side.
+                             inside: bool) -> float:
+    """Normal derivative at u0 of the Green's function of the pole's side,
+    the bounded one when inside (as classify_poles reports it).
 
     Computed by the exact pullback identity: invert the matching map and
-    apply the disk formula.  `inside` overrides the winding classification
-    when the caller already holds a PoleSet."""
+    apply the disk formula."""
     _check_anchor(u0, maps)
-    if inside is None:
-        inside = _pole_side(pole, maps.curve)
     cmap = maps.interior if inside else maps.exterior
     return disk_normal_derivative(map_invert(cmap, pole), cmap.side)
 
 
-def green_domain(u, pole, maps: MapPair, inside: bool | None = None):
-    """Green's function of G1 or G2 (whichever holds the pole) at u."""
-    if inside is None:
-        inside = _pole_side(pole, maps.curve)
+def green_domain(u, pole, maps: MapPair, inside: bool):
+    """Green's function at u of G1 (inside) or G2, the side holding the
+    pole."""
     cmap = maps.interior if inside else maps.exterior
     return green_disk(map_invert(cmap, u), map_invert(cmap, pole), cmap.side)
 

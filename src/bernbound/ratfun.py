@@ -13,13 +13,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conformal import ConformalMap, map_derivative, map_eval
-from .curves import (TWO_PI, INFINITY, AnalyticCurve, ArcOpenUp, arc_point,
-                     distance_to_curve, eval_curve, is_infinite,
-                     point_in_curve, sample_grid)
+from .curves import (TWO_PI, INFINITY, AnalyticCurve, _boundary_points,
+                     distance_to_curve, is_infinite, point_in_curve,
+                     sample_grid)
 from .errors import PoleError, QuadratureError
 
 POLE_FLOOR = 1e-9
 _CLUSTER_TOL = 1e-12
+# principal_parts: q-node and 2q-node ring rules, and the relative
+# disagreement between them that raises
+_QUAD_NODES = 64
+_QUAD_TOL = 1e-9
 
 
 def _pole_location(a) -> complex:
@@ -174,14 +178,14 @@ def blaschke_derivative(points, v):
     return complex(out[0]) if scalar else out
 
 
-def cluster_points(points, tol=_CLUSTER_TOL):
+def cluster_points(points):
     """Group near-coincident points into (center, multiplicity) pairs,
     preserving first-appearance order."""
     centers, members = [], []
     for p in points:
         p = complex(p)
         for i, c in enumerate(centers):
-            if abs(p - c) <= tol * (1.0 + abs(c)):
+            if abs(p - c) <= _CLUSTER_TOL * (1.0 + abs(c)):
                 members[i].append(p)
                 centers[i] = sum(members[i]) / len(members[i])
                 break
@@ -248,18 +252,18 @@ def _laurent_peel(vals, w, dphi, dv, order):
     return coeffs
 
 
-def principal_parts(g, poles, cmap: ConformalMap | None = None,
-                    q: int = 64, rel_tol: float = 1e-9) -> RationalFunction:
+def principal_parts(g, poles,
+                    cmap: ConformalMap | None = None) -> RationalFunction:
     """Sum of principal parts of g o Phi^{-1} at Phi(a) over the (a, order)
     poles of g, with Phi the interior map cmap (the identity if None).
 
     g must be a vectorized callable of the disk variable, analytic in a
     punctured neighborhood of each pole.  The contour |v - a| = rho stays
     inside the disk when a map is given, so Phi is never inverted.  g, Phi
-    and Phi' are evaluated once, on the 2q-node rings of all poles stacked
-    into one array; the q-node rule reads every other node.  Disagreement
-    of the two rules beyond rel_tol (relative to the largest coefficient)
-    raises, and the 2q result is returned otherwise."""
+    and Phi' are evaluated once, on the 2q-node rings (q = _QUAD_NODES) of
+    all poles stacked into one array; the q-node rule reads every other
+    node.  Disagreement of the two rules beyond _QUAD_TOL (relative to the
+    largest coefficient) raises, and the 2q result is returned otherwise."""
     locs = [complex(a) for a, _ in poles]
     orders = [int(m) for _, m in poles]
     if any(m < 1 for m in orders):
@@ -277,7 +281,8 @@ def principal_parts(g, poles, cmap: ConformalMap | None = None,
     terms = []
     if n_ok:
         centers = np.array(locs[:n_ok])[:, None]
-        ring = np.exp(1j * (np.arange(2 * q) * (TWO_PI / (2 * q))))
+        ring = np.exp(1j * (np.arange(2 * _QUAD_NODES)
+                            * (TWO_PI / (2 * _QUAD_NODES))))
         nodes = centers + np.array(rhos[:n_ok])[:, None] * ring
         flat = nodes.ravel()
         vals = np.asarray(g(flat), dtype=complex).reshape(nodes.shape)
@@ -293,10 +298,10 @@ def principal_parts(g, poles, cmap: ConformalMap | None = None,
         c2 = _laurent_peel(*ring_data, orders[i])
         scale = max(float(np.max(np.abs(c2))), 1e-300)
         disagree = float(np.max(np.abs(c1 - c2))) / scale
-        if disagree > rel_tol:
+        if disagree > _QUAD_TOL:
             raise QuadratureError(
                 f"quadrature disagreement {disagree:.2e} at pole {locs[i]} "
-                f"exceeds {rel_tol:.2e}")
+                f"exceeds {_QUAD_TOL:.2e}")
         keep = np.abs(c2) > 1e-13 * scale
         top = int(np.nonzero(keep)[0][-1]) + 1 if np.any(keep) else 0
         if top:
@@ -334,12 +339,6 @@ def sup_norm(f: RationalFunction, boundary, m: int | None = None):
     best = int(np.argmax(cand))  # the first of equal peaks wins
     best_t = t_ref[best] if y_ref[best] >= y2[best] else ts[peaks[best]]
     return float(cand[best]), float(best_t % TWO_PI)
-
-
-def _boundary_points(boundary, t):
-    if isinstance(boundary, ArcOpenUp):
-        return arc_point(boundary, t)
-    return eval_curve(boundary, t)
 
 
 # ---------------------------------------------------------------------------

@@ -23,11 +23,11 @@ import helpers
 from oracles import richardson_directional
 
 from bernbound import (INFINITY, arc_bound, blaschke_eval, boundary_point,
-                       build_circle_extremal, circle, curve_samples,
-                       disk_normal_derivative, ellipse, eval_curve,
-                       green_disk, green_domain, is_infinite, make_rational,
-                       map_derivative, map_eval, map_invert, point_in_curve,
-                       poles_of, rf_eval, segment_arc, sharpness_sweep,
+                       build_circle_extremal, circle, disk_normal_derivative,
+                       ellipse, eval_curve, green_disk, green_domain,
+                       is_infinite, make_rational, map_derivative, map_eval,
+                       map_invert, point_in_curve, poles_of, rf_eval,
+                       sample_grid, segment_arc, sharpness_sweep,
                        solve_map_pair, split_inside_outside, sup_norm,
                        verify_ratio)
 from bernbound.cli import main as cli_main
@@ -68,7 +68,7 @@ def ellipse_ctx():
     e = ellipse(1.2, 0.8)
     u0 = boundary_point(e, 0.4)
     pair = solve_map_pair(e, u0)
-    _, pts = curve_samples(e, 512)
+    _, pts = sample_grid(e, 512)
     return e, u0, pair, pts
 
 

@@ -148,7 +148,6 @@ BAD_SPECS = [
     (sharp_data(n_list=[1, True]), "sharpness.n_list[1]"),
     ({"command": "greens", "curve": {"kind": "circle"},
       "greens": {"poles": ["inf"]}}, "greens.probes"),
-    (bound_data(tol_map=0.0), "tol_map"),
     # a key that the object, or the command, does not read
     (bound_data(curve={"kind": "circle", "raduis": 2.0}), "curve.raduis"),
     (bound_data(poles=[{"point": [0.5, 0.0], "ordr": 3}, {"point": "inf"}]),
@@ -157,11 +156,12 @@ BAD_SPECS = [
       "function": {"kind": "partial_fractions", "terms": [],
                    "polly": [[0.0, 0.0], [1.0, 0.0]]}}, "function.polly"),
     (bound_data(sup_m=4096), "sup_m"),
-    (bound_data(tol_q=1e-9), "tol_q"),
     (bound_data(point=[1.0, 0.0]), "point"),
     # removed knobs: even their old default values are unknown fields
     (bound_data(threads=1), "threads"),
     (bound_data(seed=1729), "seed"),
+    (bound_data(tol_map=1e-11), "tol_map"),
+    (bound_data(tol_q=1e-9), "tol_q"),
 ]
 
 
@@ -178,12 +178,16 @@ class TestSpecParsing:
             parse_run_spec([1, 2], "deadbeef")
         assert err.value.path == ""
 
-    @pytest.mark.parametrize("key,value", [("threads", 1), ("seed", 1729)])
+    @pytest.mark.parametrize("key,value", [("threads", 1), ("seed", 1729),
+                                           ("tol_map", 1e-11), ("tol_q", 1e-9)])
     def test_removed_knobs_are_unknown_fields(self, tmp_path, capsys, key,
                                               value):
-        spec = write_spec(tmp_path, bound_data(**{key: value}))
-        assert run_cli("bound", spec, tmp_path / "out") == 2
+        # a sharpness spec, the one command that read tol_q
+        out = tmp_path / "out"
+        spec = write_spec(tmp_path, sharp_data() | {key: value})
+        assert run_cli("sharpness", spec, out) == 2
         assert f"spec error at {key}: unknown field" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_sup_m_floor(self):
         with pytest.raises(RunSpecError) as err:
@@ -219,7 +223,7 @@ class TestSpecParsing:
 
     def test_defaults(self):
         spec = parse_run_spec(bound_data(), "deadbeef")
-        assert spec.tol_q == 1e-9
+        assert spec.m_map == 1024
         assert spec.sup_m is None
 
 
@@ -474,12 +478,12 @@ SCHEMA_SPECS = {**{path.stem: json.loads(path.read_text(encoding="utf-8"))
                    for path in sorted(SPECS.glob("*.json"))},
                 **KIND_SPECS}
 OPTIONAL_KEYS = {"radius", "center", "za", "zb", "rotation", "order", "poly",
-                 "policy", "tol_map", "tol_q", "sup_m", "m_map"}
+                 "policy", "sup_m", "m_map"}
 
 # (spec that omits optional keys, [(object keys, the keys at their defaults)])
 DEFAULTS_WRITTEN = [
     (bound_data(poles=[{"point": [0.2, 0.1]}, {"point": "inf", "order": 2}]),
-     [((), {"tol_map": 1e-11, "m_map": 1024}),
+     [((), {"m_map": 1024}),
       (("curve",), {"radius": 1.0, "center": [0.0, 0.0]}),
       (("poles", 0), {"order": 1})]),
     ({"command": "verify", "arc": {"kind": "segment"}, "point": [0.1, 0.0],
@@ -495,10 +499,10 @@ DEFAULTS_WRITTEN = [
     ({"command": "sharpness", "curve": {"kind": "circle"}, "t": 0.3,
       "sharpness": {"interior_poles": [[0.0, 0.0], [0.2, 0.1]],
                     "zeta0": [3.0, 0.0], "n_list": [1, 3]}},
-     [((), {"tol_map": 1e-11, "tol_q": 1e-9, "m_map": 1024}),
+     [((), {"m_map": 1024}),
       (("sharpness",), {"policy": "cycle_list"})]),
     (SCHEMA_SPECS["greens_ellipse"],
-     [((), {"t": 0.0, "tol_map": 1e-11, "m_map": 1024})]),
+     [((), {"t": 0.0, "m_map": 1024})]),
 ]
 
 

@@ -5,17 +5,19 @@ import re
 import numpy as np
 import pytest
 
-from bernbound import (boundary_point, circle, curve_samples, ellipse,
-                       eval_curve, map_derivative, map_eval, map_from_json,
-                       map_invert, map_to_json, openup_preimages,
-                       point_in_curve, roundtrip_residual, segment_arc,
+from bernbound import (boundary_point, circle, ellipse, eval_curve,
+                       map_derivative, map_eval, map_from_json, map_invert,
+                       map_to_json, openup_preimages, point_in_curve,
+                       roundtrip_residual, sample_grid, segment_arc,
                        solve_exterior_map, solve_interior_map, solve_map_pair,
                        trig_curve)
 from bernbound import conformal
 from bernbound.conformal import (_MARGIN_LADDER, _moebius, _poly_eval,
                                  exterior_pole)
 from bernbound.errors import ArcError, MapError, MapInvertError, NumericsError
-from bernbound.potential import domain_normal_derivative
+from bernbound.potential import (bernstein_bound, disk_normal_derivative,
+                                 domain_normal_derivative)
+from bernbound.ratfun import classify_poles
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import minimize_scalar
@@ -27,7 +29,7 @@ from oracles import (horner_eval, newton_map_invert, polar_theodorsen_core,
 
 def true_curve_distances(curve, zs, m=4096):
     """Distances from each z to the curve, refined past sample resolution."""
-    ts, pts = curve_samples(curve, m)
+    ts, pts = sample_grid(curve, m)
     step = 2 * np.pi / m
     out = []
     for z in np.asarray(zs).ravel():
@@ -247,7 +249,7 @@ class TestTheodorsenOracle:
         z_c = conformal._interior_center(curve)
         for side, core in (("interior", conformal._interior_core),
                            ("exterior", conformal._exterior_core)):
-            series, tail = core(curve, z_c, 1024, 1e-11)
+            series, tail = core(curve, z_c, 1024)
             want, want_tail = polar_theodorsen_core(curve, z_c, 1024, 1e-11,
                                                     side)
             assert len(series) == len(want)
@@ -275,8 +277,7 @@ class TestTheodorsenOracle:
 
         monkeypatch.setattr(conformal, "eval_curve", counting)
         e = ellipse(1.2, 0.8)
-        conformal._interior_core(e, conformal._interior_center(e), 1024,
-                                 1e-11)
+        conformal._interior_core(e, conformal._interior_center(e), 1024)
         assert calls == [1024]
 
 
@@ -314,6 +315,40 @@ class TestPreimageOfInfinity:
         u_inf = map_eval(pair.exterior, complex(np.inf))
         val = domain_normal_derivative(u0, u_inf, pair, inside=False)
         assert val == pytest.approx(1.0, abs=1e-12)
+
+
+class TestFarExteriorPoints:
+    """Far finite points invert on closed-form exterior maps with s != 0.
+    Their preimages crowd the pole v_p = -1/s, v - v_p ~ A/u; the residual
+    is the core's at its exact root, not map_eval's at the rounded v."""
+
+    @pytest.fixture(params=["shifted_circle_pair", "ellipse_pair"])
+    def exterior(self, request):
+        return request.getfixturevalue(request.param)
+
+    def test_far_points_approach_the_pole(self, exterior):
+        _, _, pair = exterior
+        cmap = pair.exterior
+        assert abs(cmap.s) > 1e-3
+        u = 10.0 ** np.arange(4, 13) + 1j
+        v = map_invert(cmap, u)
+        for vk, uk in zip(v, u):
+            assert map_invert(cmap, uk) == vk
+        # the leading term A/u of v - v_p: |u| |v - v_p| settles to |A|
+        scaled = np.abs(v - exterior_pole(cmap)) * np.abs(u)
+        assert np.max(np.abs(scaled / scaled[-1] - 1.0)) < 5e-3
+        # so the disk term of the pole tends to that of infinity
+        limit = disk_normal_derivative(exterior_pole(cmap), "exterior")
+        gap = np.array([disk_normal_derivative(vk, "exterior")
+                        for vk in v]) - limit
+        assert np.all(np.abs(gap) * np.abs(u) < 100.0)
+
+    def test_bound_of_a_far_pole(self, shifted_circle_pair):
+        c, u0, pair = shifted_circle_pair
+        far = bernstein_bound(u0, classify_poles([(1e5 + 1j, 1)], c), pair)
+        at_inf = bernstein_bound(u0, classify_poles([(np.inf, 1)], c), pair)
+        assert far.outer_sum == pytest.approx(0.58826, abs=1e-5)
+        assert abs(far.bound - at_inf.bound) < 1e-4
 
 
 @pytest.fixture(scope="session",
@@ -457,17 +492,19 @@ class TestClosedFormInversion:
             map_invert(cmap, np.concatenate([[near], far]))
 
     def test_one_map_eval_and_no_derivative(self, closed_map, monkeypatch):
+        # the one evaluation is the core's at its exact root, not map_eval
+        # at the preimage; no derivative and no Newton
         curve, cmap = closed_map
         calls = []
-        for name in ("map_eval", "map_derivative"):
-            def counting(m, v, fn=getattr(conformal, name), name=name):
+        for name in ("_core_eval", "map_eval", "map_derivative", "_newton"):
+            def counting(*args, fn=getattr(conformal, name), name=name):
                 calls.append(name)
-                return fn(m, v)
+                return fn(*args)
             monkeypatch.setattr(conformal, name, counting)
         scale = 0.5 if cmap.side == "interior" else 1.6
         u = scale * eval_curve(curve, np.arange(8) * (2 * np.pi / 8))
         map_invert(cmap, u)
-        assert calls == ["map_eval"]
+        assert calls == ["_core_eval"]
 
     def test_series_kernel_calls_on_the_corpus_poles(self, ellipse_pair,
                                                      monkeypatch):
@@ -593,6 +630,18 @@ class TestClosedFormMargins:
         e = ellipse(1.0, b)
         cmap = solve_exterior_map(e, boundary_point(e, t))
         _check_ladder_margin(cmap, math.sqrt(abs(1.0 - b) / (1.0 + b)))
+
+    @settings(deadline=None, max_examples=60)
+    @given(a=st.floats(0.01, 100.0), b=st.floats(0.01, 100.0),
+           t=st.floats(0.0, 2 * np.pi, exclude_max=True))
+    @example(a=1.2, b=0.8, t=0.4)
+    @example(a=1.0, b=1.0, t=0.0)
+    def test_critical_radius_read_from_the_core(self, a, b, t):
+        # sqrt(|c2/c0|) of the solved core is sqrt(|a - b|/(a + b)) to the
+        # bit, so the rung tests read the same critical circle
+        e = ellipse(a, b)
+        c = solve_exterior_map(e, boundary_point(e, t)).series
+        assert conformal._critical_radius(c) == math.sqrt(abs(a - b) / (a + b))
 
     def test_radius_five_and_radius_fifth_circles_have_margins(self):
         # the sampled ladder read 0 on both sides of both circles

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from bernbound import (arc_endpoints, arc_point, arc_samples, boundary_point,
-                       circle, circular_arc, curve_derivative, curve_samples,
-                       distance_to_arc, distance_to_curve, ellipse,
-                       eval_curve, param_of_point, point_in_curve, rq_eval,
-                       rq_solve, segment_arc, trig_curve, unit_normals,
-                       validate_curve, validate_openup, winding_number)
+from bernbound import (arc_endpoints, arc_point, boundary_point, circle,
+                       circular_arc, curve_derivative, distance_to_curve,
+                       ellipse, eval_curve, param_of_point, point_in_curve,
+                       rq_eval, rq_solve, sample_grid, segment_arc,
+                       trig_curve, unit_normals, validate_curve,
+                       validate_openup, winding_number)
 from bernbound.curves import _simplicity_margin
 from bernbound.errors import ArcError, CurveError
 
@@ -16,17 +16,17 @@ from oracles import roll_simplicity_margin
 class TestConstructors:
     def test_unit_circle_locus(self):
         c = circle()
-        _, pts = curve_samples(c, 256)
+        _, pts = sample_grid(c, 256)
         assert np.max(np.abs(np.abs(pts) - 1.0)) < 1e-14
 
     def test_shifted_circle_locus(self):
         c = circle(radius=2.5, center=1.0 - 0.5j)
-        _, pts = curve_samples(c, 256)
+        _, pts = sample_grid(c, 256)
         assert np.max(np.abs(np.abs(pts - (1.0 - 0.5j)) - 2.5)) < 1e-13
 
     def test_ellipse_locus(self):
         e = ellipse(1.2, 0.8)
-        _, pts = curve_samples(e, 256)
+        _, pts = sample_grid(e, 256)
         vals = (pts.real / 1.2) ** 2 + (pts.imag / 0.8) ** 2
         assert np.max(np.abs(vals - 1.0)) < 1e-13
 
@@ -113,7 +113,7 @@ class TestSimplicityScan:
             rng.standard_normal(m) + 1j * rng.standard_normal(m),
             np.cumsum(rng.standard_normal(m) + 1j * rng.standard_normal(m)),
             np.cos(ts) + 1j * np.sin(ts) * np.cos(ts),  # figure-eight
-            curve_samples(ellipse(1.2, 0.8), m)[1],
+            sample_grid(ellipse(1.2, 0.8), m)[1],
         ]
         for pts in rings:
             step = float(rng.uniform(0.01, 1.0))
@@ -134,7 +134,7 @@ class TestArcs:
         ends = sorted(arc_endpoints(segment), key=lambda z: z.real)
         assert abs(ends[0] - (-1.0)) < 1e-12
         assert abs(ends[1] - 1.0) < 1e-12
-        _, zs = arc_samples(segment, 64)
+        _, zs = sample_grid(segment, 64)
         assert np.max(np.abs(zs.imag)) < 1e-12
         assert np.max(np.abs(zs.real)) <= 1.0 + 1e-12
 
@@ -157,7 +157,7 @@ class TestArcs:
         ends = sorted(arc_endpoints(arc), key=lambda z: z.real)
         assert abs(ends[0] - za) < 1e-10
         assert abs(ends[1] - zb) < 1e-10
-        _, zs = arc_samples(arc, 64)
+        _, zs = sample_grid(arc, 64)
         # locus is the straight segment: collinear with the endpoints
         cross = np.abs((zs - za) * np.conj(zb - za)
                        - np.conj(zs - za) * (zb - za))
@@ -175,7 +175,7 @@ class TestArcs:
                    abs(za - np.exp(-1j * theta0))) < 1e-12
         assert min(abs(zb - np.exp(1j * theta0)),
                    abs(zb - np.exp(-1j * theta0))) < 1e-12
-        _, zs = arc_samples(arc, 64)
+        _, zs = sample_grid(arc, 64)
         assert np.max(np.abs(np.abs(zs) - 1.0)) < 1e-10
         with pytest.raises(ArcError):
             circular_arc(0.0)
@@ -186,9 +186,19 @@ class TestArcs:
         z = arc_point(segment, 0.25)
         assert abs(z.imag) < 1e-12 and abs(z.real) <= 1.0
 
+    @pytest.mark.parametrize("m", [333, 4096, 8192])
+    def test_arc_points_are_the_unit_circle_images(self, segment, m):
+        # the open-up maps act on the unit circle, sampled as a curve
+        ts = np.arange(m) * (2 * np.pi / m)
+        ring = eval_curve(circle(), ts)
+        for arc in (segment, segment_arc(1.0 + 1.0j, 3.0 - 1.0j),
+                    circular_arc(0.8, 1.5, 0.2j, 0.3)):
+            assert np.array_equal(arc_point(arc, ts), rq_eval(arc.fmap, ring))
+            assert arc_point(arc, ts[7]) == rq_eval(arc.fmap, ring[7])
+
     def test_distance_to_arc(self, segment):
-        assert abs(distance_to_arc(segment, 0.0 + 1.0j) - 1.0) < 1e-4
-        assert abs(distance_to_arc(segment, 2.0 + 0j) - 1.0) < 1e-4
+        assert abs(distance_to_curve(segment, 0.0 + 1.0j) - 1.0) < 1e-4
+        assert abs(distance_to_curve(segment, 2.0 + 0j) - 1.0) < 1e-4
 
     def test_openup_validation(self, segment):
         assert validate_openup(segment).ok

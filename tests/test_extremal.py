@@ -8,9 +8,9 @@ import pytest
 
 from bernbound import (blaschke_derivative, blaschke_eval, boundary_point,
                        build_circle_extremal, build_transferred_extremal,
-                       circle, conformal, curve_samples, extremal,
-                       leja_points, map_invert, potential, rf_derivative,
-                       rf_eval, sharpness_sweep, solve_map_pair,
+                       circle, conformal, extremal, leja_points,
+                       map_invert, potential, rf_derivative, rf_eval,
+                       sample_grid, sharpness_sweep, solve_map_pair,
                        sup_norm)
 from bernbound.errors import ExtremalError, PoleError
 
@@ -43,20 +43,25 @@ def golden_n20_run(sweep_config, ellipse_pair):
                                       u0=u0)
 
 
+def circle_candidates():
+    """2,048 samples of the unit circle, as Leja candidates."""
+    return sample_grid(circle(), 2048)[1]
+
+
 class TestLejaPoints:
     def test_two_points_on_circle(self):
-        got = leja_points(circle(), 2, seed=1.0)
+        got = leja_points(circle_candidates(), 2, seed=1.0)
         assert abs(got.nodes[0] - 1.0) < 1e-9
         assert abs(got.nodes[1] + 1.0) < 1e-9
 
     def test_four_points_on_circle(self):
-        got = leja_points(circle(), 4, seed=1.0)
+        got = leja_points(circle_candidates(), 4, seed=1.0)
         want = [1.0, -1.0, 1.0j, -1.0j]
         for w in want:
             assert min(abs(w - x) for x in got.nodes) < 1e-9
 
     def test_monic_polynomial_matches_nodes(self):
-        got = leja_points(circle(), 5, seed=1.0)
+        got = leja_points(circle_candidates(), 5, seed=1.0)
         vals = np.polyval(got.monic, np.array(got.nodes))
         assert np.max(np.abs(vals)) < 1e-12
         assert got.monic[0] == 1.0 + 0j
@@ -81,25 +86,25 @@ class TestLejaPoints:
 
     def test_count_errors(self):
         with pytest.raises(ExtremalError):
-            leja_points(circle(), 0)
+            leja_points(circle_candidates(), 0)
         with pytest.raises(ExtremalError):
             leja_points(np.array([1.0, 2.0], dtype=complex), 3)
 
     def test_capacity_convergence_on_circle(self):
         # the product of distances from the newest node to its
         # predecessors, to the power 1/N, approaches the circle capacity 1
-        c = circle()
+        cand = circle_candidates()
         caps = {}
         for n in (64, 128):
-            nodes = np.array(leja_points(c, n + 1, seed=1.0).nodes)
+            nodes = np.array(leja_points(cand, n + 1, seed=1.0).nodes)
             caps[n] = float(np.prod(np.abs(nodes[-1] - nodes[:-1]))
                             ** (1.0 / n))
         assert abs(caps[64] - 1.0) < 0.07
         assert abs(caps[128] - 1.0) < 0.05
         assert abs(caps[128] - 1.0) < abs(caps[64] - 1.0)
         # the sup norm of the monic node polynomial converges faster
-        _, samples = curve_samples(c, 4096)
-        monic = leja_points(c, 64, seed=1.0).monic
+        _, samples = sample_grid(circle(), 4096)
+        monic = leja_points(cand, 64, seed=1.0).monic
         sup = float(np.max(np.abs(np.polyval(monic, samples))))
         assert abs(sup ** (1.0 / 64) - 1.0) < 0.05
 
@@ -230,7 +235,7 @@ class TestTransferredExtremal:
         c, u0, pair = circle_pair
         zeta0 = 3.0
         delta_prime = pair.delta1 / 2.0
-        _, base_pts = curve_samples(c, 2048)
+        _, base_pts = sample_grid(c, 2048)
         gw = 1.0 / (base_pts - zeta0)
         gw_plus = 1.0 / ((1.0 + delta_prime) * base_pts - zeta0)
         logs = []

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from bernbound import (INFINITY, MapPair, boundary_point, circular_arc,
-                       classify_poles, curve_samples, ellipse, make_rational,
+                       classify_poles, ellipse, make_rational,
                        map_from_json, map_invert, map_to_dict, map_to_json,
                        sample_grid, segment_arc, solve_map_pair, sup_norm,
                        verify_ratio)
@@ -64,7 +64,7 @@ class TestReadOnly:
         for arr in sample_grid(ellipse(*AB), 256, tangents=True):
             with pytest.raises(ValueError):
                 arr[0] = 0.0
-        ts, pts = curve_samples(ellipse(*AB), 64)
+        ts, pts = sample_grid(ellipse(*AB), 64)
         with pytest.raises(ValueError):
             pts += 1.0
 

@@ -5,11 +5,11 @@ import pytest
 
 from bernbound import (INFINITY, arc_bound, arc_normal_derivative,
                        bernstein_bound, blaschke_product, boundary_point,
-                       classify_poles, curve_samples, disk_normal_derivative,
+                       classify_poles, disk_normal_derivative,
                        domain_normal_derivative, eval_curve, green_disk,
                        green_domain, is_infinite, make_rational, map_eval,
                        map_invert, point_in_curve, poles_of, potential,
-                       rf_eval, sup_norm, verify_ratio)
+                       rf_eval, sample_grid, sup_norm, verify_ratio)
 from bernbound.errors import ArcError, DomainError, PoleError
 
 from helpers import random_split_rational
@@ -105,7 +105,8 @@ class TestDomainPullback:
         c, u0, pair = circle_pair
         for pole, inn in self.CIRCLE_POLES:
             side = "interior" if inn else "exterior"
-            got = domain_normal_derivative(u0, pole, pair)
+            assert classify_poles([(pole, 1)], c).inside == (inn,)
+            got = domain_normal_derivative(u0, pole, pair, inside=inn)
             assert abs(got - disk_normal_derivative(pole, side)) < 1e-12
 
     def test_circle_green_identity(self, circle_pair):
@@ -121,7 +122,7 @@ class TestDomainPullback:
         c, u0, pair = circle_pair
         other = boundary_point(c, 1.0)
         with pytest.raises(DomainError):
-            domain_normal_derivative(other, 0.5, pair)
+            domain_normal_derivative(other, 0.5, pair, inside=True)
 
     def test_ellipse_interior_against_dirichlet_oracle(self, ellipse_pair):
         e, u0, pair = ellipse_pair
@@ -327,7 +328,7 @@ class TestGrowthMajorant:
         # |f(u)| <= ||f|| * exp(sum of same-side Green values) near the
         # curve, the poles counted with multiplicity
         e, u0, pair = ellipse_pair
-        _, pts = curve_samples(e, 512)
+        _, pts = sample_grid(e, 512)
         for k in range(30):
             f = random_split_rational(rng, pts)
             sup, _ = sup_norm(f, e)

@@ -7,12 +7,12 @@ from hypothesis import strategies as st
 
 from bernbound import (INFINITY, blaschke_derivative, blaschke_eval,
                        blaschke_product, circle, circular_arc,
-                       classify_poles, cluster_points, curve_samples, curves,
-                       degree, distance_to_curve, ellipse, eval_curve,
+                       classify_poles, cluster_points, curves, degree,
+                       distance_to_curve, ellipse, eval_curve,
                        make_rational, map_derivative, map_eval, map_invert,
                        point_in_curve, poles_of, principal_parts,
-                       rf_derivative, rf_eval, split_inside_outside,
-                       sup_norm, trig_curve)
+                       rf_derivative, rf_eval, sample_grid,
+                       split_inside_outside, sup_norm, trig_curve)
 from bernbound.errors import NumericsError, PoleError, QuadratureError
 
 from helpers import (random_blaschke, random_complex, random_corpus_function,
@@ -247,7 +247,7 @@ class TestSupNorm:
 class TestSplit:
     def test_split_reconstruction(self, ellipse_pair, rng):
         e, _, _ = ellipse_pair
-        _, pts = curve_samples(e, 512)
+        _, pts = sample_grid(e, 512)
         for _ in range(20):
             f = random_split_rational(rng, pts)
             f1, f2 = split_inside_outside(f, e)
@@ -410,7 +410,7 @@ class TestPoleSetLoops:
 
     def test_on_curve_pole_named_at_each_position(self, ellipse_pair):
         e, _, _ = ellipse_pair
-        _, pts = curve_samples(e, 4096)
+        _, pts = sample_grid(e, 4096)
         on, also_on = complex(pts[100]), complex(pts[2000])
         others = [(0.3 + 0.1j, 2), (2.0 - 0.5j, 1), (INFINITY, 3)]
         for pos in range(len(others) + 1):

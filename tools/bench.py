@@ -4,18 +4,19 @@ ratio check, as BENCH_<n>.json.
 
 Run from the repository root:
 
-    python3 tools/bench.py --out BENCH_11.json [--parent parent.json]
+    python3 tools/bench.py --out BENCH_12.json [--parent parent.json]
 
 Each case is timed with time.perf_counter: a repeat runs the case NUMBER
-(20) times, and the record keeps the median and the quartiles (q1_s, q3_s)
-of the per-call time over REPEATS (9) repeats, after one untimed warm-up
-call.  The BLAS/OpenMP thread variables default to 1 (as in
-perfbench/run.py), so one product never spreads over idle cores.  To
-compare two commits, run this file from a checkout of each and compare the
-median_s of matching (layer, case) records against the spread q1_s..q3_s
-of both: a gap inside either run's spread is not resolved.  --parent reads
-the other run's output and stores its median_s, q1_s and q3_s as
-parent_median_s, parent_q1_s and parent_q3_s.
+(20) times (the subprocess case SUBPROCESS_NUMBER, 2, times), and the record
+keeps the median and the quartiles (q1_s, q3_s) of the per-call time over
+REPEATS (9) repeats, after one untimed warm-up call.  The BLAS/OpenMP
+thread variables default to 1 (as in perfbench/run.py), so one product
+never spreads over idle cores.  To compare two commits, run this file
+from a checkout of each and compare the median_s of matching (layer, case)
+records against the spread q1_s..q3_s of both: a gap inside either run's
+spread is not resolved.  --parent reads the other run's output and stores
+its median_s, q1_s and q3_s as parent_median_s, parent_q1_s and
+parent_q3_s.
 
 Map solves (work: the two sides of a pair, or the one map measured):
 
@@ -50,15 +51,18 @@ sweep curve; the map pair is solved once, outside the timings):
                      per-object geometry memos
     sup_norm         40 simple poles at 1.5 gamma(t_k), default sampling
                      (4,096 points) on the reused curve
-    curve_samples    4,096 points of a fresh ellipse(1.2, 0.8) per call: the
-                     cost of one first-use sampling
+    curve_samples    sample_grid on 4,096 points of a fresh ellipse(1.2, 0.8)
+                     per call: the cost of one first-use sampling
 
-End to end, one case per shipped spec:
+End to end, one case per shipped spec and one for start-up:
 
     bern/<spec>      specs/<spec>.json through bern's main in-process:
                      parse, run (with no map cache, so curve specs solve
                      their map pair every call) and write the bundle to a
                      temporary directory
+    bern/--version   bern --version in a fresh interpreter, as the installed
+                     script runs it (from bernbound.cli import main): the
+                     interpreter start plus the package's import time
 """
 
 import argparse
@@ -79,6 +83,7 @@ import numpy as np  # noqa: E402
 
 REPEATS = 9
 NUMBER = 20
+SUBPROCESS_NUMBER = 2
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -104,8 +109,19 @@ def _bern(argv):
         raise RuntimeError(f"bern {' '.join(argv)} failed")
 
 
+def _bern_version():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
+    subprocess.run([sys.executable, "-c",
+                    "import sys; from bernbound.cli import main; "
+                    "sys.exit(main())", "--version"],
+                   env=env, check=True, capture_output=True)
+
+
 def bern_cases(out_dir):
-    """(layer, case, work, callable) for each specs/*.json run in-process."""
+    """(layer, case, work, callable) for each specs/*.json run in-process,
+    then bern --version in a subprocess."""
     cases = []
     spec_dir = os.path.join(ROOT, "specs")
     for name in sorted(os.listdir(spec_dir)):
@@ -118,6 +134,7 @@ def bern_cases(out_dir):
         argv = [command, "--config", path,
                 "--out", os.path.join(out_dir, stem)]
         cases.append(("cli", f"bern/{stem}", 1, lambda a=argv: _bern(a)))
+    cases.append(("cli", "bern/--version", 1, _bern_version))
     return cases
 
 
@@ -210,19 +227,20 @@ def build_cases():
          corpus_cold),
         ("ratfun", "sup_norm/deg40", 1, lambda: bb.sup_norm(deg40, curve)),
         ("curves", "curve_samples/4096", 4096,
-         lambda: bb.curve_samples(bb.ellipse(cfg["a"], cfg["b"]), 4096)),
+         lambda: bb.sample_grid(bb.ellipse(cfg["a"], cfg["b"]), 4096)),
     ]
 
 
-def time_case(fn):
-    """(q1, median, q3) of the per-call time over REPEATS repeats."""
+def time_case(fn, number):
+    """(q1, median, q3) of the per-call time over REPEATS repeats of
+    number calls."""
     fn()  # warm-up
     per_call = []
     for _ in range(REPEATS):
         start = time.perf_counter()
-        for _ in range(NUMBER):
+        for _ in range(number):
             fn()
-        per_call.append((time.perf_counter() - start) / NUMBER)
+        per_call.append((time.perf_counter() - start) / number)
     return tuple(statistics.quantiles(per_call, n=4))
 
 
@@ -251,10 +269,11 @@ def main(argv=None):
     records = []
     with tempfile.TemporaryDirectory() as out_dir:
         for layer, case, work, fn in build_cases() + bern_cases(out_dir):
-            q1, median, q3 = time_case(fn)
+            number = SUBPROCESS_NUMBER if fn is _bern_version else NUMBER
+            q1, median, q3 = time_case(fn, number)
             record = {"layer": layer, "case": case, "median_s": median,
                       "q1_s": q1, "q3_s": q3,
-                      "repeats": REPEATS, "number": NUMBER, "work": work}
+                      "repeats": REPEATS, "number": number, "work": work}
             for key in ("median_s", "q1_s", "q3_s"):
                 if key in parent_s.get((layer, case), {}):
                     record["parent_" + key] = parent_s[layer, case][key]
