@@ -24,6 +24,17 @@ fields (the series and its derivative as complex arrays, map_invert's seed
 ring) are memoized on the map object on first use, read-only; they are not
 fields, so they are never serialized, and replace() or map_from_dict starts
 a map with an empty memo.
+
+A series map also memoizes map_invert's answers (_preimages): the key is
+the exact finite target batch (target.tobytes(), not a single point, since
+the series kernel's product rounds a point differently by batch size), the
+value the read-only preimages in Newton's variable.  Only a batch of at
+most _MEMO_CAP (64) points whose every residual passed is kept, so a
+failure raises again on every call; a map keeps at most _MEMO_CAP batches
+and drops the oldest first.  A hit skips Newton but takes its residual
+again, by one evaluation (map_eval inside, the core outside, where Newton
+ran), and passes the same check as a cold call.  Closed forms are inverted
+exactly on every call and keep no such memo.
 """
 from __future__ import annotations
 
@@ -34,9 +45,10 @@ from functools import cached_property
 
 import numpy as np
 
-from .curves import (TWO_PI, AnalyticCurve, ArcOpenUp, BoundaryPoint,
-                     _coeff_array, _readonly, _simplicity_margin, eval_curve,
-                     is_infinite, rq_solve, sample_grid)
+from .curves import (_MEMO_CAP, TWO_PI, AnalyticCurve, ArcOpenUp,
+                     BoundaryPoint, _coeff_array, _memo_put, _readonly,
+                     _simplicity_margin, eval_curve, is_infinite, rq_solve,
+                     sample_grid)
 from .errors import ArcError, MapError, MapInvertError
 
 _MARGIN_LADDER = tuple(0.02 * 1.25 ** j for j in range(22))
@@ -93,6 +105,13 @@ class ConformalMap:
         stride = max(1, m // 128)
         vb = np.exp(1j * np.arange(0, m, stride) * (TWO_PI / m))
         return _readonly(vb), _readonly(map_eval(self, vb))
+
+    @cached_property
+    def _preimages(self) -> dict:
+        """map_invert's memo for a series map: the exact finite target batch
+        (target.tobytes()) -> its accepted preimages in _newton's variable,
+        read-only; at most _MEMO_CAP batches of at most _MEMO_CAP points."""
+        return {}
 
 
 @dataclass(frozen=True)
@@ -599,14 +618,14 @@ def _newton_chart(cmap, lo, hi):
             lambda w: _core_deriv(cmap, w), clamp, to_v)
 
 
-def _newton(cmap, target, atol, lo, hi):
+def _newton(cmap, target, atol, chart):
     """Damped Newton from each point's seeds (_newton_seeds) in turn, until
     |Phi(v) - u| < atol: a seed gets at most 80 steps, each halved down
     to 2^-12 until it lowers the residual and clamped into lo <= |v| <= hi,
-    in the variable of _newton_chart.  Returns v and the residual
-    Phi(v) - u."""
+    in the variable z of the chart (_newton_chart).  Returns z and the
+    residual Phi(v) - u."""
     seeds, seed_res = _newton_seeds(cmap, target)
-    to_z, f, df, clamp, to_v = _newton_chart(cmap, lo, hi)
+    to_z, f, df, clamp, _ = chart
     z = np.empty(len(target), dtype=complex)
     r = np.full(len(target), np.inf, dtype=complex)  # Phi(v) - u
     for seed, res in zip(to_z(seeds).T, seed_res.T):
@@ -632,7 +651,38 @@ def _newton(cmap, target, atol, lo, hi):
                 idx, step = idx[~win], step[~win]
                 lam /= 2.0
             live[idx] = False  # no step lowered the residual
-    return to_v(z), r
+    return z, r
+
+
+def _check_residuals(target, r, atol):
+    """A MapInvertError naming the first target with |r| >= atol (or a NaN
+    residual)."""
+    bad = np.nonzero(~(np.abs(r) < atol))[0]
+    if len(bad):
+        raise MapInvertError(f"inversion failed for {target[bad[0]]}",
+                             residual=float(abs(r[bad[0]])))
+
+
+def _series_invert(cmap, target, atol, lo, hi):
+    """The checked preimages of a series map's finite targets by damped
+    Newton (_newton), memoized per exact target batch: the memo
+    (_preimages) keeps the chart variable z of a batch of at most
+    _MEMO_CAP points once every point has passed _check_residuals.  A hit
+    skips Newton but takes its residual again by one evaluation in the
+    chart (map_eval inside, the core outside) and passes the same check."""
+    chart = _newton_chart(cmap, lo, hi)
+    _, f, _, _, to_v = chart
+    memo = cmap._preimages
+    key = target.tobytes() if len(target) <= _MEMO_CAP else None
+    z = memo.get(key)
+    if z is None:
+        z, r = _newton(cmap, target, atol, chart)
+    else:
+        r = f(z) - target
+    _check_residuals(target, r, atol)
+    if key is not None and key not in memo:
+        _memo_put(memo, key, _readonly(z))
+    return to_v(z)
 
 
 def map_invert(cmap: ConformalMap, u):
@@ -650,9 +700,11 @@ def map_invert(cmap: ConformalMap, u):
     error that grows like |u|, which w does not.  Only points the clamp
     moved are checked through map_eval at their clamped v.  A series map
     runs damped Newton (_newton) from seeds ordered by their starting
-    residual.  Either way every point must end with |Phi(v) - u| <
-    _INVERT_TOL (1 + |u|), or a MapInvertError names the first that does
-    not."""
+    residual, memoized per exact target batch (_series_invert).  Either
+    way every point must end with |Phi(v) - u| < _INVERT_TOL (1 + |u|), or
+    a MapInvertError names the first that does not; a batch is memoized
+    only once every point has passed, and a memo hit passes the same check
+    on its residual taken again."""
     uarr = np.asarray(u, dtype=complex)
     out = uarr.ravel().copy()
     inf = np.isinf(out)
@@ -680,12 +732,9 @@ def map_invert(cmap: ConformalMap, u):
             moved = np.isfinite(v) & (v != root)
             if np.any(moved):
                 r[moved] = map_eval(cmap, v[moved]) - target[moved]
+            _check_residuals(target, r, atol)
         else:
-            v, r = _newton(cmap, target, atol, lo, hi)
-        bad = np.nonzero(~(np.abs(r) < atol))[0]
-        if len(bad):
-            raise MapInvertError(f"inversion failed for {target[bad[0]]}",
-                                 residual=float(abs(r[bad[0]])))
+            v = _series_invert(cmap, target, atol, lo, hi)
         out[fin] = v
     return complex(out[0]) if uarr.ndim == 0 else out.reshape(uarr.shape)
 

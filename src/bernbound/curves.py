@@ -27,6 +27,10 @@ TWO_PI = 2.0 * math.pi
 _DISTANCE_M = 4096
 _PARAM_SEED_M = 2048
 _OPENUP_M = 48
+# entries per object in each bounded memo (_memo_put): the pole sides on a
+# curve, the series-map preimage batches on a map; also the longest target
+# batch the preimage memo keeps
+_MEMO_CAP = 64
 
 
 # ---------------------------------------------------------------------------
@@ -49,6 +53,12 @@ class AnalyticCurve:
     def _grids(self) -> dict:
         """sample_grid's memo, m -> (ts, points(, tangents)): kept on the
         object but not a field, so equality, hashing and replace() skip it."""
+        return {}
+
+    @cached_property
+    def _pole_sides(self) -> dict:
+        """classify_poles' memo, finite pole location -> (distance to the
+        curve, inside), bounded by _MEMO_CAP; like _grids, not a field."""
         return {}
 
 
@@ -158,6 +168,15 @@ def _boundary_points(boundary, t):
 def _readonly(arr):
     arr.flags.writeable = False
     return arr
+
+
+def _memo_put(memo: dict, key, value):
+    """memo[key] = value, first dropping the oldest entry when memo already
+    holds _MEMO_CAP; returns value."""
+    if len(memo) >= _MEMO_CAP:
+        del memo[next(iter(memo))]
+    memo[key] = value
+    return value
 
 
 def winding_number(curve: AnalyticCurve, z: complex, m: int = 2048) -> int:

@@ -143,7 +143,9 @@ def bernstein_bound(u0: BoundaryPoint, poles: PoleSet, maps: MapPair) -> BoundRe
     """Derivative bound at u0: max of the inner and outer normal-derivative
     sums over the classified poles, one value per distinct pole repeated
     over its multiplicity.  The poles of each side are inverted in one
-    map_invert call."""
+    map_invert call, which a series map memoizes per exact batch
+    (conformal._series_invert), so a pole set bounded again on the same
+    map pair skips Newton; each such hit still re-checks its residual."""
     _check_anchor(u0, maps)
     locs = np.array([a for a, _ in poles.poles], dtype=complex)
     inside = np.array(poles.inside, dtype=bool)

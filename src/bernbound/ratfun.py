@@ -14,8 +14,8 @@ import numpy as np
 
 from .conformal import ConformalMap, map_derivative, map_eval
 from .curves import (TWO_PI, INFINITY, AnalyticCurve, _boundary_points,
-                     distance_to_curve, is_infinite, point_in_curve,
-                     sample_grid)
+                     _memo_put, distance_to_curve, is_infinite,
+                     point_in_curve, sample_grid)
 from .errors import PoleError, QuadratureError
 
 POLE_FLOOR = 1e-9
@@ -373,7 +373,13 @@ def classify_poles(poles, curve: AnalyticCurve) -> PoleSet:
     """Classify (location, multiplicity) pairs by the winding-number test.
 
     Each finite pole gets its distance check and then its winding, in
-    input order, over the curve's memoized samples (sample_grid)."""
+    input order, over the curve's memoized samples (sample_grid).  A
+    classified location is kept in the curve's bounded memo
+    (AnalyticCurve._pole_sides: location -> (distance, inside), at most
+    _MEMO_CAP entries), so a pole set checked again on the same curve
+    object reads its geometry back; a location that raised (a PoleError on
+    the curve, a CurveError for an ambiguous winding) is never kept and
+    raises again, in the same input order."""
     entries, inside = [], []
     sep = math.inf
     for a, m in poles:
@@ -385,12 +391,17 @@ def classify_poles(poles, curve: AnalyticCurve) -> PoleSet:
             entries.append((a, m))
             inside.append(False)
             continue
-        d = distance_to_curve(curve, a)
-        if d < POLE_FLOOR:
-            raise PoleError(f"pole {a} lies on the curve (distance {d:.2e})")
-        sep = min(sep, d)
+        side = curve._pole_sides.get(a)
+        if side is None:
+            d = distance_to_curve(curve, a)
+            if d < POLE_FLOOR:
+                raise PoleError(f"pole {a} lies on the curve "
+                                f"(distance {d:.2e})")
+            side = _memo_put(curve._pole_sides, a,
+                             (d, point_in_curve(curve, a)))
+        sep = min(sep, side[0])
         entries.append((a, m))
-        inside.append(point_in_curve(curve, a))
+        inside.append(side[1])
     return PoleSet(tuple(entries), tuple(inside), sep)
 
 

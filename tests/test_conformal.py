@@ -509,9 +509,11 @@ class TestClosedFormInversion:
     def test_series_kernel_calls_on_the_corpus_poles(self, ellipse_pair,
                                                      monkeypatch):
         # the exterior pole is one closed-form map_eval; the interior pair
-        # (s = 0.293) starts from its best seed by residual
+        # (s = 0.293) starts from its best seed by residual.  A copy of the
+        # shared map has an empty inversion memo, so Newton runs.
         _, _, pair = ellipse_pair
-        pair.interior._seed_ring  # a memo filled once per map
+        interior = dataclasses.replace(pair.interior)
+        interior._seed_ring  # a memo filled once per map
         calls = []
 
         def counting(c, x, fn=conformal._poly_eval):
@@ -522,8 +524,8 @@ class TestClosedFormInversion:
         map_invert(pair.exterior, np.array(CORPUS_EXTERIOR))
         assert len(calls) == 1
         del calls[:]
-        map_invert(pair.interior, np.array(CORPUS_INTERIOR))
-        assert len(calls) <= 8
+        map_invert(interior, np.array(CORPUS_INTERIOR))
+        assert 1 < len(calls) <= 8
 
 
 class TestSeriesKernel:

@@ -4,7 +4,7 @@ ratio check, as BENCH_<n>.json.
 
 Run from the repository root:
 
-    python3 tools/bench.py --out BENCH_12.json [--parent parent.json]
+    python3 tools/bench.py --out BENCH_13.json [--parent parent.json]
 
 Each case is timed with time.perf_counter: a repeat runs the case NUMBER
 (20) times (the subprocess case SUBPROCESS_NUMBER, 2, times), and the record
@@ -53,6 +53,13 @@ sweep curve; the map pair is solved once, outside the timings):
                      (4,096 points) on the reused curve
     curve_samples    sample_grid on 4,096 points of a fresh ellipse(1.2, 0.8)
                      per call: the cost of one first-use sampling
+
+classify_poles and the series-map branch of map_invert keep bounded memos
+on the curve (_pole_sides) and on the map (_preimages).  Every case above
+that reads one (classify_poles/*, bernstein_bound/corpus and the interior
+map_invert cases) empties it before each call, so its label keeps timing
+the first computation; the same case with "/hit" appended repeats the call
+on the filled memo.
 
 End to end, one case per shipped spec and one for start-up:
 
@@ -138,6 +145,14 @@ def bern_cases(out_dir):
     return cases
 
 
+def _emptied(memo, fn):
+    """fn, called each time on an emptied memo dict."""
+    def call():
+        memo.clear()
+        return fn()
+    return call
+
+
 def build_cases():
     """(layer, case, work, callable) for every timed case."""
     cfg = _golden_config()
@@ -162,6 +177,7 @@ def build_cases():
         for s, t in zip((1.4, 1.8, 2.5, 1.2, 3.0, 2.0),
                         (0.3, 1.1, 2.0, 3.3, 4.4, 5.5))]
     corpus_set = bb.classify_poles(corpus, curve)
+    sides, preimages = curve._pole_sides, pair.interior._preimages
 
     base = list(bb.map_invert(pair.interior, np.array(ring)))
     picks = [base[i % len(base)] for i in range(20)]
@@ -194,7 +210,27 @@ def build_cases():
         [(complex(1.5 * bb.eval_curve(curve, t)), (1.0 + 0j,))
          for t in 0.1 + np.arange(40) * (2 * np.pi / 40)])
 
-    return solves + [
+    memo_cases = [
+        ("ratfun", "classify_poles/3+inf", len(corpus), sides,
+         lambda: bb.classify_poles(corpus, curve)),
+        ("ratfun", "classify_poles/9", len(nine), sides,
+         lambda: bb.classify_poles(nine, curve)),
+        ("potential", "bernstein_bound/corpus", len(corpus), preimages,
+         lambda: bb.bernstein_bound(u0, corpus_set, pair)),
+        ("conformal", "map_invert/interior_8", len(inner), preimages,
+         lambda: bb.map_invert(pair.interior, inner)),
+        ("conformal", "map_invert/boundary_30", len(on_curve), preimages,
+         lambda: bb.map_invert(pair.interior, on_curve)),
+        ("conformal", "map_invert/corpus_poles",
+         len(corpus_in) + len(corpus_out), preimages,
+         lambda: (bb.map_invert(pair.interior, corpus_in),
+                  bb.map_invert(pair.exterior, corpus_out))),
+    ]
+    memo_cases = [case for layer, name, work, memo, fn in memo_cases
+                  for case in ((layer, name, work, _emptied(memo, fn)),
+                               (layer, f"{name}/hit", work, fn))]
+
+    return solves + memo_cases + [
         ("conformal", "_measure_margin/ellipse_interior", 1,
          lambda: bb.conformal._measure_margin(pair.interior)),
         ("conformal", "map_from_json/ellipse_pair", len(entries),
@@ -203,24 +239,10 @@ def build_cases():
          lambda: bb.map_eval(pair.interior, disk_1)),
         ("conformal", "map_eval/interior_4096", len(disk_4096),
          lambda: bb.map_eval(pair.interior, disk_4096)),
-        ("ratfun", "classify_poles/3+inf", len(corpus),
-         lambda: bb.classify_poles(corpus, curve)),
-        ("ratfun", "classify_poles/9", len(nine),
-         lambda: bb.classify_poles(nine, curve)),
-        ("potential", "bernstein_bound/corpus", len(corpus),
-         lambda: bb.bernstein_bound(u0, corpus_set, pair)),
         ("ratfun", "principal_parts/golden_n20", len(clustered),
          lambda: bb.principal_parts(transplant, clustered, pair.interior)),
-        ("conformal", "map_invert/interior_8", len(inner),
-         lambda: bb.map_invert(pair.interior, inner)),
         ("conformal", "map_invert/exterior_8", len(outer),
          lambda: bb.map_invert(pair.exterior, outer)),
-        ("conformal", "map_invert/boundary_30", len(on_curve),
-         lambda: bb.map_invert(pair.interior, on_curve)),
-        ("conformal", "map_invert/corpus_poles",
-         len(corpus_in) + len(corpus_out),
-         lambda: (bb.map_invert(pair.interior, corpus_in),
-                  bb.map_invert(pair.exterior, corpus_out))),
         ("potential", "verify_ratio/corpus", len(functions),
          lambda: [bb.verify_ratio(f, curve, u0, pair) for f in functions]),
         ("potential", "verify_ratio/corpus_cold", len(functions),
