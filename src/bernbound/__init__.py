@@ -10,17 +10,17 @@ constant cannot be improved.
 from ._version import __version__
 from .conformal import (ConformalMap, MapPair, map_derivative, map_eval,
                         map_from_dict, map_from_json, map_invert, map_to_dict,
-                        map_to_json, normalize_at_anchor, openup_preimages,
-                        roundtrip_residual, solve_exterior_map,
-                        solve_interior_map, solve_map_pair)
+                        map_to_json, normalize_at_anchor, roundtrip_residual,
+                        solve_exterior_map, solve_interior_map,
+                        solve_map_pair)
 from .curves import (INFINITY, AnalyticCurve, ArcOpenUp, BoundaryPoint,
                      CurveReport, OpenUpReport, RationalQuad, arc_endpoints,
                      arc_point, boundary_point, circle, circular_arc,
                      curve_derivative, distance_to_curve, ellipse, eval_curve,
-                     is_infinite, param_of_point, point_in_curve,
-                     rq_derivative, rq_eval, rq_solve, sample_grid,
-                     segment_arc, trig_curve, unit_normals, validate_curve,
-                     validate_openup, winding_number)
+                     is_infinite, openup_preimages, param_of_point,
+                     point_in_curve, rq_derivative, rq_eval, rq_solve,
+                     sample_grid, segment_arc, trig_curve, unit_normals,
+                     validate_curve, validate_openup, winding_number)
 from .errors import (ArcError, CurveError, DomainError, ExtremalError,
                      MapError, MapInvertError, NumericsError, PoleError,
                      QuadratureError, RunSpecError)

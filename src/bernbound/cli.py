@@ -48,8 +48,7 @@ def fmt12(x) -> str:
         return "nan"
     if math.isinf(x):
         return "inf" if x > 0 else "-inf"
-    return np.format_float_scientific(x, precision=11, unique=False,
-                                      exp_digits=2)
+    return format(x, ".11e")
 
 
 # ---------------------------------------------------------------------------
@@ -253,12 +252,10 @@ class RunSpec:
     sharpness: dict | None = None
     greens: dict | None = None
     sup_m: int | None = None
-    m_map: int = 1024
 
 
 # top-level fields of a spec on a curve or on an arc; each command adds its own
-_ON_CURVE = {"curve": (_CURVE, _REQUIRED), "t": (_number, _REQUIRED),
-             "m_map": (_at_least(128), RunSpec.m_map)}
+_ON_CURVE = {"curve": (_CURVE, _REQUIRED), "t": (_number, _REQUIRED)}
 _ON_ARC = {"arc": (_ARC, _REQUIRED), "point": (_complex_pair, _REQUIRED)}
 
 
@@ -296,10 +293,10 @@ def _curve_payload(curve: AnalyticCurve):
             "coeffs": [[fmt12(c.real), fmt12(c.imag)] for c in curve.coeffs]}
 
 
-def _pair_cache_key(curve, t, m_map) -> str:
+def _pair_cache_key(curve, t) -> str:
     # the version keeps a changed solver from serving maps it did not write
     payload = {"curve": _curve_payload(curve), "t": fmt12(t),
-               "m": int(m_map), "version": __version__}
+               "version": __version__}
     blob = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
 
@@ -309,7 +306,7 @@ def _solve_pair(spec: RunSpec, cache_dir=None):
     u0 = boundary_point(spec.curve, spec.t)
     path = None
     if cache_dir:
-        key = _pair_cache_key(spec.curve, spec.t, spec.m_map)
+        key = _pair_cache_key(spec.curve, spec.t)
         path = os.path.join(cache_dir, key + ".json")
         try:
             with open(path, encoding="utf-8") as fh:
@@ -318,7 +315,7 @@ def _solve_pair(spec: RunSpec, cache_dir=None):
                            map_from_dict(stored["exterior"])), u0
         except (OSError, ValueError, KeyError, TypeError):
             pass  # a missing, torn or corrupt entry is a miss: solve afresh
-    pair = solve_map_pair(spec.curve, u0, m=spec.m_map)
+    pair = solve_map_pair(spec.curve, u0)
     if path is not None:
         # renaming a private temp file means no reader sees a partial entry
         os.makedirs(cache_dir, exist_ok=True)

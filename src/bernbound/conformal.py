@@ -10,20 +10,22 @@ the hyperbolic factor fixes +-1 and scales the boundary derivative by
 General curves are solved by Theodorsen's iteration on a uniform FFT grid,
 run on the boundary correspondence in the curve parameter t (one curve
 evaluation per step, no inversion of the polar angle); the exterior problem
-is the same iteration on the inverted boundary w = 1/(u - z_c).  Circles
-get the exact linear map on both sides, the ellipse exterior the classical
-Joukowski-type closed form; map_invert inverts these closed forms exactly
-and runs Newton only on series maps.
+is the same iteration on the inverted boundary w = 1/(u - z_c), on each
+grid of _GRIDS in turn until the measured series tail is at most _TAIL_TOL
+("series unresolved" past the last).  Circles get the exact linear map on
+both sides, the ellipse exterior the classical Joukowski-type closed form;
+map_invert inverts these closed forms exactly and runs Newton only on
+series maps.
 
 A map keeps only what evaluation, inversion and the map cache read: the core
 series, the prefix (rot, s), the anchor and the derivative there, the grid
-size m (its uniform ring seeds map_invert), the extension margin and the
-truncation tail.  The boundary correspondence the Theodorsen iteration solves
-for is used to build the series and then dropped.  Arrays derived from those
-fields (the series and its derivative as complex arrays, map_invert's seed
-ring) are memoized on the map object on first use, read-only; they are not
-fields, so they are never serialized, and replace() or map_from_dict starts
-a map with an empty memo.
+size m the series was resolved on (its uniform ring seeds map_invert), the
+extension margin and the truncation tail.  The boundary correspondence the
+Theodorsen iteration solves for builds the series and is then dropped.
+Arrays derived from those fields (the series and its derivative as complex
+arrays, map_invert's seed ring) are memoized on the map object on first
+use, read-only; they are not fields, so they are never serialized, and
+replace() or map_from_dict starts a map with an empty memo.
 
 A series map also memoizes map_invert's answers (_preimages): the key is
 the exact finite target batch (target.tobytes(), not a single point, since
@@ -45,15 +47,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .curves import (_MEMO_CAP, TWO_PI, AnalyticCurve, ArcOpenUp,
-                     BoundaryPoint, _coeff_array, _memo_put, _readonly,
-                     _simplicity_margin, eval_curve, is_infinite, rq_solve,
-                     sample_grid)
-from .errors import ArcError, MapError, MapInvertError
+from .curves import (_MEMO_CAP, TWO_PI, AnalyticCurve, BoundaryPoint,
+                     _coeff_array, _memo_put, _readonly, _simplicity_margin,
+                     eval_curve, sample_grid)
+from .errors import MapError, MapInvertError
 
 _MARGIN_LADDER = tuple(0.02 * 1.25 ** j for j in range(22))
 _INF = complex(math.inf, 0.0)
 _TRIM_REL = 1e-14
+_GRIDS = (1024, 2048, 4096, 8192)  # solve grids, tried in turn
+_TAIL_TOL = 1e-12
 # Theodorsen's iteration stops once max |target - phi| falls below
 # _THEODORSEN_TOL, a hundredth of 1e-11 (the product rounds to
 # 9.999999999999999e-14, not 1e-13), or refuses after _MAX_ITER steps;
@@ -74,7 +77,7 @@ class ConformalMap:
     s: float               # hyperbolic normalization parameter, |s| < 1
     anchor: complex        # u0 = Phi(1)
     anchor_deriv: complex  # Phi'(1), unit modulus by construction
-    grid: int              # m, the uniform boundary grid of the solve
+    grid: int              # m, the solve grid (_GRIDS[0] if closed form)
     delta: float           # extension margin beyond |v| = 1: half the last
                            # _MARGIN_LADDER rung in the unbroken univalent
                            # prefix, exact for the closed forms (circle,
@@ -412,21 +415,23 @@ def _ladder_margin(cmap: ConformalMap, rung_ok) -> float:
 def _measure_margin(cmap: ConformalMap) -> float:
     """Ladder margin of a series map: at each rung the analytically
     continued map must pass sampled univalence, derivative, and truncation
-    checks on _MARGIN_M points of the circle |v| = 1 +- d."""
+    checks on _MARGIN_M points of the circle |v| = 1 +- d, past map_eval's
+    domain guard."""
     ring = np.exp(1j * np.arange(_MARGIN_M) * (TWO_PI / _MARGIN_M))
     klast = len(cmap.series) - 1
 
     def rung_ok(d):
         radius = 1.0 + d if cmap.side == "interior" else 1.0 - d
-        probe = replace(cmap, delta=d + 1e-9)
-        pts = map_eval(probe, radius * ring)
+        v = radius * ring
+        w = _moebius(cmap, v)
+        pts = _core_eval(cmap, w)
         if not np.all(np.isfinite(pts.real) & np.isfinite(pts.imag)):
             return False
         scale = max(float(np.max(np.abs(pts))), 1.0)
         growth = radius ** klast if cmap.side == "interior" else radius ** (-klast)
         if cmap.tail > _TRIM_REL and cmap.tail * growth > 1e-8 * scale:
             return False
-        der = map_derivative(probe, radius * ring)
+        der = _core_deriv(cmap, w) * _moebius_deriv(cmap, v)
         if np.min(np.abs(der)) < 1e-10 * scale:
             return False
         gaps = np.abs(np.diff(np.concatenate([pts, pts[:1]])))
@@ -479,38 +484,45 @@ def _interior_center(curve):
     return complex(np.mean(sample_grid(curve, 512)[1]))
 
 
-def solve_interior_map(curve: AnalyticCurve, u0: BoundaryPoint,
-                       m: int = 1024) -> ConformalMap:
+def _resolved_core(core, curve):
+    """(series, tail, m) of the first grid m of _GRIDS on which
+    core(curve, z_c, m) measures a tail of at most _TAIL_TOL."""
+    z_c = _interior_center(curve)
+    for m in _GRIDS:
+        series, tail = core(curve, z_c, m)
+        if tail <= _TAIL_TOL:
+            return series, tail, m
+    raise MapError(f"series unresolved at m={m}: tail {tail:.3e}")
+
+
+def solve_interior_map(curve: AnalyticCurve,
+                       u0: BoundaryPoint) -> ConformalMap:
     """Normalized Riemann map of the open unit disk onto the bounded side."""
     if curve.kind == "circle":
         r, c = curve.params
-        series, tail = np.array([c, r], dtype=complex), 0.0
+        core = np.array([c, r], dtype=complex), 0.0, _GRIDS[0]
     else:
-        series, tail = _interior_core(curve, _interior_center(curve), m)
-    raw = _raw_map("interior", series, tail, m)
-    return _with_margin(normalize_at_anchor(raw, u0))
+        core = _resolved_core(_interior_core, curve)
+    return _with_margin(normalize_at_anchor(_raw_map("interior", *core), u0))
 
 
-def solve_exterior_map(curve: AnalyticCurve, u0: BoundaryPoint,
-                       m: int = 1024) -> ConformalMap:
+def solve_exterior_map(curve: AnalyticCurve,
+                       u0: BoundaryPoint) -> ConformalMap:
     """Normalized Riemann map of {|v| > 1} onto the unbounded side: the
     closed form for circles and ellipses, the inversion route otherwise."""
-    tail = 0.0
     if curve.kind == "circle":
         r, c = curve.params
-        series = np.array([r, c], dtype=complex)
+        core = np.array([r, c], dtype=complex), 0.0, _GRIDS[0]
     elif curve.kind == "ellipse":
-        series = _closed_exterior_ellipse(*curve.params)
+        core = _closed_exterior_ellipse(*curve.params), 0.0, _GRIDS[0]
     else:
-        series, tail = _exterior_core(curve, _interior_center(curve), m)
-    raw = _raw_map("exterior", series, tail, m)
-    return _with_margin(normalize_at_anchor(raw, u0))
+        core = _resolved_core(_exterior_core, curve)
+    return _with_margin(normalize_at_anchor(_raw_map("exterior", *core), u0))
 
 
-def solve_map_pair(curve: AnalyticCurve, u0: BoundaryPoint,
-                   m: int = 1024) -> MapPair:
-    return MapPair(curve, solve_interior_map(curve, u0, m),
-                   solve_exterior_map(curve, u0, m))
+def solve_map_pair(curve: AnalyticCurve, u0: BoundaryPoint) -> MapPair:
+    return MapPair(curve, solve_interior_map(curve, u0),
+                   solve_exterior_map(curve, u0))
 
 
 # ---------------------------------------------------------------------------
@@ -742,34 +754,6 @@ def map_invert(cmap: ConformalMap, u):
 def roundtrip_residual(cmap: ConformalMap, pts) -> float:
     u = np.atleast_1d(np.asarray(pts, dtype=complex))
     return float(np.max(np.abs(map_eval(cmap, map_invert(cmap, u)) - u)))
-
-
-# ---------------------------------------------------------------------------
-# open-up preimages
-# ---------------------------------------------------------------------------
-
-def openup_preimages(arc: ArcOpenUp, z0):
-    """The two base-circle preimages (u1, u2) of an interior arc point.
-
-    u1 is the preimage with the larger imaginary part (ties broken by larger
-    real part); this fixes which arc side each unit normal points into.
-    """
-    roots = [r for r in rq_solve(arc.fmap, complex(z0)) if not is_infinite(r)]
-    if len(roots) != 2:
-        raise ArcError(f"expected two finite preimages of {z0}")
-    for r in roots:
-        if abs(abs(r) - 1.0) > 1e-8:
-            raise ArcError(f"{z0} is not an interior arc point "
-                           "(preimage off the base circle)")
-    # a true double root splits by ~sqrt(machine eps) under rounding, so
-    # the collision tolerance must sit well above 1e-8 yet below the
-    # ~sqrt(d) separation of preimages a genuine distance d from the end
-    if abs(roots[0] - roots[1]) < 1e-6 * max(1.0, abs(roots[0])):
-        raise ArcError(f"{z0} is an arc endpoint (coincident preimages)")
-    r0, r1 = roots
-    if (r0.imag, r0.real) >= (r1.imag, r1.real):
-        return r0, r1
-    return r1, r0
 
 
 # ---------------------------------------------------------------------------

@@ -22,10 +22,11 @@ from .errors import ArcError, CurveError
 
 TWO_PI = 2.0 * math.pi
 # grid sizes of the sampled geometry: the distance to a curve or arc, the
-# Newton seed of param_of_point, and the angles of validate_openup's
-# injectivity grid
+# Newton seed of param_of_point, validate_curve's checks and the angles of
+# validate_openup's injectivity grid
 _DISTANCE_M = 4096
 _PARAM_SEED_M = 2048
+_VALIDATE_M = 1024
 _OPENUP_M = 48
 # entries per object in each bounded memo (_memo_put): the pole sides on a
 # curve, the series-map preimage batches on a map; also the longest target
@@ -249,10 +250,9 @@ def _simplicity_margin(pts, step_scale):
     return best / floor
 
 
-def validate_curve(curve: AnalyticCurve, m: int = 1024) -> CurveReport:
-    """Grid checks: nonvanishing speed, sampled simplicity, winding +1."""
-    if m < 64:
-        raise CurveError("validation grid must have at least 64 points")
+def validate_curve(curve: AnalyticCurve) -> CurveReport:
+    """Checks on _VALIDATE_M points: speed, sampled simplicity, winding +1."""
+    m = _VALIDATE_M
     _, pts, dpts = sample_grid(curve, m, tangents=True)
     speeds = np.abs(dpts)
     speed_min = float(np.min(speeds))
@@ -356,6 +356,30 @@ def rq_solve(F: RationalQuad, z):
     return _poly_roots(n2 - z * d2, n1 - z * d1, n0 - z * d0)
 
 
+def openup_preimages(arc: ArcOpenUp, z0):
+    """The two base-circle preimages (u1, u2) of an interior arc point.
+
+    u1 is the preimage with the larger imaginary part (ties broken by larger
+    real part); this fixes which arc side each unit normal points into.
+    """
+    roots = [r for r in rq_solve(arc.fmap, complex(z0)) if not is_infinite(r)]
+    if len(roots) != 2:
+        raise ArcError(f"expected two finite preimages of {z0}")
+    for r in roots:
+        if abs(abs(r) - 1.0) > 1e-8:
+            raise ArcError(f"{z0} is not an interior arc point "
+                           "(preimage off the base circle)")
+    # a true double root splits by ~sqrt(machine eps) under rounding, so
+    # the collision tolerance must sit well above 1e-8 yet below the
+    # ~sqrt(d) separation of preimages a genuine distance d from the end
+    if abs(roots[0] - roots[1]) < 1e-6 * max(1.0, abs(roots[0])):
+        raise ArcError(f"{z0} is an arc endpoint (coincident preimages)")
+    r0, r1 = roots
+    if (r0.imag, r0.real) >= (r1.imag, r1.real):
+        return r0, r1
+    return r1, r0
+
+
 @dataclass(frozen=True)
 class ArcOpenUp:
     """An arc described by its 2:1 open-up map F.
@@ -443,8 +467,6 @@ class OpenUpReport:
 
 def validate_openup(arc: ArcOpenUp) -> OpenUpReport:
     """Sampled sanity checks for the open-up structure."""
-    from .conformal import openup_preimages  # local import to avoid a cycle
-
     u1, u2 = openup_preimages(arc, arc.z0)
     res = max(abs(rq_eval(arc.fmap, u1) - arc.z0),
               abs(rq_eval(arc.fmap, u2) - arc.z0))

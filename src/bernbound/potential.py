@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conformal import MapPair, map_invert
-from .curves import (ArcOpenUp, BoundaryPoint, is_infinite, rq_derivative,
-                     rq_solve)
+from .curves import (ArcOpenUp, BoundaryPoint, is_infinite, openup_preimages,
+                     rq_derivative, rq_solve)
 from .errors import DomainError, PoleError
 from .ratfun import (PoleSet, RationalFunction, _pole_location,
                      classify_poles, degree, poles_of, rf_derivative,
@@ -193,8 +193,6 @@ def arc_normal_derivative(z0, side: str, pole, arc: ArcOpenUp) -> float:
     Transfer through the open-up: with u1, u2 the base-circle preimages of
     z0, the n1 side reads the disk Green's function at u1 and the n2 side at
     u2, each divided by |F'| there."""
-    from .conformal import openup_preimages
-
     if side not in ("n1", "n2"):
         raise DomainError(f"unknown arc side {side!r}")
     u1, u2 = openup_preimages(arc, z0)
@@ -207,8 +205,6 @@ def arc_bound(z0, poles, arc: ArcOpenUp) -> BoundReport:
     """Arc version of the bound: every pole contributes to both one-sided
     sums; the inner/outer slots of the report hold the n1/n2 sums.  The
     preimages of z0, |F'| there and each pole's preimage are solved once."""
-    from .conformal import openup_preimages
-
     contributions = []
     sides = None
     for a, m in poles:

@@ -11,6 +11,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bernbound
@@ -111,6 +112,30 @@ class TestFmt12:
         for x in (1 / 3, math.pi, 2.0 ** 100, 6.02e23, -9.109e-31):
             assert float(fmt12(x)) == pytest.approx(x, rel=1e-11)
 
+    def test_matches_numpy_formatter(self):
+        # numpy's correctly rounded formatter is the reference: signed zeros,
+        # subnormals, the extremes, random bit patterns, and exact decimal
+        # ties at the 12th significant digit (both round half to even)
+        rng = np.random.default_rng(1729)
+        bits = rng.integers(0, 2 ** 63, size=20000, dtype=np.uint64)
+        bits |= rng.integers(0, 2, size=20000,
+                             dtype=np.uint64) << np.uint64(63)
+        patterns = bits.view(np.float64)
+        tiny, huge = np.finfo(float).tiny, np.finfo(float).max
+        special = [0.0, -0.0, 5e-324, -5e-324, tiny, tiny / 3, -tiny, huge,
+                   -huge, 1.0, -1.0, 0.5, 1e-300, 1e300, 9.999999999995]
+        # q + f with f in {.5, .25, .75}: 13 significant digits ending in 5
+        ties = np.concatenate([
+            10.0 * rng.integers(10 ** 11, 10 ** 12, size=5000) + 5.0,
+            rng.integers(10 ** 11, 10 ** 12, size=5000) + 0.5,
+            rng.integers(10 ** 10, 10 ** 11, size=5000) + 0.25,
+            rng.integers(10 ** 10, 10 ** 11, size=5000) + 0.75])
+        values = np.concatenate([patterns[np.isfinite(patterns)], special,
+                                 ties, -ties])
+        for x in values.tolist():
+            assert fmt12(x) == np.format_float_scientific(
+                x, precision=11, unique=False, exp_digits=2), x
+
 
 BAD_SPECS = [
     ({"command": "fly"}, "command"),
@@ -162,6 +187,7 @@ BAD_SPECS = [
     (bound_data(seed=1729), "seed"),
     (bound_data(tol_map=1e-11), "tol_map"),
     (bound_data(tol_q=1e-9), "tol_q"),
+    (bound_data(m_map=1024), "m_map"),
 ]
 
 
@@ -179,7 +205,8 @@ class TestSpecParsing:
         assert err.value.path == ""
 
     @pytest.mark.parametrize("key,value", [("threads", 1), ("seed", 1729),
-                                           ("tol_map", 1e-11), ("tol_q", 1e-9)])
+                                           ("tol_map", 1e-11), ("tol_q", 1e-9),
+                                           ("m_map", 1024)])
     def test_removed_knobs_are_unknown_fields(self, tmp_path, capsys, key,
                                               value):
         # a sharpness spec, the one command that read tol_q
@@ -223,7 +250,6 @@ class TestSpecParsing:
 
     def test_defaults(self):
         spec = parse_run_spec(bound_data(), "deadbeef")
-        assert spec.m_map == 1024
         assert spec.sup_m is None
 
 
@@ -478,13 +504,12 @@ SCHEMA_SPECS = {**{path.stem: json.loads(path.read_text(encoding="utf-8"))
                    for path in sorted(SPECS.glob("*.json"))},
                 **KIND_SPECS}
 OPTIONAL_KEYS = {"radius", "center", "za", "zb", "rotation", "order", "poly",
-                 "policy", "sup_m", "m_map"}
+                 "policy", "sup_m"}
 
 # (spec that omits optional keys, [(object keys, the keys at their defaults)])
 DEFAULTS_WRITTEN = [
     (bound_data(poles=[{"point": [0.2, 0.1]}, {"point": "inf", "order": 2}]),
-     [((), {"m_map": 1024}),
-      (("curve",), {"radius": 1.0, "center": [0.0, 0.0]}),
+     [(("curve",), {"radius": 1.0, "center": [0.0, 0.0]}),
       (("poles", 0), {"order": 1})]),
     ({"command": "verify", "arc": {"kind": "segment"}, "point": [0.1, 0.0],
       "function": {"kind": "partial_fractions",
@@ -499,10 +524,9 @@ DEFAULTS_WRITTEN = [
     ({"command": "sharpness", "curve": {"kind": "circle"}, "t": 0.3,
       "sharpness": {"interior_poles": [[0.0, 0.0], [0.2, 0.1]],
                     "zeta0": [3.0, 0.0], "n_list": [1, 3]}},
-     [((), {"m_map": 1024}),
-      (("sharpness",), {"policy": "cycle_list"})]),
+     [(("sharpness",), {"policy": "cycle_list"})]),
     (SCHEMA_SPECS["greens_ellipse"],
-     [((), {"t": 0.0, "m_map": 1024})]),
+     [((), {"t": 0.0})]),
 ]
 
 

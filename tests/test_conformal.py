@@ -281,6 +281,50 @@ class TestTheodorsenOracle:
         assert calls == [1024]
 
 
+class TestDerivedGrid:
+    """Each series side is solved on the grids 1024, 2048, ... in turn and
+    keeps the first whose tail is at most _TAIL_TOL."""
+
+    def test_golden_ellipse_stays_on_the_first_grid(self, ellipse_pair):
+        _, _, pair = ellipse_pair
+        assert pair.interior.grid == pair.exterior.grid == 1024
+        assert pair.interior.tail <= conformal._TAIL_TOL
+
+    def test_thin_ellipse_resolves_on_a_larger_grid(self, monkeypatch):
+        grids = []
+        real = conformal._interior_core
+
+        def recording(curve, z_c, m):
+            series, tail = real(curve, z_c, m)
+            grids.append((m, tail))
+            return series, tail
+
+        monkeypatch.setattr(conformal, "_interior_core", recording)
+        e = ellipse(1.0, 0.4)
+        pair = solve_map_pair(e, boundary_point(e, 0.0))
+        assert [m for m, _ in grids] == [1024, 2048, 4096]
+        assert all(tail > conformal._TAIL_TOL for _, tail in grids[:-1])
+        assert pair.interior.grid == 4096
+        assert pair.interior.tail == grids[-1][1] <= conformal._TAIL_TOL
+        assert pair.exterior.grid == 1024  # the closed form
+        # the round trip of acceptance 4 at its tolerance
+        rng = np.random.default_rng(1729)
+        worst = 0.0
+        for cmap, lo, hi in ((pair.interior, 0.05, 0.95),
+                             (pair.exterior, 1.05, 3.0)):
+            for _ in range(50):
+                u = complex(rng.uniform(lo, hi)
+                            * eval_curve(e, rng.uniform(0.0, 2 * np.pi)))
+                worst = max(worst, abs(map_eval(cmap, map_invert(cmap, u))
+                                       - u))
+        assert worst < 1e-8
+
+    def test_unresolved_series_names_the_cap(self):
+        e = ellipse(1.0, 0.3)
+        with pytest.raises(MapError, match="series unresolved at m=8192"):
+            solve_map_pair(e, boundary_point(e, 0.0))
+
+
 class TestPreimageOfInfinity:
     """With s != 0 the exterior map sends v = infinity to a finite point;
     map_invert finds it and the points near it (no cap on |v|)."""

@@ -4,7 +4,7 @@ ratio check, as BENCH_<n>.json.
 
 Run from the repository root:
 
-    python3 tools/bench.py --out BENCH_13.json [--parent parent.json]
+    python3 tools/bench.py --out BENCH_14.json [--parent parent.json]
 
 Each case is timed with time.perf_counter: a repeat runs the case NUMBER
 (20) times (the subprocess case SUBPROCESS_NUMBER, 2, times), and the record
@@ -12,11 +12,13 @@ keeps the median and the quartiles (q1_s, q3_s) of the per-call time over
 REPEATS (9) repeats, after one untimed warm-up call.  The BLAS/OpenMP
 thread variables default to 1 (as in perfbench/run.py), so one product
 never spreads over idle cores.  To compare two commits, run this file
-from a checkout of each and compare the median_s of matching (layer, case)
-records against the spread q1_s..q3_s of both: a gap inside either run's
-spread is not resolved.  --parent reads the other run's output and stores
-its median_s, q1_s and q3_s as parent_median_s, parent_q1_s and
-parent_q3_s.
+from a git checkout of each (a clone or a worktree, not an exported tree:
+the record's "commit" comes from git describe, and is null without .git)
+and compare the median_s of matching (layer, case) records against the
+spread q1_s..q3_s of both: a gap inside either run's spread is not
+resolved.  --parent reads the other run's output, stores its median_s,
+q1_s and q3_s as parent_median_s, parent_q1_s and parent_q3_s, and its
+commit as parent_commit.
 
 Map solves (work: the two sides of a pair, or the one map measured):
 
@@ -24,7 +26,9 @@ Map solves (work: the two sides of a pair, or the one map measured):
                      (closed forms, exact margins); ellipse(1.2, 0.8) at
                      t = 0.4 and, as "ellipse_thin", ellipse(1, 0.5) at
                      t = 0 (Theodorsen series interior, closed-form
-                     exterior); "trig", the curve e^{it} + 0.06 e^{4it} at
+                     exterior); "ellipse_0.4", ellipse(1, 0.4) at t = 0,
+                     whose interior series resolves only on the third grid
+                     (4096); "trig", the curve e^{it} + 0.06 e^{4it} at
                      t = 0.3 (Theodorsen series on both sides)
     _measure_margin  the sampled ladder walk on that ellipse's interior map
     map_from_json    a map-cache hit: parsing that ellipse pair's two
@@ -164,6 +168,7 @@ def build_cases():
                        ("shifted_circle", bb.circle(1.7, 0.3 + 0.2j), 0.15),
                        ("ellipse", curve, cfg["t"]),
                        ("ellipse_thin", bb.ellipse(1.0, 0.5), 0.0),
+                       ("ellipse_0.4", bb.ellipse(1.0, 0.4), 0.0),
                        ("trig", bb.trig_curve([(1, 1.0), (4, 0.06)]), 0.3)):
         u = bb.boundary_point(c, t)
         solves.append(("conformal", f"solve_map_pair/{name}", 2,
