@@ -7,21 +7,22 @@ disk automorphism  v -> rot * (v + s)/(1 + s v)  realizing the normalization;
 the hyperbolic factor fixes +-1 and scales the boundary derivative by
 (1 - s)/(1 + s).
 
-General curves are solved by Theodorsen's iteration on a uniform FFT grid,
-run on the boundary correspondence in the curve parameter t (one curve
-evaluation per step, no inversion of the polar angle); the exterior problem
-is the same iteration on the inverted boundary w = 1/(u - z_c), on each
-grid of _GRIDS in turn until the measured series tail is at most _TAIL_TOL
-("series unresolved" past the last).  Circles get the exact linear map on
-both sides, the ellipse exterior the classical Joukowski-type closed form;
-map_invert inverts these closed forms exactly and runs Newton only on
-series maps.
+General curves are solved by Wegmann's method for the boundary
+correspondence in the curve parameter t (_wegmann) about z_c = c_0, which
+the curve must wind once about; the exterior problem is the same iteration
+on the inverted boundary w = 1/(u - z_c).  Each step is damped and takes its
+products on the 2m-point grid; the iteration stops when the correction is
+small or no damped step lowers it, and the series tail then decides, on
+each grid of _GRIDS in turn, until it is at most _TAIL_TOL ("series
+unresolved" past the last, the one refusal).  Circles get the exact linear
+map on both sides, the ellipse exterior the Joukowski-type closed form;
+map_invert inverts these exactly and runs Newton only on series maps.
 
 A map keeps only what evaluation, inversion and the map cache read: the core
 series, the prefix (rot, s), the anchor and the derivative there, the grid
 size m the series was resolved on (its uniform ring seeds map_invert), the
-extension margin and the truncation tail.  The boundary correspondence the
-Theodorsen iteration solves for builds the series and is then dropped.
+extension margin and the truncation tail.  The boundary correspondence
+Wegmann's iteration solves for builds the series and is then dropped.
 Arrays derived from those fields (the series and its derivative as complex
 arrays, map_invert's seed ring) are memoized on the map object on first
 use, read-only; they are not fields, so they are never serialized, and
@@ -42,6 +43,7 @@ from __future__ import annotations
 
 import json
 import math
+from contextlib import suppress
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -49,21 +51,19 @@ import numpy as np
 
 from .curves import (_MEMO_CAP, TWO_PI, AnalyticCurve, BoundaryPoint,
                      _coeff_array, _memo_put, _readonly, _simplicity_margin,
-                     eval_curve, sample_grid)
-from .errors import MapError, MapInvertError
+                     eval_curve, winding_number)
+from .errors import CurveError, MapError, MapInvertError
 
 _MARGIN_LADDER = tuple(0.02 * 1.25 ** j for j in range(22))
 _INF = complex(math.inf, 0.0)
 _TRIM_REL = 1e-14
 _GRIDS = (1024, 2048, 4096, 8192)  # solve grids, tried in turn
 _TAIL_TOL = 1e-12
-# Theodorsen's iteration stops once max |target - phi| falls below
-# _THEODORSEN_TOL, a hundredth of 1e-11 (the product rounds to
-# 9.999999999999999e-14, not 1e-13), or refuses after _MAX_ITER steps;
-# _POLAR_M points of the polar table check the star shape and seed t
-_THEODORSEN_TOL = 1e-11 * 1e-2
-_MAX_ITER = 800
-_POLAR_M = 8192
+# _wegmann's tolerance on max |U|, its step cap and its damped step lengths
+# 1, 1/2, ..., 2^-6
+_SOLVE_TOL = 1e-13
+_MAX_ITER = 50
+_STEPS = tuple(0.5 ** j for j in range(7))
 _SERIES_MIN = 8       # a series core keeps at least this many terms
 _MARGIN_M = 512       # ring size of the sampled margin walk
 _INVERT_TOL = 1e-13   # map_invert's relative residual, |Phi(v) - u| / (1 + |u|)
@@ -245,7 +245,7 @@ def map_derivative(cmap: ConformalMap, v):
 
 
 # ---------------------------------------------------------------------------
-# Theodorsen machinery
+# Wegmann's method
 # ---------------------------------------------------------------------------
 
 def _conjugate_periodic(x):
@@ -258,61 +258,72 @@ def _conjugate_periodic(x):
     return np.real(np.fft.ifft(f * mult))
 
 
-def _polar_seed(curve, center, angles):
-    """Curve parameters t with arg(gamma(t) - center) close to the given
-    angles, by linear interpolation in a dense polar-angle table; the table
-    also checks that the curve is star-shaped about center."""
-    ts, pts = sample_grid(curve, _POLAR_M)
-    rel = pts - center
-    if np.min(np.abs(rel)) < 1e-12:
-        raise MapError("polar center lies on the curve")
-    psi = np.unwrap(np.angle(rel))
-    if np.any(np.diff(psi) <= 0):
-        raise MapError("curve is not star-shaped about the chosen center")
-    ph = (angles - psi[0]) % TWO_PI + psi[0]
-    return np.interp(ph, np.append(psi, psi[0] + TWO_PI),
-                     np.append(ts, TWO_PI))
-
-
-def _theodorsen(curve, center, m, sign):
-    """Theodorsen's iteration phi = theta + K[log rho(phi)] with adaptive
-    under-relaxation, run on the curve parameter: the state is t on the
-    uniform m-point theta grid.  With (rho, psi) the polar coordinates of
-    gamma(t) - center, sign = +1 solves for the interior boundary (angle
-    phi = psi, log radius log rho) and sign = -1 for the inverted boundary
-    w = 1/(gamma - center) (angle -psi, log radius -log rho).
-
-    Each iteration builds one curve jet exp(i t k) for gamma and gamma',
-    reads phi (unwrapped against theta) and log rho, forms the target and
-    moves t one Newton step toward the relaxed goal phi + relax (target -
-    phi): dt = relax (target - phi) / (dphi/dt).  Once max |target - phi| <
-    _THEODORSEN_TOL, t takes one full step to the target and gamma is
-    returned there."""
-    thetas = np.arange(m) * (TWO_PI / m)
-    ks = np.arange(-curve.order, curve.order + 1)
-    c = _coeff_array(curve)
-    dc = 1j * ks * c
-    unturn = np.exp(-1j * thetas)
-    t = _polar_seed(curve, center, sign * thetas)
-    relax, prev, bad = 1.0, math.inf, 0
+def _wegmann(curve, center, m, sign):
+    """Wegmann's method for the correspondence S (in the curve parameter, on
+    the m-point theta grid, from S = theta) of g = gamma(S) - center (sign
+    +1) or g = 1/(gamma(-S) - center) (sign -1, on tau = -t), mapped with
+    f(0) = 0.  A step S + lam U takes the first lam of _STEPS that keeps S
+    increasing and lowers the 2-norm of U (max |U| stalls on a local bump of
+    U), until max |U| < _SOLVE_TOL, no lam passes or _MAX_ITER steps.  U
+    has mean 0, so f keeps the rotation of the disk S = theta starts from
+    (_turned fixes it).  Returns gamma(S), whose series tail then decides."""
+    s = np.arange(m) * (TWO_PI / m)
+    u = _wegmann_step(curve, center, sign, s)
     for _ in range(_MAX_ITER):
-        jet = np.exp(1j * np.multiply.outer(t, ks))
-        rel = jet @ c - center
-        # conj(rel) has the angle of 1/rel
-        phi = thetas + np.angle((rel if sign > 0 else rel.conj()) * unturn)
-        slope = sign * np.imag((jet @ dc) / rel)
-        target = thetas + _conjugate_periodic(sign * np.log(np.abs(rel)))
-        res = float(np.max(np.abs(target - phi)))
-        if res < _THEODORSEN_TOL:
-            return eval_curve(curve, t + (target - phi) / slope)
-        if res > prev * 1.02:
-            bad += 1
-            if bad >= 3:
-                relax = max(relax / 2.0, 0.05)
-                bad = 0
-        prev = res
-        t = t + relax * (target - phi) / slope
-    raise MapError("Theodorsen iteration did not converge", residual=prev)
+        if not np.max(np.abs(u)) >= _SOLVE_TOL:  # a NaN residual stops too
+            break
+        for lam in _STEPS:
+            s_try = s + lam * u
+            if np.all(np.diff(s_try, append=s_try[0] + TWO_PI) > 0):
+                u_try = _wegmann_step(curve, center, sign, s_try)
+                if np.linalg.norm(u_try) < np.linalg.norm(u):
+                    s, u = s_try, u_try
+                    break
+        else:
+            break
+    return eval_curve(curve, sign * s)
+
+
+def _wegmann_step(curve, center, sign, s):
+    """Wegmann's correction U at s (see _wegmann), computed on the 2m-point
+    grid that s - theta is interpolated onto, so that no product aliases.
+    With psi = arg(i g' e^(-i theta)) unwrapped and E = exp(i psi - K[psi]),
+    f = E G solves Re(conj(i g') (f - g)) = 0 when G = sum g_k z^k has g_1 =
+    c_0 + i tau, g_k = 2 c_(k-1) for 2 <= k < m, c_n the Fourier
+    coefficients of Im(conj(g') g) / |g' E|.  tau, which turns the disk,
+    gives U = Re((f - g) / g') mean 0: the step never has to turn it, and
+    tau is finite whatever the rotation S = theta starts from."""
+    m, n = len(s), 2 * len(s)
+    spec = np.fft.rfft(s - np.arange(m) * (TWO_PI / m))
+    spec[-1] /= 2.0  # the Nyquist mode, split between +-m/2
+    theta2 = np.arange(n) * (TWO_PI / n)
+    s2 = theta2 + 2.0 * np.fft.irfft(spec, n)
+    ks, c = np.arange(-curve.order, curve.order + 1), _coeff_array(curve)
+    jet = np.exp(1j * np.multiply.outer(sign * s2, ks))
+    g = jet @ c - center
+    dg = jet @ (1j * ks * c)
+    if sign < 0:
+        g = 1.0 / g
+        dg = dg * g * g  # d/dtau 1/(gamma(-tau) - center) = gamma' g^2
+    psi = np.unwrap(np.angle(1j * dg * np.exp(-1j * theta2)))
+    kpsi = _conjugate_periodic(psi)
+    e = np.exp(1j * psi - kpsi)
+    ck = np.fft.fft((dg.conj() * g).imag / (np.abs(dg) * np.exp(-kpsi))) / n
+    gk = np.zeros(n, dtype=complex)
+    gk[1] = ck[0].real
+    gk[2:m] = 2.0 * ck[1:m - 1]
+    u = ((e * (np.fft.ifft(gk) * n) - g) / dg).real[::2]  # at the m points
+    # g_1 + i tau turns the disk and adds -tau exp(-K[psi]) / |g'| to U
+    weight = (np.exp(-kpsi) / np.abs(dg))[::2]
+    return u - weight * (np.mean(u) / np.mean(weight))
+
+
+def _turned(bins):
+    """Fourier coefficients b_k of a boundary function of the disk variable
+    turned by b_k -> b_k e^(-ik arg b_1), so that b_1 > 0: f'(0) > 0 inside,
+    a positive capacity outside.  Moduli, and so the tail, are unchanged."""
+    return bins * np.exp(-1j * np.angle(bins[1])
+                         * np.fft.fftfreq(len(bins), 1.0 / len(bins)))
 
 
 def _trim_series(series):
@@ -328,8 +339,8 @@ def _trim_series(series):
 
 def _interior_core(curve, z_c, m):
     """Raw interior map about z_c: series and tail."""
-    bnd = _theodorsen(curve, z_c, m, +1)
-    bins = np.fft.fft(bnd) / m
+    bnd = _wegmann(curve, z_c, m, +1)
+    bins = _turned(np.fft.fft(bnd) / m)
     kmax = m // 2
     series = np.concatenate([[z_c], bins[1:kmax]])
     scale = float(np.max(np.abs(series)))
@@ -340,9 +351,9 @@ def _interior_core(curve, z_c, m):
 
 def _exterior_core(curve, z_c, m):
     """Raw exterior map through the inversion w = 1/(u - z_c)."""
-    bnd = _theodorsen(curve, z_c, m, -1)
+    bnd = _wegmann(curve, z_c, m, -1)
     # Psi(e^{i theta}) = z_c + 1/W(e^{-i theta}) = gamma at W's theta_{m-j}
-    bins = np.fft.fft(np.concatenate([bnd[:1], bnd[1:][::-1]])) / m
+    bins = _turned(np.fft.fft(np.concatenate([bnd[:1], bnd[1:][::-1]])) / m)
     kmax = m // 2
     series = np.concatenate([bins[1:2], bins[0:1], bins[:kmax:-1]])
     scale = float(np.max(np.abs(series)))
@@ -481,7 +492,12 @@ def _with_margin(cmap):
 # ---------------------------------------------------------------------------
 
 def _interior_center(curve):
-    return complex(np.mean(sample_grid(curve, 512)[1]))
+    """c_0, the centre of both solves; a MapError unless gamma winds once."""
+    z_c = complex(curve.coeffs[curve.order])
+    with suppress(CurveError):
+        if winding_number(curve, z_c) == 1:
+            return z_c
+    raise MapError(f"curve does not wind once about its centre {z_c}")
 
 
 def _resolved_core(core, curve):
@@ -616,7 +632,8 @@ def _newton_chart(cmap, lo, hi):
                 lambda z: _clamp(z, lo, hi), lambda z: z)
 
     def clamp(w):
-        v = _prefix_inverse(cmap, w)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            v = _prefix_inverse(cmap, w)  # not finite at w = rot/s: v = inf
         low = np.abs(v) < lo
         w[low] = _moebius(cmap, _clamp(v[low], lo, hi))
         return w

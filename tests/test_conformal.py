@@ -10,7 +10,7 @@ from bernbound import (boundary_point, circle, ellipse, eval_curve,
                        map_to_json, openup_preimages, point_in_curve,
                        roundtrip_residual, sample_grid, segment_arc,
                        solve_exterior_map, solve_interior_map, solve_map_pair,
-                       trig_curve)
+                       trig_curve, validate_curve)
 from bernbound import conformal
 from bernbound.conformal import (_MARGIN_LADDER, _moebius, _poly_eval,
                                  exterior_pole)
@@ -231,8 +231,8 @@ class TestTheodorsen:
         assert roundtrip_residual(pair.interior, pts) < 1e-9
 
 
-# (curve, anchor t) solved both ways: Theodorsen on the curve parameter
-# against the polar re-inversion of oracles.polar_theodorsen_core
+# (curve, anchor t) solved both ways: Wegmann's method on the curve parameter
+# against Theodorsen's polar iteration, oracles.polar_theodorsen_core
 _ORACLE_CASES = [(ellipse(1.0, b), 6.3)
                  for b in (0.5, 0.6, 0.7, 0.742654, 0.8, 0.9)] + [
     (ellipse(1.2, 0.8), 0.4),
@@ -323,6 +323,143 @@ class TestDerivedGrid:
         e = ellipse(1.0, 0.3)
         with pytest.raises(MapError, match="series unresolved at m=8192"):
             solve_map_pair(e, boundary_point(e, 0.0))
+
+
+# x = cos t, y = 0.2 sin t + cos^2 t: a simple, positively oriented crescent
+# whose mean point c_0 = 0.5i lies outside it
+_CRESCENT = trig_curve([(1, 0.6), (-1, 0.4), (0, 0.5j), (2, 0.25j),
+                        (-2, 0.25j)])
+# the damping case: the full first Wegmann step from S = theta folds S
+_DAMPED = trig_curve([(1, 1), (-2, 0.0068 + 0.1549j),
+                      (-1, -0.177 - 0.106j)])
+
+
+class TestWegmann:
+    """Wegmann's method on the curve parameter.  A step is one evaluation of
+    the correction U (_wegmann_step), the first at S = theta."""
+
+    @staticmethod
+    def recorded(monkeypatch):
+        """max |U| of every _wegmann_step call, in call order."""
+        log = []
+        real = conformal._wegmann_step
+
+        def recording(curve, center, sign, s):
+            u = real(curve, center, sign, s)
+            log.append(float(np.max(np.abs(u))))
+            return u
+
+        monkeypatch.setattr(conformal, "_wegmann_step", recording)
+        return log
+
+    def test_golden_interior_converges_in_few_steps(self, monkeypatch):
+        # 5 steps measured (max |U| 0.42, 0.049, 8.2e-4, 2.9e-7, 4.4e-14):
+        # every full step is taken and the error squares
+        log = self.recorded(monkeypatch)
+        e = ellipse(1.2, 0.8)
+        conformal._interior_core(e, conformal._interior_center(e), 1024)
+        assert len(log) <= 8
+        assert log[-1] < conformal._SOLVE_TOL
+        assert all(b < a ** 1.5 for a, b in zip(log, log[1:]))
+
+    @pytest.mark.parametrize("a,b", [(1.2, 0.8), (1.0, 0.4)])
+    def test_ellipse_exterior_takes_one_step(self, monkeypatch, a, b):
+        # the ellipse's own parametrization is its exterior correspondence,
+        # so U vanishes at S = theta and the core is the closed form
+        log = self.recorded(monkeypatch)
+        e = ellipse(a, b)
+        series, tail = conformal._exterior_core(e, 0j, 1024)
+        assert len(log) == 1 and log[0] < conformal._SOLVE_TOL
+        closed = conformal._closed_exterior_ellipse(a, b)
+        assert tail == conformal._TRIM_REL
+        assert np.max(np.abs(series - np.pad(closed, (0, len(series) - 3)))
+                      ) < 1e-15
+
+    def test_damped_step(self, monkeypatch):
+        # from S = theta the full step folds the correspondence, so the
+        # first step taken is the half step; undamped, the first two steps
+        # raise max |U| from 1.12 to 1.21.  The interior resolves on grid
+        # 4096 (Theodorsen's iteration needed 8192)
+        z_c = conformal._interior_center(_DAMPED)
+        theta = np.arange(1024) * (2 * np.pi / 1024)
+        u0 = conformal._wegmann_step(_DAMPED, z_c, 1, theta)
+        u1 = conformal._wegmann_step(_DAMPED, z_c, 1, theta + u0)
+        assert np.max(np.abs(u1)) > np.max(np.abs(u0)) > 1.0
+        assert np.min(np.diff(theta + u0)) < 0.0
+        assert np.min(np.diff(theta + u0 / 2)) > 0.0
+        half = conformal._wegmann_step(_DAMPED, z_c, 1, theta + u0 / 2)
+        log = self.recorded(monkeypatch)
+        conformal._interior_core(_DAMPED, z_c, 1024)
+        assert log[:2] == [np.max(np.abs(u0)), np.max(np.abs(half))]
+        assert log[-1] < conformal._SOLVE_TOL
+        pair = solve_map_pair(_DAMPED, boundary_point(_DAMPED, 0.0))
+        assert pair.interior.grid == 4096 and pair.exterior.grid == 1024
+        assert max(pair.interior.tail,
+                   pair.exterior.tail) <= conformal._TAIL_TOL
+
+    @pytest.mark.parametrize("core,k", [(conformal._interior_core, 0),
+                                        (conformal._exterior_core, 1)])
+    def test_translation_moves_only_the_constant(self, core, k):
+        # both sides are solved about c_0, so a shifted curve's core is the
+        # centred one's with the shift added to the constant term
+        pairs = [(1, 1.0), (-2, 0.0068 + 0.1549j), (-1, -0.177 - 0.106j)]
+        shift = 0.3 + 0.2j
+        moved = trig_curve(pairs + [(0, shift)])
+        want, want_tail = core(trig_curve(pairs), 0j, 1024)
+        got, tail = core(moved, conformal._interior_center(moved), 1024)
+        got[k] -= shift
+        assert len(got) == len(want)
+        assert np.max(np.abs(got - want)) < 1e-15
+        assert tail == pytest.approx(want_tail, rel=1e-6)
+
+    @pytest.mark.parametrize("b", [0.25, 0.2])
+    def test_thin_ellipses_are_unresolved(self, b):
+        e = ellipse(1.0, b)
+        with pytest.raises(MapError, match="series unresolved at m=8192"):
+            solve_map_pair(e, boundary_point(e, 0.0))
+
+    def test_centre_outside_the_curve_is_refused(self):
+        report = validate_curve(_CRESCENT)
+        assert report.simple_ok and report.speed_ok and report.winding == 0
+        u0 = boundary_point(_CRESCENT, 0.0)
+        for solve in (solve_interior_map, solve_exterior_map):
+            with pytest.raises(MapError, match=re.escape(
+                    "does not wind once about its centre 0.5j")):
+                solve(_CRESCENT, u0)
+
+    def test_centre_is_the_mean_coefficient(self):
+        c = trig_curve([(1, 1.0), (0, 0.1 + 0.05j), (-2, 0.1j)])
+        assert conformal._interior_center(c) == 0.1 + 0.05j
+
+    @pytest.mark.parametrize("t0", [math.pi / 2, 3 * math.pi / 4])
+    @pytest.mark.parametrize("pairs", [[(1, 1.0), (-1, 0.2)],
+                                       [(1, 1.0), (4, 0.06)]])
+    def test_start_phase_does_not_matter(self, pairs, t0):
+        # gamma(t + t0) traces the same curve from another start, so S =
+        # theta starts from a turned disk: the golden ellipse at t0 = pi/2
+        # puts gamma(0) - c_0 on the imaginary axis, where fixing f'(0) > 0
+        # inside the step divides by zero.  Both sides solve as unshifted
+        base = trig_curve(pairs)
+        moved = trig_curve([(k, c * np.exp(1j * k * t0)) for k, c in pairs])
+        want = solve_map_pair(base, boundary_point(base, 0.0))
+        got = solve_map_pair(moved, boundary_point(moved, -t0))
+        for a, b in ((want.interior, got.interior),
+                     (want.exterior, got.exterior)):
+            assert (b.grid, b.delta) == (a.grid, a.delta)
+            assert max(a.tail, b.tail) <= conformal._TAIL_TOL
+            assert np.max(np.abs(np.subtract(b.series, a.series))) < 1e-14
+
+    def test_golden_interior_series_is_symmetric(self, ellipse_pair):
+        # about c_0 = 0 the centred ellipse's interior core, turned so that
+        # c_1 > 0, is odd with real coefficients.  The 512-point mean centre
+        # with Theodorsen's iteration left c_0 = -2.8e-17 - 5.6e-17i, 8.3e-17
+        # in the even k and 1.3e-16 in Im c_k, odd k.  Now c_0 is exact and
+        # rounding leaves 1.5e-17 in the even k (bound 4e-17, a margin of
+        # 2.7) and 3.6e-17 in the odd k (bound 1e-16, a margin of 2.8)
+        series = np.asarray(ellipse_pair[2].interior.series)
+        assert series[0] == 0.0
+        assert np.max(np.abs(series[0::2])) < 4e-17
+        assert np.max(np.abs(series[1::2].imag)) < 1e-16
 
 
 class TestPreimageOfInfinity:

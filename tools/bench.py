@@ -4,7 +4,7 @@ ratio check, as BENCH_<n>.json.
 
 Run from the repository root:
 
-    python3 tools/bench.py --out BENCH_14.json [--parent parent.json]
+    python3 tools/bench.py --out BENCH_15.json [--parent parent.json]
 
 Each case is timed with time.perf_counter: a repeat runs the case NUMBER
 (20) times (the subprocess case SUBPROCESS_NUMBER, 2, times), and the record
@@ -25,11 +25,11 @@ Map solves (work: the two sides of a pair, or the one map measured):
     solve_map_pair   circle() at t = 0, circle(1.7, 0.3+0.2i) at t = 0.15
                      (closed forms, exact margins); ellipse(1.2, 0.8) at
                      t = 0.4 and, as "ellipse_thin", ellipse(1, 0.5) at
-                     t = 0 (Theodorsen series interior, closed-form
+                     t = 0 (Wegmann series interior, closed-form
                      exterior); "ellipse_0.4", ellipse(1, 0.4) at t = 0,
                      whose interior series resolves only on the third grid
                      (4096); "trig", the curve e^{it} + 0.06 e^{4it} at
-                     t = 0.3 (Theodorsen series on both sides)
+                     t = 0.3 (Wegmann series on both sides)
     _measure_margin  the sampled ladder walk on that ellipse's interior map
     map_from_json    a map-cache hit: parsing that ellipse pair's two
                      serialized entries (one per side) back into maps
