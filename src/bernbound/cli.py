@@ -31,9 +31,9 @@ import numpy as np
 
 from ._version import __version__
 from .conformal import MapPair, map_from_dict, map_to_dict, solve_map_pair
-from .curves import (INFINITY, AnalyticCurve, ArcOpenUp, boundary_point,
-                     circle, circular_arc, ellipse, point_in_curve,
-                     segment_arc, trig_curve)
+from .curves import (INFINITY, AnalyticCurve, ArcOpenUp, _memo_put,
+                     boundary_point, circle, circular_arc, ellipse,
+                     point_in_curve, segment_arc, trig_curve)
 from .errors import NumericsError, RunSpecError
 from .extremal import sharpness_sweep
 from .potential import arc_bound, bernstein_bound, green_domain, verify_ratio
@@ -205,6 +205,23 @@ _CURVE = _kinded("curve", {
     "trig": (trig_curve, {"pairs": (_list_of(_trig_pair), _REQUIRED)}),
 })
 
+# the bern calls of one process share each curve and each parsed map-cache
+# entry through two FIFO memos; few entries: a curve keeps 0.2 MB of grids
+_PROCESS_MEMO_CAP = 8
+_CURVES: dict = {}  # repr(curve) -> the one curve object of that value
+_PAIRS: dict = {}   # map-cache entry bytes -> its (interior, exterior) maps
+
+
+def _shared_curve(obj, path) -> AnalyticCurve:
+    """_CURVE's curve, as its value's one object in _CURVES, so its memos
+    (sample grids, pole sides) carry over.  Keyed by repr: equality folds
+    -0.0 into 0.0, and a map bundle prints that sign."""
+    curve = _CURVE(obj, path)
+    key = repr(curve)
+    return _CURVES.get(key) or _memo_put(_CURVES, key, curve,
+                                         _PROCESS_MEMO_CAP)
+
+
 _ARC = _kinded("arc", {
     "segment": (_segment, {"za": (_complex_pair, -1.0 + 0j),
                            "zb": (_complex_pair, 1.0 + 0j)}),
@@ -255,7 +272,7 @@ class RunSpec:
 
 
 # top-level fields of a spec on a curve or on an arc; each command adds its own
-_ON_CURVE = {"curve": (_CURVE, _REQUIRED), "t": (_number, _REQUIRED)}
+_ON_CURVE = {"curve": (_shared_curve, _REQUIRED), "t": (_number, _REQUIRED)}
 _ON_ARC = {"arc": (_ARC, _REQUIRED), "point": (_complex_pair, _REQUIRED)}
 
 
@@ -302,17 +319,22 @@ def _pair_cache_key(curve, t) -> str:
 
 
 def _solve_pair(spec: RunSpec, cache_dir=None):
-    """(map pair, anchor u0) of the spec's curve, from the cache if given."""
+    """(map pair, anchor u0) of the spec's curve, from the cache if given.
+    The entry is read on every call; only bytes not in _PAIRS are parsed."""
     u0 = boundary_point(spec.curve, spec.t)
     path = None
     if cache_dir:
         key = _pair_cache_key(spec.curve, spec.t)
         path = os.path.join(cache_dir, key + ".json")
         try:
-            with open(path, encoding="utf-8") as fh:
-                stored = json.load(fh)
-            return MapPair(spec.curve, map_from_dict(stored["interior"]),
-                           map_from_dict(stored["exterior"])), u0
+            with open(path, "rb") as fh:
+                raw = fh.read()
+            if raw not in _PAIRS:
+                stored = json.loads(raw.decode("utf-8"))
+                _memo_put(_PAIRS, raw, tuple(map_from_dict(stored[side]) for
+                                             side in ("interior", "exterior")),
+                          _PROCESS_MEMO_CAP)
+            return MapPair(spec.curve, *_PAIRS[raw]), u0
         except (OSError, ValueError, KeyError, TypeError):
             pass  # a missing, torn or corrupt entry is a miss: solve afresh
     pair = solve_map_pair(spec.curve, u0)
@@ -557,6 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    kept = [(memo, dict(memo)) for memo in (_CURVES, _PAIRS)]
     try:
         if args.plot:
             _check_plot(args.command, args.plot)
@@ -580,16 +603,21 @@ def main(argv=None) -> int:
                 fh.write(text)
     except RunSpecError as exc:
         print(f"spec error at {exc.path}: {exc.reason}", file=sys.stderr)
-        return 2
+        code = 2
     except NumericsError as exc:
         print(f"numerical failure [{type(exc).__name__}]: {exc}",
               file=sys.stderr)
-        return 3
+        code = 3
     except Exception as exc:  # anything unplanned is still a numeric exit
         print(f"internal failure [{type(exc).__name__}]: {exc}",
               file=sys.stderr)
-        return 3
-    return 0
+        code = 3
+    else:
+        return 0
+    for memo, before in kept:  # a failing call leaves both memos unchanged
+        memo.clear()
+        memo.update(before)
+    return code
 
 
 if __name__ == "__main__":

@@ -427,7 +427,8 @@ def _measure_margin(cmap: ConformalMap) -> float:
     """Ladder margin of a series map: at each rung the analytically
     continued map must pass sampled univalence, derivative, and truncation
     checks on _MARGIN_M points of the circle |v| = 1 +- d, past map_eval's
-    domain guard."""
+    domain guard.  A rung whose series overflows fails on its non-finite
+    points, so numpy's overflow warnings are silenced."""
     ring = np.exp(1j * np.arange(_MARGIN_M) * (TWO_PI / _MARGIN_M))
     klast = len(cmap.series) - 1
 
@@ -448,7 +449,8 @@ def _measure_margin(cmap: ConformalMap) -> float:
         gaps = np.abs(np.diff(np.concatenate([pts, pts[:1]])))
         return _simplicity_margin(pts, float(np.max(gaps))) >= 1.0
 
-    return _ladder_margin(cmap, rung_ok)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _ladder_margin(cmap, rung_ok)
 
 
 def _critical_radius(c) -> float:
@@ -693,12 +695,13 @@ def _check_residuals(target, r, atol):
 
 
 def _series_invert(cmap, target, atol, lo, hi):
-    """The checked preimages of a series map's finite targets by damped
-    Newton (_newton), memoized per exact target batch: the memo
-    (_preimages) keeps the chart variable z of a batch of at most
-    _MEMO_CAP points once every point has passed _check_residuals.  A hit
-    skips Newton but takes its residual again by one evaluation in the
-    chart (map_eval inside, the core outside) and passes the same check."""
+    """The checked preimages of a series map's finite targets and their
+    residuals in the chart, by damped Newton (_newton), memoized per exact
+    target batch: the memo (_preimages) keeps the chart variable z of a
+    batch of at most _MEMO_CAP points once every point has passed
+    _check_residuals.  A hit skips Newton but takes its residual again by
+    one evaluation in the chart (map_eval inside, the core outside) and
+    passes the same check."""
     chart = _newton_chart(cmap, lo, hi)
     _, f, _, _, to_v = chart
     memo = cmap._preimages
@@ -711,7 +714,7 @@ def _series_invert(cmap, target, atol, lo, hi):
     _check_residuals(target, r, atol)
     if key is not None and key not in memo:
         _memo_put(memo, key, _readonly(z))
-    return to_v(z)
+    return to_v(z), r
 
 
 def map_invert(cmap: ConformalMap, u):
@@ -734,6 +737,12 @@ def map_invert(cmap: ConformalMap, u):
     a MapInvertError names the first that does not; a batch is memoized
     only once every point has passed, and a memo hit passes the same check
     on its residual taken again."""
+    return _invert(cmap, u)[0]
+
+
+def _invert(cmap, u):
+    """map_invert's preimages, and the residuals Phi(v) - u of the finite
+    points as it checked them."""
     uarr = np.asarray(u, dtype=complex)
     out = uarr.ravel().copy()
     inf = np.isinf(out)
@@ -745,7 +754,7 @@ def map_invert(cmap: ConformalMap, u):
         if cmap.side != "exterior":
             raise MapInvertError("infinity has no interior-map preimage")
         out[inf] = exterior_pole(cmap)
-    fin = np.nonzero(~inf)[0]
+    fin, r = np.nonzero(~inf)[0], np.zeros(0, dtype=complex)
     if len(fin):
         target = out[fin]
         lo, hi = _domain_limits(cmap)
@@ -763,14 +772,17 @@ def map_invert(cmap: ConformalMap, u):
                 r[moved] = map_eval(cmap, v[moved]) - target[moved]
             _check_residuals(target, r, atol)
         else:
-            v = _series_invert(cmap, target, atol, lo, hi)
+            v, r = _series_invert(cmap, target, atol, lo, hi)
         out[fin] = v
-    return complex(out[0]) if uarr.ndim == 0 else out.reshape(uarr.shape)
+    return (complex(out[0]) if uarr.ndim == 0
+            else out.reshape(uarr.shape)), r
 
 
 def roundtrip_residual(cmap: ConformalMap, pts) -> float:
-    u = np.atleast_1d(np.asarray(pts, dtype=complex))
-    return float(np.max(np.abs(map_eval(cmap, map_invert(cmap, u)) - u)))
+    """max |Phi(v) - u| over the finite pts, as map_invert checks it: in
+    the core variable, not at a far exterior point's rounded v."""
+    return float(np.max(np.abs(_invert(cmap, np.atleast_1d(pts))[1]),
+                        initial=0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -171,10 +171,10 @@ def _readonly(arr):
     return arr
 
 
-def _memo_put(memo: dict, key, value):
+def _memo_put(memo: dict, key, value, cap: int = _MEMO_CAP):
     """memo[key] = value, first dropping the oldest entry when memo already
-    holds _MEMO_CAP; returns value."""
-    if len(memo) >= _MEMO_CAP:
+    holds cap; returns value."""
+    if len(memo) >= cap:
         del memo[next(iter(memo))]
     memo[key] = value
     return value

@@ -738,6 +738,169 @@ class TestMapCache:
         assert sorted(p.name for p in cache.iterdir()) == [entry.name]
 
 
+# one curve spec per command: the shipped ones, and a verify on a curve
+# (the shipped verify spec is on an arc)
+VERIFY_ELLIPSE = {"command": "verify",
+                  "curve": {"kind": "ellipse", "a": 1.2, "b": 0.8}, "t": 0.4,
+                  "function": {"kind": "partial_fractions",
+                               "terms": [{"pole": [0.1, 0.2],
+                                          "coeffs": [[1.0, 0.5]]},
+                                         {"pole": [2.0, -1.0],
+                                          "coeffs": [[0.3, 0.0], [0.0, 1.0]]}],
+                               "poly": [[0.5, 0.0], [0.0, 0.2]]}}
+
+
+def curve_spec(tmp_path, command):
+    if command == "verify":
+        return write_spec(tmp_path, VERIFY_ELLIPSE, "verify_ellipse.json")
+    (path,) = [p for p in SPECS.glob("*.json")
+               if json.loads(p.read_text())["command"] == command]
+    return path
+
+
+def bundle_bytes(out):
+    return [(out / name).read_bytes() for name in ("summary.csv", "items.csv")]
+
+
+class TestProcessMemos:
+    """main shares each curve (cli._CURVES) and each parsed map-cache entry
+    (cli._PAIRS) between calls in one process."""
+
+    @pytest.fixture(autouse=True)
+    def memos(self):
+        import bernbound.cli as cli
+        cli._CURVES.clear()
+        cli._PAIRS.clear()
+        yield cli
+        cli._CURVES.clear()
+        cli._PAIRS.clear()
+
+    @pytest.mark.parametrize("command",
+                             ["bound", "verify", "sharpness", "map", "greens"])
+    def test_repeated_hit_matches_emptied_memos(self, tmp_path, monkeypatch,
+                                                memos, command):
+        spec, cache = curve_spec(tmp_path, command), tmp_path / "cache"
+        for out in ("cold", "first_hit"):
+            assert run_cli(command, spec, tmp_path / out, "--cache", cache) == 0
+        (curve,) = memos._CURVES.values()
+        assert len(memos._PAIRS) == 1
+        parses = []
+        monkeypatch.setattr(memos, "map_from_dict",
+                            lambda d: parses.append(d))
+        assert run_cli(command, spec, tmp_path / "hit", "--cache", cache) == 0
+        assert parses == []  # served from the memo ...
+        (shared,) = memos._CURVES.values()
+        assert shared is curve  # ... on the one curve object
+        monkeypatch.undo()
+        memos._CURVES.clear()
+        memos._PAIRS.clear()
+        assert run_cli(command, spec, tmp_path / "emptied",
+                       "--cache", cache) == 0
+        want = bundle_bytes(tmp_path / "emptied")
+        for out in ("cold", "first_hit", "hit"):
+            assert bundle_bytes(tmp_path / out) == want
+
+    def test_rewritten_entry_is_served_from_its_new_bytes(self, tmp_path,
+                                                          memos):
+        cache = tmp_path / "cache"
+        for out in ("cold", "hit"):
+            assert run_cli("map", SPECS / "map_ellipse.json", tmp_path / out,
+                           "--cache", cache) == 0
+        (entry,) = cache.glob("*.json")
+        stored = json.loads(entry.read_text(encoding="utf-8"))
+        stored["interior"]["tail"] = 1.25e-13
+        entry.write_text(json.dumps(stored), encoding="utf-8")
+        assert run_cli("map", SPECS / "map_ellipse.json", tmp_path / "new",
+                       "--cache", cache) == 0
+        _, rows = read_csv(tmp_path / "new" / "summary.csv")
+        _, old_rows = read_csv(tmp_path / "hit" / "summary.csv")
+        assert rows[0][6] == fmt12(1.25e-13) != old_rows[0][6]
+        assert rows[1] == old_rows[1]
+        assert len(memos._PAIRS) == 2
+
+    def test_truncated_memoized_entry_is_solved_fresh(self, tmp_path,
+                                                      monkeypatch, memos):
+        cache = tmp_path / "cache"
+        for out in ("cold", "hit"):
+            assert run_cli("map", SPECS / "map_ellipse.json", tmp_path / out,
+                           "--cache", cache) == 0
+        (entry,) = cache.glob("*.json")
+        text = entry.read_text(encoding="utf-8")
+        entry.write_text(text[:len(text) // 2], encoding="utf-8")
+        solves = []
+        real_solve = memos.solve_map_pair
+        monkeypatch.setattr(memos, "solve_map_pair",
+                            lambda *a: solves.append(a) or real_solve(*a))
+        assert run_cli("map", SPECS / "map_ellipse.json", tmp_path / "again",
+                       "--cache", cache) == 0
+        assert len(solves) == 1
+        assert bundle_bytes(tmp_path / "again") == bundle_bytes(tmp_path / "cold")
+        assert entry.read_text(encoding="utf-8") == text
+
+    def test_memos_hold_at_most_their_cap(self, tmp_path, memos):
+        cache = tmp_path / "cache"
+        for j in range(9):
+            spec = write_spec(tmp_path, {"command": "map", "t": 0.25 * j,
+                                         "curve": {"kind": "circle",
+                                                   "radius": 1.0 + 0.1 * j}})
+            for _ in range(2):  # a cold solve, then a hit
+                assert run_cli("map", spec, tmp_path / "out",
+                               "--cache", cache) == 0
+                assert len(memos._CURVES) <= memos._PROCESS_MEMO_CAP
+                assert len(memos._PAIRS) <= memos._PROCESS_MEMO_CAP
+        assert len(memos._CURVES) == len(memos._PAIRS) == 8
+        # first in, first out: the first curve went
+        assert [c.params[0] for c in memos._CURVES.values()] == \
+            [1.0 + 0.1 * j for j in range(1, 9)]
+
+    def test_failing_call_leaves_no_entry(self, tmp_path, capsys, memos):
+        cache = tmp_path / "cache"
+        good = SPECS / "greens_ellipse.json"
+        assert run_cli("greens", good, tmp_path / "warm", "--cache", cache) == 0
+        memos._CURVES.clear()
+        memos._PAIRS.clear()
+        # the entry is read (a hit) before the probes fail their check
+        data = json.loads(good.read_text())
+        data["greens"]["probes"].append([0.0, 0.0])
+        bad = write_spec(tmp_path, data)
+        assert run_cli("greens", bad, tmp_path / "bad", "--cache", cache) == 2
+        assert memos._CURVES == {} and memos._PAIRS == {}
+        # a numerical failure, and one on a new curve, with memos held
+        assert run_cli("greens", good, tmp_path / "ok", "--cache", cache) == 0
+        assert run_cli("greens", good, tmp_path / "ok", "--cache", cache) == 0
+        before = [list(m.items()) for m in (memos._CURVES, memos._PAIRS)]
+        capsys.readouterr()
+        for data in (sharp_data(interior_poles=[[5.0, 0.0]]),
+                     bound_data(curve={"kind": "circle", "radius": 2.0},
+                                poles=[{"point": [2.0, 0.0], "order": 1}])):
+            spec = write_spec(tmp_path, data)
+            assert run_cli(data["command"], spec, tmp_path / "fail",
+                           "--cache", cache) == 3
+        assert [list(m.items()) for m in (memos._CURVES, memos._PAIRS)] == \
+            before
+
+    def test_arc_specs_share_nothing(self, tmp_path, memos):
+        spec = SPECS / "verify_chebyshev.json"
+        assert run_cli("verify", spec, tmp_path, "--cache", tmp_path) == 0
+        assert memos._CURVES == {} and memos._PAIRS == {}
+
+    def test_signed_zero_curves_stay_apart(self, tmp_path, memos):
+        # -0.0 == 0.0, but the map bundle prints the sign of the centre
+        outs = []
+        for re in (0.0, -0.0, -0.0):
+            spec = write_spec(tmp_path, {"command": "map", "t": 0.7,
+                                         "curve": {"kind": "circle",
+                                                   "center": [re, 0.2]}})
+            outs.append(tmp_path / f"out{len(outs)}")
+            assert run_cli("map", spec, outs[-1]) == 0
+        assert len(memos._CURVES) == 2
+        assert bundle_bytes(outs[1]) == bundle_bytes(outs[2]) != \
+            bundle_bytes(outs[0])
+        memos._CURVES.clear()
+        assert run_cli("map", spec, tmp_path / "emptied") == 0
+        assert bundle_bytes(tmp_path / "emptied") == bundle_bytes(outs[1])
+
+
 def _pyproject():
     """The parsed ``pyproject.toml``, or None where ``tomllib`` is missing
     (Python 3.10)."""

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -229,6 +230,17 @@ class TestTheodorsen:
         e, u0, pair = ellipse_pair
         pts = [0.2 + 0.1j, -0.4 - 0.2j, 0.6j]
         assert roundtrip_residual(pair.interior, pts) < 1e-9
+
+    def test_overflowing_margin_rung_warns_nothing(self):
+        # the 4,096-term interior series overflows _poly_eval on the first
+        # rung, which then fails on its non-finite points
+        e = ellipse(1.0, 0.35)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pair = solve_map_pair(e, boundary_point(e, 0.0))
+        assert len(pair.interior.series) == 4096
+        assert pair.interior.delta == 0.0
+        assert pair.exterior.delta == 0.0476837158203125
 
 
 # (curve, anchor t) solved both ways: Wegmann's method on the curve parameter
@@ -530,6 +542,16 @@ class TestFarExteriorPoints:
         at_inf = bernstein_bound(u0, classify_poles([(np.inf, 1)], c), pair)
         assert far.outer_sum == pytest.approx(0.58826, abs=1e-5)
         assert abs(far.bound - at_inf.bound) < 1e-4
+
+    @pytest.mark.parametrize("u", [1e6, -3e7j])
+    def test_series_roundtrip_residual_is_the_checked_one(self, u):
+        # map_eval at the returned v reads 31x and 1,050x the tolerance
+        c = trig_curve([(1, 1.0 + 0j), (4, 0.06 + 0j)])
+        cmap = solve_map_pair(c, boundary_point(c, 0.3)).exterior
+        assert len(cmap.series) >= 8 and cmap.s != 0.0
+        map_invert(cmap, u)  # accepted
+        atol = conformal._INVERT_TOL * (1.0 + abs(u))
+        assert roundtrip_residual(cmap, [u]) < atol
 
 
 @pytest.fixture(scope="session",

@@ -4,7 +4,7 @@ ratio check, as BENCH_<n>.json.
 
 Run from the repository root:
 
-    python3 tools/bench.py --out BENCH_15.json [--parent parent.json]
+    python3 tools/bench.py --out BENCH_16.json [--parent parent.json]
 
 Each case is timed with time.perf_counter: a repeat runs the case NUMBER
 (20) times (the subprocess case SUBPROCESS_NUMBER, 2, times), and the record
@@ -70,7 +70,14 @@ End to end, one case per shipped spec and one for start-up:
     bern/<spec>      specs/<spec>.json through bern's main in-process:
                      parse, run (with no map cache, so curve specs solve
                      their map pair every call) and write the bundle to a
-                     temporary directory
+                     temporary directory.  main shares each curve between
+                     the calls of one process, so every call after the
+                     warm-up reuses the curve object, and its sample grids
+                     and pole sides, of the first
+    bern/<spec>/hit  the same for each curve spec, with --cache in a
+                     temporary directory that the warm-up call fills, so
+                     every timed call is a map-cache hit: it reads the
+                     entry and reuses the map pair parsed from its bytes
     bern/--version   bern --version in a fresh interpreter, as the installed
                      script runs it (from bernbound.cli import main): the
                      interpreter start plus the package's import time
@@ -132,21 +139,25 @@ def _bern_version():
 
 def bern_cases(out_dir):
     """(layer, case, work, callable) for each specs/*.json run in-process,
-    then bern --version in a subprocess."""
-    cases = []
+    then each curve spec's cache hit, then bern --version in a
+    subprocess."""
+    cases, hits = [], []
     spec_dir = os.path.join(ROOT, "specs")
     for name in sorted(os.listdir(spec_dir)):
         if not name.endswith(".json"):
             continue
         path = os.path.join(spec_dir, name)
         with open(path, encoding="utf-8") as fh:
-            command = json.load(fh)["command"]
+            spec = json.load(fh)
         stem = name[:-len(".json")]
-        argv = [command, "--config", path,
+        argv = [spec["command"], "--config", path,
                 "--out", os.path.join(out_dir, stem)]
         cases.append(("cli", f"bern/{stem}", 1, lambda a=argv: _bern(a)))
-    cases.append(("cli", "bern/--version", 1, _bern_version))
-    return cases
+        if "curve" in spec:
+            argv = argv + ["--cache", os.path.join(out_dir, "cache")]
+            hits.append(("cli", f"bern/{stem}/hit", 1,
+                         lambda a=argv: _bern(a)))
+    return cases + hits + [("cli", "bern/--version", 1, _bern_version)]
 
 
 def _emptied(memo, fn):
