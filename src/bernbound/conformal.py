@@ -16,7 +16,7 @@ small or no damped step lowers it, and the series tail then decides, on
 each grid of _GRIDS in turn, until it is at most _TAIL_TOL ("series
 unresolved" past the last, the one refusal).  Circles get the exact linear
 map on both sides, the ellipse exterior the Joukowski-type closed form;
-map_invert inverts these exactly and runs Newton only on series maps.
+map_invert solves each core for w: these exactly, series maps by Newton.
 
 A map keeps only what evaluation, inversion and the map cache read: the core
 series, the prefix (rot, s), the anchor and the derivative there, the grid
@@ -31,13 +31,13 @@ replace() or map_from_dict starts a map with an empty memo.
 A series map also memoizes map_invert's answers (_preimages): the key is
 the exact finite target batch (target.tobytes(), not a single point, since
 the series kernel's product rounds a point differently by batch size), the
-value the read-only preimages in Newton's variable.  Only a batch of at
-most _MEMO_CAP (64) points whose every residual passed is kept, so a
-failure raises again on every call; a map keeps at most _MEMO_CAP batches
-and drops the oldest first.  A hit skips Newton but takes its residual
-again, by one evaluation (map_eval inside, the core outside, where Newton
-ran), and passes the same check as a cold call.  Closed forms are inverted
-exactly on every call and keep no such memo.
+value the read-only accepted (w, v).  Only a batch of at most _MEMO_CAP
+(64) points whose every residual passed is kept, so a failure raises again
+on every call; a map keeps at most _MEMO_CAP batches and drops the oldest
+first.  A hit skips Newton and the prefix inverse but takes its residual
+again, by one evaluation (map_eval at v inside, the core at w outside), and
+passes the same check as a cold call.  Closed forms are inverted exactly
+on every call and keep no such memo.
 """
 from __future__ import annotations
 
@@ -102,18 +102,21 @@ class ConformalMap:
 
     @cached_property
     def _seed_ring(self):
-        """(vb, Phi(vb)) on every (m // 128)-th point of the solve's
-        uniform ring: map_invert's boundary seeds."""
+        """(w ring, Phi ring): the core points w = _moebius(v) of every
+        (m // 128)-th point v of the solve's uniform ring and the core
+        there, map_invert's boundary seeds in the variable _newton runs in."""
         m = self.grid
         stride = max(1, m // 128)
         vb = np.exp(1j * np.arange(0, m, stride) * (TWO_PI / m))
-        return _readonly(vb), _readonly(map_eval(self, vb))
+        wb = _moebius(self, vb)
+        return _readonly(wb), _readonly(_core_eval(self, wb))
 
     @cached_property
     def _preimages(self) -> dict:
         """map_invert's memo for a series map: the exact finite target batch
-        (target.tobytes()) -> its accepted preimages in _newton's variable,
-        read-only; at most _MEMO_CAP batches of at most _MEMO_CAP points."""
+        (target.tobytes()) -> its accepted (w, v), the core points and the
+        preimages, read-only; at most _MEMO_CAP batches of at most
+        _MEMO_CAP points."""
         return {}
 
 
@@ -553,12 +556,6 @@ def _prefix_inverse(cmap, w):
     return (x - cmap.s) / (1.0 - cmap.s * x)
 
 
-def _clamp(v, lo, hi):
-    """v pulled radially into lo <= |v| <= hi."""
-    rad = np.maximum(np.abs(v), 1e-300)
-    return v * np.where(rad > hi, hi / rad, np.where(rad < lo, lo / rad, 1.0))
-
-
 def _is_closed_form(cmap) -> bool:
     """Whether the core is one of the closed forms: c0 + c1 w (circle
     interior), c0 w + c1 (circle exterior) or c0 w + c1 + c2/w (ellipse
@@ -588,14 +585,27 @@ def _closed_core_inverse(cmap, u):
     return -0.5 * (b + root) / c[0]
 
 
+def _pull(cmap, w, lo, hi):
+    """(v, moved): the preimage v = prefix^-1(w) pulled radially into
+    lo <= |v| <= hi, and the points the pull moved.  A non-finite prefix
+    inverse is v = infinity, which the exterior side (hi = inf) keeps and
+    the interior pulls to v = hi."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        root = _prefix_inverse(cmap, w)
+        rad = np.maximum(np.abs(root), 1e-300)
+        scale = np.where(rad > hi, hi / rad, np.where(rad < lo, lo / rad, 1.0))
+        v = np.where(np.isfinite(root), root * scale, hi)
+    return v, np.isfinite(v) & (v != root)
+
+
 def _newton_seeds(cmap, target):
-    """Newton seeds for a series map, one row per point in the order that
-    point tries them, and their residuals Phi(seed) - u: the two nearest
-    of the memoized ring samples (_seed_ring) and, for interior maps, the
-    linear seed (u - c0)/c1 taken through the prefix inverse, ordered by
-    ascending |residual|.  The ring residuals are free; the linear seeds
-    cost one map_eval."""
-    vb, ub = cmap._seed_ring
+    """Newton seeds for a series map in the core variable w, one row per
+    point in the order that point tries them, and their residuals
+    core(w) - u: the two nearest of the memoized ring samples (_seed_ring)
+    and, for interior maps, the linear seed w = (u - c0)/c1 where its
+    prefix inverse lies in the unit disk, ordered by ascending |residual|.
+    The ring residuals are free; the linear seeds cost one _core_eval."""
+    wb, ub = cmap._seed_ring
     gap = ub - target[:, None]
     dist = np.abs(gap)
     rows = np.arange(len(target))
@@ -603,15 +613,15 @@ def _newton_seeds(cmap, target):
     for _ in range(2):
         k = dist.argmin(axis=1)
         dist[rows, k] = np.inf
-        seeds.append(vb[k])
+        seeds.append(wb[k])
         res.append(gap[rows, k])
     c = cmap._coeffs
     if cmap.side == "interior" and c[1] != 0:
-        lin = _prefix_inverse(cmap, (target - c[0]) / c[1])
-        ok = np.abs(lin) < 1.0
+        lin = (target - c[0]) / c[1]
+        ok = np.abs(_prefix_inverse(cmap, lin)) < 1.0
         lin_res = np.full(len(target), np.inf, dtype=complex)
         if np.any(ok):
-            lin_res[ok] = map_eval(cmap, lin[ok]) - target[ok]
+            lin_res[ok] = _core_eval(cmap, lin[ok]) - target[ok]
         seeds.insert(0, lin)
         res.insert(0, lin_res)
     seeds, res = np.array(seeds).T, np.array(res).T
@@ -620,69 +630,44 @@ def _newton_seeds(cmap, target):
             np.take_along_axis(res, order, axis=1))
 
 
-def _newton_chart(cmap, lo, hi):
-    """(to_z, f, df, clamp, to_v) for the variable z that _newton iterates
-    in: v -> z for the seeds, the map and its derivative in z, the radial
-    clamp of v into lo <= |v| <= hi and z -> v.  Interior maps run in v.
-    Exterior maps (hi = inf) run in the core variable w = _moebius(cmap, v),
-    exact both ways: there v = infinity is the ordinary point w = rot/s
-    once s != 0, so a point at or near the finite value Phi2(infinity)
-    converges instead of running off in v."""
-    if cmap.side == "interior":
-        return (lambda v: v, lambda z: map_eval(cmap, z),
-                lambda z: map_derivative(cmap, z),
-                lambda z: _clamp(z, lo, hi), lambda z: z)
-
-    def clamp(w):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            v = _prefix_inverse(cmap, w)  # not finite at w = rot/s: v = inf
-        low = np.abs(v) < lo
-        w[low] = _moebius(cmap, _clamp(v[low], lo, hi))
-        return w
-
-    def to_v(w):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            v = _prefix_inverse(cmap, w)
-        return np.where(np.isfinite(v), v, _INF)
-
-    return (lambda v: _moebius(cmap, v), lambda w: _core_eval(cmap, w),
-            lambda w: _core_deriv(cmap, w), clamp, to_v)
-
-
-def _newton(cmap, target, atol, chart):
-    """Damped Newton from each point's seeds (_newton_seeds) in turn, until
-    |Phi(v) - u| < atol: a seed gets at most 80 steps, each halved down
-    to 2^-12 until it lowers the residual and clamped into lo <= |v| <= hi,
-    in the variable z of the chart (_newton_chart).  Returns z and the
-    residual Phi(v) - u."""
+def _newton(cmap, target, atol, lo, hi):
+    """Damped Newton on the core, in w, from each point's seeds
+    (_newton_seeds) in turn, until |core(w) - u| < atol: a seed gets at
+    most 80 steps, each halved down to 2^-12 until it lowers the residual
+    and pulled so that its prefix inverse lies in lo <= |v| <= hi (_pull).
+    Outside, v = infinity is the ordinary point w = rot/s once s != 0, so
+    a point at or near the finite value Phi2(infinity) converges instead of
+    running off in v.  Returns w and its residual core(w) - u."""
     seeds, seed_res = _newton_seeds(cmap, target)
-    to_z, f, df, clamp, _ = chart
-    z = np.empty(len(target), dtype=complex)
-    r = np.full(len(target), np.inf, dtype=complex)  # Phi(v) - u
-    for seed, res in zip(to_z(seeds).T, seed_res.T):
+    w = np.empty(len(target), dtype=complex)
+    r = np.full(len(target), np.inf, dtype=complex)  # core(w) - u
+    for seed, res in zip(seeds.T, seed_res.T):
         live = ~(np.abs(r) < atol) & np.isfinite(res)
         if not np.any(live):
             continue
-        z[live], r[live] = seed[live], res[live]
+        w[live], r[live] = seed[live], res[live]
         for _ in range(80):
             live &= ~(np.abs(r) < atol)
             idx = np.nonzero(live)[0]
             if not len(idx):
                 break
-            d = df(z[idx])
+            d = _core_deriv(cmap, w[idx])
             ok = (d != 0) & np.isfinite(np.abs(d))
             live[idx[~ok]] = False
             idx, step = idx[ok], r[idx[ok]] / d[ok]
             lam = 1.0
             while lam > 2 ** -12 and len(idx):
-                zt = clamp(z[idx] - lam * step)
-                rt = f(zt) - target[idx]
+                wt = w[idx] - lam * step
+                v, moved = _pull(cmap, wt, lo, hi)
+                if np.any(moved):
+                    wt[moved] = _moebius(cmap, v[moved])
+                rt = _core_eval(cmap, wt) - target[idx]
                 win = np.abs(rt) < np.abs(r[idx])
-                z[idx[win]], r[idx[win]] = zt[win], rt[win]
+                w[idx[win]], r[idx[win]] = wt[win], rt[win]
                 idx, step = idx[~win], step[~win]
                 lam /= 2.0
             live[idx] = False  # no step lowered the residual
-    return z, r
+    return w, r
 
 
 def _check_residuals(target, r, atol):
@@ -694,29 +679,6 @@ def _check_residuals(target, r, atol):
                              residual=float(abs(r[bad[0]])))
 
 
-def _series_invert(cmap, target, atol, lo, hi):
-    """The checked preimages of a series map's finite targets and their
-    residuals in the chart, by damped Newton (_newton), memoized per exact
-    target batch: the memo (_preimages) keeps the chart variable z of a
-    batch of at most _MEMO_CAP points once every point has passed
-    _check_residuals.  A hit skips Newton but takes its residual again by
-    one evaluation in the chart (map_eval inside, the core outside) and
-    passes the same check."""
-    chart = _newton_chart(cmap, lo, hi)
-    _, f, _, _, to_v = chart
-    memo = cmap._preimages
-    key = target.tobytes() if len(target) <= _MEMO_CAP else None
-    z = memo.get(key)
-    if z is None:
-        z, r = _newton(cmap, target, atol, chart)
-    else:
-        r = f(z) - target
-    _check_residuals(target, r, atol)
-    if key is not None and key not in memo:
-        _memo_put(memo, key, _readonly(z))
-    return to_v(z), r
-
-
 def map_invert(cmap: ConformalMap, u):
     """Preimage of u under Phi, elementwise for scalars or arrays (a scalar
     in gives a scalar out).  Infinity (a part that is +-inf) maps to the
@@ -724,19 +686,20 @@ def map_invert(cmap: ConformalMap, u):
     no upper cap: with s != 0, Phi2(infinity) is finite, and it and the
     points near it invert to v = infinity or to a large |v|.
 
-    A closed-form core (_is_closed_form) is inverted exactly: the core
-    solve (_closed_core_inverse), then the prefix inverse (infinity where
-    it is not finite), clamped into the verified domain.  The residual is
-    the core's at its root w, |core(w) - u|, taken before the prefix
-    inverse: near the exterior pole -1/s a far point's v carries a rounding
-    error that grows like |u|, which w does not.  Only points the clamp
-    moved are checked through map_eval at their clamped v.  A series map
-    runs damped Newton (_newton) from seeds ordered by their starting
-    residual, memoized per exact target batch (_series_invert).  Either
-    way every point must end with |Phi(v) - u| < _INVERT_TOL (1 + |u|), or
-    a MapInvertError names the first that does not; a batch is memoized
-    only once every point has passed, and a memo hit passes the same check
-    on its residual taken again."""
+    Every map is inverted in its core variable w: a closed-form core
+    (_is_closed_form) exactly (_closed_core_inverse), a series core by
+    damped Newton (_newton) from seeds ordered by their starting residual.
+    Then one tail: the residual is the core's at w, |core(w) - u|, taken
+    before the prefix inverse (near the exterior pole -1/s a far point's v
+    carries a rounding error that grows like |u|, which w does not); v is
+    the prefix inverse pulled into the verified domain (_pull), and only
+    points the pull moved are checked through map_eval at their pulled v.
+    Every point must end with a residual below _INVERT_TOL (1 + |u|), or a
+    MapInvertError names the first that does not.  A series map memoizes
+    the accepted (w, v) per exact target batch (_preimages) once every
+    point has passed.  A hit takes its residual again by one evaluation,
+    map_eval at v inside (the prefix is bounded there) and the core at w
+    outside, where v near the pole rounds like |u|."""
     return _invert(cmap, u)[0]
 
 
@@ -759,20 +722,26 @@ def _invert(cmap, u):
         target = out[fin]
         lo, hi = _domain_limits(cmap)
         atol = _INVERT_TOL * (1.0 + np.abs(target))
-        if _is_closed_form(cmap):
-            w = _closed_core_inverse(cmap, target)
-            r = _core_eval(cmap, w) - target
-            with np.errstate(divide="ignore", invalid="ignore"):
-                root = _prefix_inverse(cmap, w)
-                # a non-finite prefix inverse is v = infinity, which the
-                # exterior side (hi = inf) keeps and the interior clamps
-                v = np.where(np.isfinite(root), _clamp(root, lo, hi), hi)
-            moved = np.isfinite(v) & (v != root)
+        series = not _is_closed_form(cmap)
+        key = (target.tobytes() if series and len(target) <= _MEMO_CAP
+               else None)
+        hit = None if key is None else cmap._preimages.get(key)
+        if hit is not None:
+            w, v = hit
+            r = (map_eval(cmap, v) if cmap.side == "interior"
+                 else _core_eval(cmap, w)) - target
+        else:
+            if series:
+                w, r = _newton(cmap, target, atol, lo, hi)
+            else:
+                w = _closed_core_inverse(cmap, target)
+                r = _core_eval(cmap, w) - target
+            v, moved = _pull(cmap, w, lo, hi)
             if np.any(moved):
                 r[moved] = map_eval(cmap, v[moved]) - target[moved]
-            _check_residuals(target, r, atol)
-        else:
-            v, r = _series_invert(cmap, target, atol, lo, hi)
+        _check_residuals(target, r, atol)
+        if key is not None and hit is None:
+            _memo_put(cmap._preimages, key, (_readonly(w), _readonly(v)))
         out[fin] = v
     return (complex(out[0]) if uarr.ndim == 0
             else out.reshape(uarr.shape)), r

@@ -28,10 +28,13 @@ _DISTANCE_M = 4096
 _PARAM_SEED_M = 2048
 _VALIDATE_M = 1024
 _OPENUP_M = 48
-# entries per object in each bounded memo (_memo_put): the pole sides on a
-# curve, the series-map preimage batches on a map; also the longest target
-# batch the preimage memo keeps
+# entries in each bounded memo (_memo_put): the pole sides on a curve, the
+# series-map preimage batches on a map, the shared parameter grids (_T_GRIDS);
+# also the longest target batch the preimage memo keeps
 _MEMO_CAP = 64
+# sample_grid's parameter grids, m -> read-only t_j = 2 pi j / m, one array
+# per m for every curve and arc
+_T_GRIDS = {}
 
 
 # ---------------------------------------------------------------------------
@@ -52,8 +55,8 @@ class AnalyticCurve:
 
     @cached_property
     def _grids(self) -> dict:
-        """sample_grid's memo, m -> (ts, points(, tangents)): kept on the
-        object but not a field, so equality, hashing and replace() skip it."""
+        """sample_grid's memo, m -> (points(, tangents)): kept on the object
+        but not a field, so equality, hashing and replace() skip it."""
         return {}
 
     @cached_property
@@ -144,19 +147,19 @@ def sample_grid(boundary, m: int, tangents: bool = False):
     """(ts, points), or (ts, points, tangents) for a curve, on the uniform
     m-point grid t_j = 2 pi j / m of a curve or an arc.
 
-    Computed on first use and kept read-only on the object, so every later
-    call with the same m (any caller) reads the same arrays back."""
+    Computed on first use and kept read-only, so every later call with the
+    same m (any caller) reads the same arrays back: the points and tangents
+    on the object, ts in _T_GRIDS, shared by every curve and arc."""
+    ts = _T_GRIDS.get(m)
+    if ts is None:
+        ts = _memo_put(_T_GRIDS, m, _readonly(np.arange(m) * (TWO_PI / m)))
     grid = boundary._grids.get(m)
     if grid is None:
-        ts = np.arange(m) * (TWO_PI / m)
-        pts = _boundary_points(boundary, ts)
-        grid = boundary._grids[m] = (_readonly(ts), _readonly(pts))
-    if not tangents:
-        return grid[:2]
-    if len(grid) == 2:
-        dpts = _readonly(curve_derivative(boundary, grid[0]))
-        grid = boundary._grids[m] = (*grid, dpts)
-    return grid
+        grid = (_readonly(_boundary_points(boundary, ts)),)
+    if tangents and len(grid) == 1:
+        grid += (_readonly(curve_derivative(boundary, ts)),)
+    boundary._grids[m] = grid
+    return (ts, *grid) if tangents else (ts, grid[0])
 
 
 def _boundary_points(boundary, t):
@@ -273,10 +276,7 @@ def validate_curve(curve: AnalyticCurve) -> CurveReport:
 
 
 def param_of_point(curve: AnalyticCurve, u: complex) -> float:
-    """Parameter of a point lying on the curve (nearest-sample + Newton)."""
-    if curve.kind == "circle":
-        r, c = curve.params
-        return float(np.angle(u - c) % TWO_PI)
+    """Parameter of a point on the curve (nearest sample + Newton)."""
     ts, pts = sample_grid(curve, _PARAM_SEED_M)
     t = float(ts[int(np.argmin(np.abs(pts - u)))])
     for _ in range(40):

@@ -144,7 +144,7 @@ def bernstein_bound(u0: BoundaryPoint, poles: PoleSet, maps: MapPair) -> BoundRe
     sums over the classified poles, one value per distinct pole repeated
     over its multiplicity.  The poles of each side are inverted in one
     map_invert call, which a series map memoizes per exact batch
-    (conformal._series_invert), so a pole set bounded again on the same
+    (ConformalMap._preimages), so a pole set bounded again on the same
     map pair skips Newton; each such hit still re-checks its residual."""
     _check_anchor(u0, maps)
     locs = np.array([a for a, _ in poles.poles], dtype=complex)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bernbound import (boundary_point, circle, ellipse, segment_arc,
-                       solve_map_pair)
+                       solve_map_pair, trig_curve)
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
@@ -36,6 +36,14 @@ def ellipse_pair():
 def shifted_circle_pair():
     c = circle(radius=1.7, center=0.3 + 0.2j)
     u0 = boundary_point(c, 0.15)
+    return c, u0, solve_map_pair(c, u0)
+
+
+@pytest.fixture(scope="session")
+def trig_pair():
+    """Wegmann series maps on both sides, with s != 0 outside."""
+    c = trig_curve([(1, 1.0 + 0j), (4, 0.06 + 0j)])
+    u0 = boundary_point(c, 0.3)
     return c, u0, solve_map_pair(c, u0)
 
 

@@ -632,22 +632,30 @@ class TestArrayInversion:
             map_invert(pair.exterior, u)
 
 
-@pytest.fixture(scope="session",
-                params=[("circle_pair", "interior"), ("circle_pair", "exterior"),
-                        ("shifted_circle_pair", "interior"),
-                        ("shifted_circle_pair", "exterior"),
-                        ("ellipse_pair", "exterior")])
+_CLOSED_MAPS = [("circle_pair", "interior"), ("circle_pair", "exterior"),
+                ("shifted_circle_pair", "interior"),
+                ("shifted_circle_pair", "exterior"),
+                ("ellipse_pair", "exterior")]
+
+
+@pytest.fixture(scope="session", params=_CLOSED_MAPS)
 def closed_map(request):
     """(curve, map) for each closed-form core: circle interior c0 + c1 w,
-    circle exterior c0 w + c1, ellipse exterior c0 w + c1 + c2/w."""
+    circle exterior c0 w + c1, ellipse exterior c0 w + c1 + c2/w.  A test
+    may pass it other (pair fixture, side) params indirectly."""
     name, side = request.param
     curve, _, pair = request.getfixturevalue(name)
     return curve, getattr(pair, side)
 
 
 class TestClosedFormInversion:
-    """The exact inverse of the closed-form cores against damped Newton."""
+    """The exact inverse of the closed-form cores against damped Newton in
+    v (oracles.newton_map_invert); test_matches_newton also pins series
+    maps, which map_invert solves by Newton in the core variable w."""
 
+    @pytest.mark.parametrize("closed_map", _CLOSED_MAPS + [
+        ("ellipse_pair", "interior"), ("trig_pair", "interior"),
+        ("trig_pair", "exterior")], indirect=True)
     @settings(deadline=None, max_examples=25)
     @given(draws=st.lists(_SCALED, min_size=1, max_size=6))
     def test_matches_newton(self, closed_map, draws):

@@ -84,11 +84,20 @@ class TestGeometry:
             winding_number(e, 1.2 + 0j)  # on the curve
 
     def test_param_of_point_roundtrip(self):
-        e = ellipse(1.2, 0.8)
-        for t in (0.0, 0.4, 2.2, 5.9):
-            u = eval_curve(e, t)
-            t_back = param_of_point(e, u)
-            assert abs(eval_curve(e, t_back) - u) < 1e-10
+        # circles take the same Newton and check as every other curve
+        for curve in (ellipse(1.2, 0.8), circle(), circle(1.7, 0.3 + 0.2j)):
+            for t in (0.0, 0.4, 2.2, 2.345, 5.9):
+                u = eval_curve(curve, t)
+                t_back = param_of_point(curve, u)
+                assert abs(eval_curve(curve, t_back) - u) < 1e-10
+            # a point outside and the centre are off the curve
+            centre = curve.coeffs[curve.order]
+            for u in (centre + 2.5 * (eval_curve(curve, 0.0) - centre),
+                      centre):
+                with pytest.raises(CurveError, match="does not lie on"):
+                    param_of_point(curve, u)
+        for c in (circle(), circle(1.7, 0.3 + 0.2j)):
+            assert param_of_point(c, eval_curve(c, 2.345)) == 2.345
 
     def test_distance_to_curve(self):
         c = circle()

@@ -13,10 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bernbound import (INFINITY, MapPair, boundary_point, circular_arc,
-                       classify_poles, conformal, ellipse, make_rational,
-                       map_eval, map_from_json, map_invert, map_to_dict,
-                       map_to_json, sample_grid, segment_arc,
+from bernbound import (INFINITY, MapPair, boundary_point, circle,
+                       circular_arc, classify_poles, conformal, ellipse,
+                       make_rational, map_eval, map_from_json, map_invert,
+                       map_to_dict, map_to_json, sample_grid, segment_arc,
                        sharpness_sweep, solve_map_pair, sup_norm,
                        trig_curve, verify_ratio)
 from bernbound.curves import _MEMO_CAP
@@ -84,6 +84,15 @@ class TestReadOnly:
             for arr in (*cmap._seed_ring, cmap._coeffs, cmap._deriv_coeffs):
                 with pytest.raises(ValueError):
                     arr[0] = 0.0
+
+    def test_curves_and_arcs_share_one_readonly_t_array(self):
+        ts = sample_grid(ellipse(*AB), 96)[0]
+        for boundary in (ellipse(*AB), circle(), segment_arc()):
+            assert sample_grid(boundary, 96)[0] is ts
+            assert all(arr is not ts for arr in boundary._grids[96])
+        assert sample_grid(circle(), 96, tangents=True)[0] is ts
+        assert not ts.flags.writeable
+        assert ts.tobytes() == (np.arange(96) * (2 * np.pi / 96)).tobytes()
 
     def test_grid_is_computed_once_per_m(self):
         e = ellipse(*AB)
@@ -260,28 +269,35 @@ class TestPoleMemos:
         want = first.copy()
         first[:] = 7.0
         assert map_invert(cmap, pts).tobytes() == want.tobytes()
-        for z in cmap._preimages.values():
-            with pytest.raises(ValueError):
-                z[0] = 0.0
+        for pair in cmap._preimages.values():
+            for arr in pair:  # the core points w and the preimages v
+                with pytest.raises(ValueError):
+                    arr[0] = 0.0
         e = ellipse(*AB)
         ps = classify_poles(CORPUS_POLES, e)
         assert classify_poles(CORPUS_POLES, e) == ps
 
-    def test_hit_skips_newton_and_evaluates_once(self, entries,
+    def test_hit_skips_newton_and_evaluates_once(self, entries, trig_pair,
                                                  monkeypatch):
-        cmap = map_from_json(entries[0])
-        pts = np.array(CORPUS_INTERIOR)
-        want = map_invert(cmap, pts)
+        # a hit takes its residual again by one core evaluation, with no
+        # Newton and no prefix inverse: at the stored v through map_eval
+        # inside, at the stored core point w outside
+        cases = ((map_from_json(entries[0]), np.array(CORPUS_INTERIOR),
+                  ["map_eval", "_core_eval"]),
+                 (trig_pair[2].exterior, 2.0 * np.array(CORPUS_EXTERIOR),
+                  ["_core_eval"]))
         calls = []
-        for name in ("_newton", "map_eval"):
+        for name in ("_newton", "_pull", "map_eval", "_core_eval"):
             def counting(*args, fn=getattr(conformal, name), name=name):
                 calls.append(name)
                 return fn(*args)
             monkeypatch.setattr(conformal, name, counting)
-        for _ in range(2):
-            del calls[:]
-            assert map_invert(cmap, pts).tobytes() == want.tobytes()
-            assert calls == ["map_eval"]
+        for cmap, pts, hit_calls in cases:
+            want = map_invert(cmap, pts)
+            for _ in range(2):
+                del calls[:]
+                assert map_invert(cmap, pts).tobytes() == want.tobytes()
+                assert calls == hit_calls
 
     def test_far_exterior_points_on_a_series_map(self):
         # with s != 0 a far point's preimage lies near the pole -1/s, where

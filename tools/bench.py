@@ -4,7 +4,7 @@ ratio check, as BENCH_<n>.json.
 
 Run from the repository root:
 
-    python3 tools/bench.py --out BENCH_16.json [--parent parent.json]
+    python3 tools/bench.py --out BENCH_17.json [--parent parent.json]
 
 Each case is timed with time.perf_counter: a repeat runs the case NUMBER
 (20) times (the subprocess case SUBPROCESS_NUMBER, 2, times), and the record
@@ -46,7 +46,11 @@ sweep curve; the map pair is solved once, outside the timings):
                      "boundary_30": 30 points on the curve through the
                      interior map (the shape of the extremal's Leja nodes);
                      "corpus_poles": the 3 corpus poles, one call per side
-                     as bernstein_bound makes them
+                     as bernstein_bound makes them; "trig_interior_8" and
+                     "trig_exterior_8": 0.5 gamma(t_k) and 1.6 gamma(t_k),
+                     t_k = 2 pi k / 8, through the series maps of the
+                     curve e^{it} + 0.06 e^{4it} anchored at t = 0.3
+                     (Newton on both sides)
     verify_ratio     10 seeded corpus functions (tests/helpers.py, seed
                      1729): "corpus" reuses the curve, anchor and map pair,
                      as a batch of items on one curve does; "corpus_cold"
@@ -60,7 +64,7 @@ sweep curve; the map pair is solved once, outside the timings):
 
 classify_poles and the series-map branch of map_invert keep bounded memos
 on the curve (_pole_sides) and on the map (_preimages).  Every case above
-that reads one (classify_poles/*, bernstein_bound/corpus and the interior
+that reads one (classify_poles/*, bernstein_bound/corpus and the series-map
 map_invert cases) empties it before each call, so its label keeps timing
 the first computation; the same case with "/hit" appended repeats the call
 on the filled memo.
@@ -211,6 +215,10 @@ def build_cases():
     disk_4096 = 0.9 * np.exp(1j * np.arange(4096) * (2 * np.pi / 4096))
     corpus_in = np.array(CORPUS_INTERIOR)
     corpus_out = np.array(CORPUS_EXTERIOR)
+    trig = bb.trig_curve([(1, 1.0), (4, 0.06)])
+    tpair = bb.solve_map_pair(trig, bb.boundary_point(trig, 0.3))
+    trig_8 = bb.eval_curve(trig, np.arange(8) * (2 * np.pi / 8))
+    trig_in, trig_out = 0.5 * trig_8, 1.6 * trig_8
 
     rng = np.random.default_rng(DEFAULT_SEED)
     functions = [random_corpus_function(rng)[0]
@@ -241,6 +249,12 @@ def build_cases():
          len(corpus_in) + len(corpus_out), preimages,
          lambda: (bb.map_invert(pair.interior, corpus_in),
                   bb.map_invert(pair.exterior, corpus_out))),
+        ("conformal", "map_invert/trig_interior_8", len(trig_in),
+         tpair.interior._preimages,
+         lambda: bb.map_invert(tpair.interior, trig_in)),
+        ("conformal", "map_invert/trig_exterior_8", len(trig_out),
+         tpair.exterior._preimages,
+         lambda: bb.map_invert(tpair.exterior, trig_out)),
     ]
     memo_cases = [case for layer, name, work, memo, fn in memo_cases
                   for case in ((layer, name, work, _emptied(memo, fn)),
