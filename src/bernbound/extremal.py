@@ -155,15 +155,16 @@ def build_transferred_extremal(curve: AnalyticCurve, maps: MapPair, picks,
     if abs(maps.anchor - u0.point) > 1e-8 * (1.0 + abs(u0.point)):
         raise ExtremalError("map pair is not anchored at the boundary point")
 
-    h_deriv = abs(blaschke_derivative(picks, 1.0 + 0j))
+    dh1 = complex(blaschke_derivative(picks, 1.0 + 0j))
+    h_deriv = abs(dh1)
 
     # principal parts of the transplant B o Phi1^{-1} at the image poles
     f1 = principal_parts(lambda v: blaschke_eval(picks, v),
                          cluster_points(picks), maps.interior)
 
     phi0 = complex(blaschke_eval(picks, 1.0 + 0j)) - complex(rf_eval(f1, u0.point))
-    dphi0 = (complex(blaschke_derivative(picks, 1.0 + 0j))
-             / maps.interior.anchor_deriv) - complex(rf_derivative(f1, u0.point))
+    dphi0 = (dh1 / maps.interior.anchor_deriv
+             - complex(rf_derivative(f1, u0.point)))
 
     # the correction variable w = 1/(u - zeta0); zeta0 must stay clear of the
     # slightly inflated curve on which the remainder is still analytic

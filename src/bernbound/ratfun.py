@@ -94,27 +94,29 @@ def poles_of(f: RationalFunction):
     return tuple(out)
 
 
-def _pole_guard(f, uarr):
+def _reciprocal_offsets(f, uarr):
+    """(term, 1/(u - a)) per pole term in term order; the offset u - a is
+    checked first, and the first term within POLE_FLOOR of a point raises."""
     for t in f.terms:
-        if np.min(np.abs(uarr - t.location)) < POLE_FLOOR:
+        d = uarr - t.location
+        if np.min(np.abs(d), initial=math.inf) < POLE_FLOOR:
             raise PoleError(f"evaluation within the pole floor of {t.location}")
+        yield t, 1.0 / d
 
 
 def rf_eval(f: RationalFunction, u):
     uarr = np.asarray(u, dtype=complex)
     scalar = uarr.ndim == 0
     uarr = np.atleast_1d(uarr)
-    _pole_guard(f, uarr)
     out = np.zeros(uarr.shape, dtype=complex)
     if f.poly:
         out += f.poly[-1]
         for c in f.poly[-2::-1]:
             out = out * uarr + c
-    for t in f.terms:
-        d = uarr - t.location
-        acc = np.zeros_like(d)
-        for c in t.coeffs[::-1]:
-            acc = (acc + c) / d
+    for t, r in _reciprocal_offsets(f, uarr):
+        acc = t.coeffs[-1] * r
+        for c in t.coeffs[-2::-1]:
+            acc = (acc + c) * r
         out = out + acc
     return complex(out[0]) if scalar else out
 
@@ -123,19 +125,17 @@ def rf_derivative(f: RationalFunction, u):
     uarr = np.asarray(u, dtype=complex)
     scalar = uarr.ndim == 0
     uarr = np.atleast_1d(uarr)
-    _pole_guard(f, uarr)
     out = np.zeros(uarr.shape, dtype=complex)
     if len(f.poly) > 1:
         n = len(f.poly) - 1
         out += n * f.poly[-1]
         for k in range(n - 1, 0, -1):
             out = out * uarr + k * f.poly[k]
-    for t in f.terms:
-        d = uarr - t.location
-        acc = np.zeros_like(d)
-        for k in range(t.order, 0, -1):
-            acc = (acc + k * t.coeffs[k - 1]) / d
-        out = out - acc / d
+    for t, r in _reciprocal_offsets(f, uarr):
+        acc = t.order * t.coeffs[-1] * r
+        for k in range(t.order - 1, 0, -1):
+            acc = (acc + k * t.coeffs[k - 1]) * r
+        out = out - acc * r
     return complex(out[0]) if scalar else out
 
 
@@ -143,20 +143,47 @@ def rf_derivative(f: RationalFunction, u):
 # Blaschke products
 # ---------------------------------------------------------------------------
 
-def blaschke_eval(points, v):
-    """Product-form evaluation of prod B(a, v), B(a, v) = (1 - conj(a) v)/(v - a);
-    a point at infinity contributes a factor v.  Stable for any multiplicity."""
+def _blaschke(points, v, deriv):
+    """Product of B(a, v) over points at v, times its logarithmic
+    derivative when deriv.  Each distinct point (by its bits; all points
+    at infinity are one) gets its numerator 1 - conj(a) v, denominator
+    v - a and log-derivative terms computed once; the factors are then
+    applied in point order."""
     varr = np.asarray(v, dtype=complex)
     scalar = varr.ndim == 0
     varr = np.atleast_1d(varr)
     out = np.ones(varr.shape, dtype=complex)
+    logd = np.zeros(varr.shape, dtype=complex)
+    factors = {}
     for a in points:
-        if is_infinite(a):
-            out = out * varr
+        inf = is_infinite(a)
+        key = None if inf else np.complex128(a).tobytes()
+        if key not in factors:
+            if inf:
+                factors[key] = (varr, None, 1.0 / varr if deriv else None)
+            else:
+                a = complex(a)
+                num, den = 1.0 - np.conj(a) * varr, varr - a
+                factors[key] = (num, den, (np.conj(a) / num, 1.0 / den)
+                                if deriv else None)
+        num, den, dlog = factors[key]
+        if den is None:
+            out = out * num
+            if deriv:
+                logd = logd + dlog
         else:
-            a = complex(a)
-            out = out * (1.0 - np.conj(a) * varr) / (varr - a)
+            out = out * num / den
+            if deriv:
+                logd = logd - dlog[0] - dlog[1]
+    if deriv:
+        out = out * logd
     return complex(out[0]) if scalar else out
+
+
+def blaschke_eval(points, v):
+    """Product-form evaluation of prod B(a, v), B(a, v) = (1 - conj(a) v)/(v - a);
+    a point at infinity contributes a factor v.  Stable for any multiplicity."""
+    return _blaschke(points, v, False)
 
 
 def blaschke_derivative(points, v):
@@ -164,18 +191,7 @@ def blaschke_derivative(points, v):
 
     Safe wherever the product is nonzero; on the unit circle every factor
     has modulus one, so boundary evaluation is always in that regime."""
-    varr = np.asarray(v, dtype=complex)
-    scalar = varr.ndim == 0
-    varr = np.atleast_1d(varr)
-    logd = np.zeros(varr.shape, dtype=complex)
-    for a in points:
-        if is_infinite(a):
-            logd = logd + 1.0 / varr
-        else:
-            a = complex(a)
-            logd = logd - np.conj(a) / (1.0 - np.conj(a) * varr) - 1.0 / (varr - a)
-    out = blaschke_eval(points, varr) * logd
-    return complex(out[0]) if scalar else out
+    return _blaschke(points, v, True)
 
 
 def cluster_points(points):
@@ -240,15 +256,15 @@ def blaschke_product(points) -> RationalFunction:
 
 def _laurent_peel(vals, w, dphi, dv, order):
     """c_k = mean(g (Phi(v) - Phi(a))^{k-1} Phi'(v) (v - a)) over the ring
-    nodes v, from g, w = Phi(v) - Phi(a), dphi = Phi'(v) and dv = v - a
-    there; peeled from the top order down so that the huge top-order
-    contribution never swamps the low-order means."""
+    nodes v (one ring per row), from g, w = Phi(v) - Phi(a), dphi = Phi'(v)
+    and dv = v - a there; peeled from the top order down so that the huge
+    top-order contribution never swamps the low-order means."""
     vals = vals.copy()
-    coeffs = np.zeros(order, dtype=complex)
+    coeffs = np.zeros(vals.shape[:-1] + (order,), dtype=complex)
     for k in range(order, 0, -1):
-        c = np.mean(vals * w ** (k - 1) * dphi * dv)
-        coeffs[k - 1] = c
-        vals -= c / w ** k
+        c = np.mean(vals * w ** (k - 1) * dphi * dv, axis=-1)
+        coeffs[..., k - 1] = c
+        vals -= c[..., None] / w ** k
     return coeffs
 
 
@@ -261,8 +277,9 @@ def principal_parts(g, poles,
     punctured neighborhood of each pole.  The contour |v - a| = rho stays
     inside the disk when a map is given, so Phi is never inverted.  g, Phi
     and Phi' are evaluated once, on the 2q-node rings (q = _QUAD_NODES) of
-    all poles stacked into one array; the q-node rule reads every other
-    node.  Disagreement of the two rules beyond _QUAD_TOL (relative to the
+    all poles stacked into one array; the poles of one order are peeled
+    together, one row each, and the q-node rule reads every other node.
+    Disagreement of the two rules beyond _QUAD_TOL (relative to the
     largest coefficient) raises, and the 2q result is returned otherwise."""
     locs = [complex(a) for a, _ in poles]
     orders = [int(m) for _, m in poles]
@@ -292,10 +309,15 @@ def principal_parts(g, poles,
             images = map_eval(cmap, centers[:, 0])
             w = map_eval(cmap, flat).reshape(nodes.shape) - images[:, None]
             dphi = map_derivative(cmap, flat).reshape(nodes.shape)
+    peels = {}  # pole index -> (q-node, 2q-node) coefficients
+    for order in sorted(set(orders[:n_ok])):
+        rows = [i for i in range(n_ok) if orders[i] == order]
+        ring_data = [x[rows] for x in (vals, w, dphi, dv)]
+        c1 = _laurent_peel(*(x[:, ::2] for x in ring_data), order)
+        c2 = _laurent_peel(*ring_data, order)
+        peels.update(zip(rows, zip(c1, c2)))
     for i in range(n_ok):
-        ring_data = (vals[i], w[i], dphi[i], dv[i])
-        c1 = _laurent_peel(*(x[::2] for x in ring_data), orders[i])
-        c2 = _laurent_peel(*ring_data, orders[i])
+        c1, c2 = peels[i]
         scale = max(float(np.max(np.abs(c2))), 1e-300)
         disagree = float(np.max(np.abs(c1 - c2))) / scale
         if disagree > _QUAD_TOL:
@@ -326,7 +348,8 @@ def sup_norm(f: RationalFunction, boundary, m: int | None = None):
     h = TWO_PI / M
     ts, pts = sample_grid(boundary, M)
     vals = np.abs(rf_eval(f, pts))
-    is_max = (vals >= np.roll(vals, 1)) & (vals >= np.roll(vals, -1))
+    wrapped = np.concatenate((vals[-1:], vals, vals[:1]))
+    is_max = (vals >= wrapped[:-2]) & (vals >= wrapped[2:])
     peaks = np.nonzero(is_max)[0]
     y1, y2, y3 = vals[peaks - 1], vals[peaks], vals[(peaks + 1) % M]
     denom = y1 - 2.0 * y2 + y3

@@ -4,11 +4,12 @@ Nothing here imports from the package's computational paths beyond plain
 evaluation of the quantity under test: derivatives are re-derived by
 finite differences, Green's functions by a five-point Shortley-Weller
 Dirichlet solve on a Cartesian grid, Laurent coefficients by randomized
-least-squares fits.  The loop references at the end are the plain forms of
-vectorized package routines (series evaluation, the simplicity scan, the
-sup-norm peak refinement, pole classification, principal parts, map
-inversion, the Theodorsen solve by polar re-inversion), kept to
-pin the fast forms against.  They sample with eval_curve / arc_point on
+least-squares fits, partial fractions in extended precision.  The loop
+references at the end are the plain forms of vectorized package routines
+(series evaluation, Blaschke products, the simplicity scan, the sup-norm
+peak refinement, pole classification, principal parts, map inversion, the
+Theodorsen solve by polar re-inversion), kept to pin the fast forms
+against.  They sample with eval_curve / arc_point on
 grids of their own, never through the package's per-object sample memo.
 """
 
@@ -208,9 +209,73 @@ def laurent_principal_lstsq(g, center, order, rho, rng, n_samples=600,
     return tuple(neg)
 
 
+def rf_reference(f, u, derivative=False):
+    """(f(u), size) -- or (f'(u), size) -- in extended precision
+    (clongdouble), term by term from the partial-fraction form, with size
+    the sum of the terms' moduli: sum_k |c_k| |u - a|^{-k} over the pole
+    terms plus sum_j |p_j| |u|^j over the polynomial part (for f',
+    sum_k k |c_k| |u - a|^{-k-1} plus sum_j j |p_j| |u|^{j-1}).  A
+    backward-stable double evaluation errs by a few eps times size."""
+    u = np.asarray(u, dtype=complex).astype(np.clongdouble)
+    val = np.zeros(u.shape, dtype=np.clongdouble)
+    size = np.zeros(u.shape, dtype=np.longdouble)
+
+    def add(term):
+        nonlocal val, size
+        val = val + term
+        size = size + np.abs(term)
+
+    power = np.ones_like(u)  # u^(j - 1) for f', u^j for f
+    for j, p in enumerate(f.poly):
+        if derivative and j == 0:
+            continue
+        add((j if derivative else 1) * np.clongdouble(p) * power)
+        power = power * u
+    for t in f.terms:
+        r = 1 / (u - np.clongdouble(t.location))
+        power = r * r if derivative else r
+        for k, c in enumerate(t.coeffs, start=1):
+            add((-k if derivative else 1) * np.clongdouble(c) * power)
+            power = power * r
+    return val, size
+
+
 # ---------------------------------------------------------------------------
 # loop references for vectorized package routines
 # ---------------------------------------------------------------------------
+
+def loop_blaschke_eval(points, v):
+    """Product-form evaluation of prod B(a, v), one factor per point (a
+    point at infinity contributes v)."""
+    varr = np.asarray(v, dtype=complex)
+    scalar = varr.ndim == 0
+    varr = np.atleast_1d(varr)
+    out = np.ones(varr.shape, dtype=complex)
+    for a in points:
+        if is_infinite(a):
+            out = out * varr
+        else:
+            a = complex(a)
+            out = out * (1.0 - np.conj(a) * varr) / (varr - a)
+    return complex(out[0]) if scalar else out
+
+
+def loop_blaschke_derivative(points, v):
+    """The product's derivative as the product times its logarithmic
+    derivative, one log-derivative term per point."""
+    varr = np.asarray(v, dtype=complex)
+    scalar = varr.ndim == 0
+    varr = np.atleast_1d(varr)
+    logd = np.zeros(varr.shape, dtype=complex)
+    for a in points:
+        if is_infinite(a):
+            logd = logd + 1.0 / varr
+        else:
+            a = complex(a)
+            logd = logd - np.conj(a) / (1.0 - np.conj(a) * varr) - 1.0 / (varr - a)
+    out = loop_blaschke_eval(points, varr) * logd
+    return complex(out[0]) if scalar else out
+
 
 def horner_eval(c, x):
     """sum_k c[k] x^k by Horner's rule in extended precision (clongdouble),

@@ -1,3 +1,5 @@
+import json
+import os
 import re
 
 import numpy as np
@@ -12,14 +14,21 @@ from bernbound import (INFINITY, blaschke_derivative, blaschke_eval,
                        make_rational, map_derivative, map_eval, map_invert,
                        point_in_curve, poles_of, principal_parts,
                        rf_derivative, rf_eval, sample_grid,
-                       split_inside_outside, sup_norm, trig_curve)
+                       sharpness_sweep, split_inside_outside, sup_norm,
+                       trig_curve)
 from bernbound.errors import NumericsError, PoleError, QuadratureError
 
-from helpers import (random_blaschke, random_complex, random_corpus_function,
-                     random_split_rational)
-from oracles import (laurent_principal_lstsq, loop_classify_poles,
+from helpers import (DEFAULT_SEED, random_blaschke, random_complex,
+                     random_corpus_function, random_split_rational,
+                     sweep_interior_poles)
+from oracles import (laurent_principal_lstsq, loop_blaschke_derivative,
+                     loop_blaschke_eval, loop_classify_poles,
                      loop_principal_parts, loop_sup_norm,
-                     richardson_directional)
+                     rf_reference, richardson_directional)
+
+GOLDEN_SWEEP = os.path.join(os.path.dirname(__file__), "golden",
+                            "ellipse_sweep.json")
+EPS = np.finfo(float).eps
 
 
 class TestMakeRational:
@@ -93,6 +102,67 @@ class TestEvaluation:
             rf_eval(sample_function, 0.2 + 0.1j + 1e-10)
         with pytest.raises(PoleError):
             rf_derivative(sample_function, -1.5 + 1e-10j)
+
+    def test_first_term_within_the_floor_is_named(self, sample_function):
+        # both poles are within the floor of some point; the guard names
+        # the first term in term order, whatever the point order
+        u = np.array([-1.5 + 1e-10j, 0.0, 0.2 + 0.1j])
+        for fn in (rf_eval, rf_derivative):
+            with pytest.raises(PoleError, match=re.escape(
+                    f"pole floor of {0.2 + 0.1j}")):
+                fn(sample_function, u)
+
+    @pytest.mark.parametrize("shape", [(0,), (0, 3), (2, 0)])
+    def test_empty_input_gives_empty_output(self, sample_function, shape):
+        u = np.zeros(shape, dtype=complex)
+        picks = [0.5, 0.5, -0.2j, INFINITY]
+        for got in (rf_eval(sample_function, u),
+                    rf_derivative(sample_function, u),
+                    blaschke_eval(picks, u), blaschke_derivative(picks, u)):
+            assert got.shape == shape
+            assert got.dtype == complex
+
+
+@pytest.fixture(scope="module")
+def golden_f40_on_grid(ellipse_pair):
+    """The golden sweep's n = 40 function and the 4,096-point curve grid
+    its sup norm samples."""
+    with open(GOLDEN_SWEEP, encoding="utf-8") as fh:
+        cfg = json.load(fh)["config"]
+    e, u0, pair = ellipse_pair
+    row, = sharpness_sweep(e, pair, u0, sweep_interior_poles(cfg),
+                           complex(*cfg["zeta0"]), [40], cfg["policy"])
+    return row.run.fn, sample_grid(e, 4096)[1]
+
+
+class TestEvaluationAccuracy:
+    """Against the partial-fraction sum in extended precision: the error
+    stays within 8 eps of the sum of the terms' moduli (the worst seen is
+    about 4 eps, on the corpus derivatives)."""
+
+    @pytest.mark.parametrize("derivative", [False, True])
+    def test_golden_n40_on_the_sup_norm_grid(self, golden_f40_on_grid,
+                                             derivative):
+        f, pts = golden_f40_on_grid
+        fn = rf_derivative if derivative else rf_eval
+        ref, size = rf_reference(f, pts, derivative)
+        assert np.all(np.abs(fn(f, pts) - ref) <= 8 * EPS * size)
+
+    @pytest.mark.parametrize("derivative", [False, True])
+    def test_corpus_on_the_sup_norm_grid(self, golden_f40_on_grid,
+                                         derivative):
+        _, pts = golden_f40_on_grid
+        fn = rf_derivative if derivative else rf_eval
+        rng = np.random.default_rng(DEFAULT_SEED)
+        for _ in range(200):
+            f, _ = random_corpus_function(rng)
+            ref, size = rf_reference(f, pts, derivative)
+            assert np.all(np.abs(fn(f, pts) - ref) <= 8 * EPS * size)
+
+
+_DISK_VALUE = st.complex_numbers(max_magnitude=3.0, allow_nan=False,
+                                 allow_infinity=False)
+_BLASCHKE_POINT = st.one_of(st.just(INFINITY), _DISK_VALUE)
 
 
 class TestBlaschke:
@@ -177,6 +247,25 @@ class TestBlaschke:
             f = blaschke_product(pts)
             direct = blaschke_eval(pts, probes)
             assert np.max(np.abs(rf_eval(f, probes) - direct)) < 1e-8
+
+    @settings(deadline=None, max_examples=60)
+    @given(draws=st.lists(st.tuples(_BLASCHKE_POINT, st.integers(1, 5)),
+                          min_size=1, max_size=4),
+           as_array=st.booleans(), data=st.data())
+    def test_kernels_match_point_loop(self, draws, as_array, data):
+        # one factor per distinct point, applied in point order: the same
+        # bits as one factor per point
+        picks = data.draw(st.permutations(
+            [a for a, m in draws for _ in range(m)]))
+        v = (np.array(data.draw(st.lists(_DISK_VALUE, max_size=9)),
+                      dtype=complex)
+             if as_array else data.draw(_DISK_VALUE))
+        with np.errstate(all="ignore"):
+            for fn, loop in ((blaschke_eval, loop_blaschke_eval),
+                             (blaschke_derivative, loop_blaschke_derivative)):
+                got, want = fn(picks, v), loop(picks, v)
+                assert type(got) is type(want)
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
     def test_derivative_consistency(self, rng):
         pts = [0.4, 0.4, -0.3 + 0.2j]

@@ -4,7 +4,7 @@ ratio check, as BENCH_<n>.json.
 
 Run from the repository root:
 
-    python3 tools/bench.py --out BENCH_17.json [--parent parent.json]
+    python3 tools/bench.py --out BENCH_18.json [--parent parent.json]
 
 Each case is timed with time.perf_counter: a repeat runs the case NUMBER
 (20) times (the subprocess case SUBPROCESS_NUMBER, 2, times), and the record
@@ -42,6 +42,15 @@ sweep curve; the map pair is solved once, outside the timings):
     classify_poles   the 3 corpus poles with infinity; 9 poles, 3 inside
     bernstein_bound  the corpus pole set, orders (3, 2, 3, 2)
     principal_parts  the golden n = 20 picks (8 distinct, cycle_list)
+    build_transferred_extremal
+                     one golden sweep row, n = 10 and n = 40 (the same
+                     picks and zeta0 as the sweep; the whole row: principal
+                     parts, the Leja repair, sup norm and bound)
+    rf_eval          "golden_n40_grid": the n = 40 row's function on the
+                     4,096-point curve grid its sup norm samples
+    blaschke_eval    "golden_n40_ring": the product over the 40 picks on
+                     the 1,024 nodes of the 8 peel rings (128 nodes each)
+                     that principal_parts samples it on
     map_invert       8 interior and 8 exterior points in one array each;
                      "boundary_30": 30 points on the curve through the
                      interior map (the shape of the extremal's Leja nodes);
@@ -206,6 +215,21 @@ def build_cases():
     def transplant(v):
         return bb.blaschke_eval(picks, v)
 
+    zeta0 = complex(*cfg["zeta0"])
+    picks_10, picks_40 = ([base[i % len(base)] for i in range(n)]
+                          for n in (10, 40))
+    f40 = bb.build_transferred_extremal(curve, pair, picks_40, zeta0, u0).fn
+    grid_4096 = bb.sample_grid(curve, 4096)[1]
+    # the peel rings of principal_parts: radius half the distance to the
+    # nearest other pick, the circle or 0.5, whichever is least
+    centers = np.array([a for a, _ in bb.cluster_points(picks_40)])
+    gaps = np.abs(centers[:, None] - centers[None, :])
+    np.fill_diagonal(gaps, np.inf)
+    rhos = np.minimum(np.minimum(gaps.min(axis=1), 1.0 - np.abs(centers)),
+                      0.5) / 2.0
+    peel_rings = (centers[:, None] + rhos[:, None] * np.exp(
+        1j * np.arange(128) * (2 * np.pi / 128))).ravel()
+
     entries = [bb.map_to_json(cmap) for cmap in (pair.interior, pair.exterior)]
     inner = np.array(ring, dtype=complex)
     outer = np.array([complex(1.6 * bb.eval_curve(curve, t))
@@ -278,6 +302,16 @@ def build_cases():
         ("potential", "verify_ratio/corpus_cold", len(functions),
          corpus_cold),
         ("ratfun", "sup_norm/deg40", 1, lambda: bb.sup_norm(deg40, curve)),
+        ("extremal", "build_transferred_extremal/golden_n10", 1,
+         lambda: bb.build_transferred_extremal(curve, pair, picks_10, zeta0,
+                                               u0)),
+        ("extremal", "build_transferred_extremal/golden_n40", 1,
+         lambda: bb.build_transferred_extremal(curve, pair, picks_40, zeta0,
+                                               u0)),
+        ("ratfun", "rf_eval/golden_n40_grid", len(grid_4096),
+         lambda: bb.rf_eval(f40, grid_4096)),
+        ("ratfun", "blaschke_eval/golden_n40_ring", len(peel_rings),
+         lambda: bb.blaschke_eval(picks_40, peel_rings)),
         ("curves", "curve_samples/4096", 4096,
          lambda: bb.sample_grid(bb.ellipse(cfg["a"], cfg["b"]), 4096)),
     ]
