@@ -343,8 +343,8 @@ def _solve_pair(spec: RunSpec, cache_dir=None):
         os.makedirs(cache_dir, exist_ok=True)
         tmp = f"{path}.{os.getpid()}.tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump({"interior": map_to_dict(pair.interior),
-                       "exterior": map_to_dict(pair.exterior)}, fh)
+            fh.write(json.dumps({"interior": map_to_dict(pair.interior),
+                                 "exterior": map_to_dict(pair.exterior)}))
         os.replace(tmp, path)
     return pair, u0
 
@@ -529,7 +529,7 @@ def write_bundle(bundle: ReportBundle, out_dir: str) -> dict:
     _write_csv(paths["summary"], bundle.summary_header, bundle.summary_rows)
     _write_csv(paths["items"], bundle.items_header, bundle.items_rows)
     with open(paths["provenance"], "w", encoding="utf-8") as fh:
-        json.dump(bundle.provenance, fh, indent=2, sort_keys=True)
+        fh.write(json.dumps(bundle.provenance, indent=2, sort_keys=True))
         fh.write("\n")
     return paths
 

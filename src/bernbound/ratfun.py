@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conformal import ConformalMap, map_derivative, map_eval
-from .curves import (TWO_PI, INFINITY, AnalyticCurve, _boundary_points,
-                     _memo_put, distance_to_curve, is_infinite,
+from .curves import (_DISTANCE_M, TWO_PI, INFINITY, AnalyticCurve,
+                     _boundary_points, _memo_put, _readonly, is_infinite,
                      point_in_curve, sample_grid)
 from .errors import PoleError, QuadratureError
 
@@ -94,30 +94,44 @@ def poles_of(f: RationalFunction):
     return tuple(out)
 
 
-def _reciprocal_offsets(f, uarr):
-    """(term, 1/(u - a)) per pole term in term order; the offset u - a is
-    checked first, and the first term within POLE_FLOOR of a point raises."""
+def _reciprocal_offsets(f, uarr, memo=None):
+    """(term, 1/(u - a)) per pole term in term order.  A term whose location
+    is in memo (classify_poles' entries, whose r was taken on this uarr)
+    reads its stored r; any other term's offset u - a is checked first, and
+    the first term within POLE_FLOOR of a point raises, whatever NaN points
+    uarr also holds."""
     for t in f.terms:
+        side = memo.get(t.location) if memo else None
+        if side is not None:
+            yield t, side[2]
+            continue
         d = uarr - t.location
-        if np.min(np.abs(d), initial=math.inf) < POLE_FLOOR:
+        if (np.abs(d) < POLE_FLOOR).any():
             raise PoleError(f"evaluation within the pole floor of {t.location}")
         yield t, 1.0 / d
+
+
+def _horner_sum(f, uarr, offsets):
+    """f on uarr: the polynomial part by Horner in u, each (term, r) of
+    offsets by Horner in r."""
+    out = np.zeros(uarr.shape, dtype=complex)
+    if f.poly:
+        out += f.poly[-1]
+        for c in f.poly[-2::-1]:
+            out = out * uarr + c
+    for t, r in offsets:
+        acc = t.coeffs[-1] * r
+        for c in t.coeffs[-2::-1]:
+            acc = (acc + c) * r
+        out = out + acc
+    return out
 
 
 def rf_eval(f: RationalFunction, u):
     uarr = np.asarray(u, dtype=complex)
     scalar = uarr.ndim == 0
     uarr = np.atleast_1d(uarr)
-    out = np.zeros(uarr.shape, dtype=complex)
-    if f.poly:
-        out += f.poly[-1]
-        for c in f.poly[-2::-1]:
-            out = out * uarr + c
-    for t, r in _reciprocal_offsets(f, uarr):
-        acc = t.coeffs[-1] * r
-        for c in t.coeffs[-2::-1]:
-            acc = (acc + c) * r
-        out = out + acc
+    out = _horner_sum(f, uarr, _reciprocal_offsets(f, uarr))
     return complex(out[0]) if scalar else out
 
 
@@ -343,11 +357,17 @@ def sup_norm(f: RationalFunction, boundary, m: int | None = None):
 
     Dense sampling at M >= max(4096, 64 deg f) plus parabolic refinement of
     every local maximum, re-evaluating |f| at each refined parameter; no
-    global-optimality certificate beyond that resolution."""
+    global-optimality certificate beyond that resolution.  On a curve at
+    M = 4096 (the distance grid) a term whose location classify_poles has
+    memoized reads its reciprocal offsets from the memo; every other term,
+    on arcs and at other M, takes them as rf_eval does, so the values and
+    the first PoleError are rf_eval's."""
     M = int(m) if m else max(4096, 64 * max(degree(f), 1))
     h = TWO_PI / M
     ts, pts = sample_grid(boundary, M)
-    vals = np.abs(rf_eval(f, pts))
+    memo = (boundary._pole_sides if M == _DISTANCE_M
+            and isinstance(boundary, AnalyticCurve) else None)
+    vals = np.abs(_horner_sum(f, pts, _reciprocal_offsets(f, pts, memo)))
     wrapped = np.concatenate((vals[-1:], vals, vals[:1]))
     is_max = (vals >= wrapped[:-2]) & (vals >= wrapped[2:])
     peaks = np.nonzero(is_max)[0]
@@ -398,11 +418,14 @@ def classify_poles(poles, curve: AnalyticCurve) -> PoleSet:
     Each finite pole gets its distance check and then its winding, in
     input order, over the curve's memoized samples (sample_grid).  A
     classified location is kept in the curve's bounded memo
-    (AnalyticCurve._pole_sides: location -> (distance, inside), at most
+    (AnalyticCurve._pole_sides: location -> (distance, inside, r), at most
     _MEMO_CAP entries), so a pole set checked again on the same curve
-    object reads its geometry back; a location that raised (a PoleError on
-    the curve, a CurveError for an ambiguous winding) is never kept and
-    raises again, in the same input order."""
+    object reads its geometry back; r = 1/(u - a) on the 4,096-point
+    distance grid, read-only, is what sup_norm reads there in place of
+    rf_eval's offsets (64 KiB an entry, at most 4 MiB a curve).  This is
+    the memo's one writer, and sup_norm its one other reader.  A location
+    that raised (a PoleError on the curve, a CurveError for an ambiguous
+    winding) is never kept and raises again, in the same input order."""
     entries, inside = [], []
     sep = math.inf
     for a, m in poles:
@@ -416,12 +439,14 @@ def classify_poles(poles, curve: AnalyticCurve) -> PoleSet:
             continue
         side = curve._pole_sides.get(a)
         if side is None:
-            d = distance_to_curve(curve, a)
+            off = sample_grid(curve, _DISTANCE_M)[1] - a
+            d = float(np.min(np.abs(off)))
             if d < POLE_FLOOR:
                 raise PoleError(f"pole {a} lies on the curve "
                                 f"(distance {d:.2e})")
             side = _memo_put(curve._pole_sides, a,
-                             (d, point_in_curve(curve, a)))
+                             (d, point_in_curve(curve, a),
+                              _readonly(1.0 / off)))
         sep = min(sep, side[0])
         entries.append((a, m))
         inside.append(side[1])

@@ -1,6 +1,7 @@
 """Per-object geometry memos: sample grids on curves and arcs, coefficient
 arrays and inversion seeds on maps, and the bounded pole memos (pole sides
-on a curve, series-map preimages per target batch).
+on a curve with their grid reciprocal offsets, series-map preimages per
+target batch).
 
 The memo is computed on first use, read-only, and invisible to equality,
 hashing, replace() and serialization; a call on a reused object gives the
@@ -16,16 +17,16 @@ import pytest
 from bernbound import (INFINITY, MapPair, boundary_point, circle,
                        circular_arc, classify_poles, conformal, ellipse,
                        make_rational, map_eval, map_from_json, map_invert,
-                       map_to_dict, map_to_json, sample_grid, segment_arc,
-                       sharpness_sweep, solve_map_pair, sup_norm,
-                       trig_curve, verify_ratio)
+                       map_to_dict, map_to_json, poles_of, rf_eval,
+                       sample_grid, segment_arc, sharpness_sweep,
+                       solve_map_pair, sup_norm, trig_curve, verify_ratio)
 from bernbound.curves import _MEMO_CAP
 from bernbound.errors import CurveError, MapInvertError, PoleError
 
 from helpers import (CORPUS_EXTERIOR, CORPUS_INTERIOR, CORPUS_SIZE,
                      DEFAULT_SEED, random_corpus_function,
                      sweep_interior_poles)
-from oracles import loop_classify_poles
+from oracles import loop_classify_poles, loop_sup_norm
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -314,3 +315,121 @@ class TestPoleMemos:
         map_invert(cmap, pts)
         assert len(cmap._preimages) == 1
         assert np.all(np.isfinite(map_eval(cmap, map_invert(cmap, pts))))
+
+
+def _without_memo(curve, call):
+    """call() with curve's pole memo emptied, then refilled as it was."""
+    saved = dict(curve._pole_sides)
+    curve._pole_sides.clear()
+    try:
+        return call()
+    finally:
+        curve._pole_sides.update(saved)
+
+
+class TestSupNormReadsPoleMemo:
+    """sup_norm on a curve at M = 4096 reads each classified pole's
+    reciprocal offsets 1/(u - a) from classify_poles' memo; every other
+    term, arcs and other M take rf_eval's offsets."""
+
+    @pytest.fixture(scope="class")
+    def golden_functions(self, entries):
+        """The 200 golden corpus functions and the golden sweep's n = 5,
+        10, 20 and 40 functions."""
+        rng = np.random.default_rng(DEFAULT_SEED)
+        functions = [random_corpus_function(rng)[0]
+                     for _ in range(CORPUS_SIZE)]
+        cfg = json.loads((GOLDEN / "ellipse_sweep.json").read_text())["config"]
+        curve, pair = fresh_pair(entries)
+        rows = sharpness_sweep(curve, pair, boundary_point(curve, T0),
+                               sweep_interior_poles(cfg),
+                               complex(*cfg["zeta0"]), [5, 10, 20, 40],
+                               policy=cfg["policy"])
+        return functions + [row.run.fn for row in rows]
+
+    def test_primed_equals_emptied_and_unmemoized(self, golden_functions):
+        e = ellipse(*AB)
+        for f in golden_functions:
+            classify_poles(poles_of(f), e)
+            assert all(t.location in e._pole_sides for t in f.terms)
+            got = sup_norm(f, e)
+            assert got == _without_memo(e, lambda: sup_norm(f, e))
+            assert got == loop_sup_norm(f, e)
+
+    def test_a_hit_reads_the_stored_offsets(self):
+        # scaling the stored r by 2 doubles a simple pole's grid values,
+        # so the sup norm (refined peaks are evaluated afresh) nearly so
+        e = ellipse(*AB)
+        f = make_rational([(CORPUS_INTERIOR[0], (1.0,))])
+        want = sup_norm(f, e)[0]
+        classify_poles(poles_of(f), e)
+        d, inside, r = e._pole_sides[CORPUS_INTERIOR[0]]
+        e._pole_sides[CORPUS_INTERIOR[0]] = (d, inside, 2.0 * r)
+        assert sup_norm(f, e)[0] == pytest.approx(2.0 * want, rel=1e-4)
+
+    def test_stored_offsets_are_readonly_reciprocals(self):
+        e = ellipse(*AB)
+        classify_poles(CORPUS_POLES, e)
+        pts = sample_grid(e, 4096)[1]
+        for a, (_, _, r) in e._pole_sides.items():
+            assert r.tobytes() == (1.0 / (pts - a)).tobytes()
+            with pytest.raises(ValueError):
+                r[0] = 0.0
+
+    def test_unmemoized_term_within_the_floor_raises_its_error(self):
+        e = ellipse(*AB)
+        on_grid = complex(sample_grid(e, 4096)[1][100])
+        good = (CORPUS_INTERIOR[0], (1.0, 0.5j))
+        with pytest.raises(PoleError):
+            classify_poles([(on_grid, 1)], e)
+        classify_poles([(good[0], 2)], e)
+        assert list(e._pole_sides) == [good[0]]
+        for terms in ([good, (on_grid, (1.0,))], [(on_grid, (1.0,)), good]):
+            f = make_rational(terms)
+            with pytest.raises(PoleError) as want:
+                rf_eval(f, sample_grid(e, 4096)[1])
+            with pytest.raises(PoleError) as got:
+                sup_norm(f, e)
+            assert str(got.value) == str(want.value)
+            assert f"pole floor of {on_grid}" in str(got.value)
+
+    def test_signed_zero_locations_give_the_same_bits(self):
+        x = CORPUS_INTERIOR[1].real
+        plus, minus = complex(x, 0.0), complex(x, -0.0)
+        fs = [make_rational([(a, (1.0, -0.5j))], (0.2,)) for a in (plus, minus)]
+        for key in (plus, minus):
+            e = ellipse(*AB)
+            classify_poles([(key, 2)], e)
+            want = loop_sup_norm(fs[0], e)
+            for f in fs:
+                assert sup_norm(f, e) == want
+
+    def test_arcs_and_other_m_store_and_read_nothing(self):
+        e = ellipse(*AB)
+        a = CORPUS_INTERIOR[0]
+        classify_poles([(a, 1)], e)
+        before = dict(e._pole_sides)
+        # degree 71: M = 64 * 71, so the stored 4,096-point r cannot serve
+        big = make_rational([(a, (1.0,))], (0.0,) * 70 + (1e-3,))
+        small = make_rational([(a, (1.0,)), (2.5, (0.3,))])
+        cases = ((big, None), (small, 2048), (small, 4097))
+        for f, m in cases:
+            assert sup_norm(f, e, m) == loop_sup_norm(f, e, m)
+        assert list(e._pole_sides) == list(before)
+        assert all(x is y for x, y in zip(e._pole_sides.values(),
+                                          before.values()))
+        for arc in (segment_arc(), circular_arc(1.0)):
+            assert sup_norm(small, arc) == loop_sup_norm(small, arc)
+            assert "_pole_sides" not in vars(arc)
+
+    def test_sup_norm_keeps_the_memo_within_its_cap(self):
+        e = ellipse(*AB)
+        for k in range(_MEMO_CAP + 5):
+            a = 0.5 * np.exp(0.03j * k)
+            classify_poles([(a, 1)], e)
+            f = make_rational([(a, (1.0,)), (0.3 * a + 0.1, (0.5,)),
+                               (3.0 * a, (0.2,))])
+            keys = list(e._pole_sides)
+            sup_norm(f, e)
+            assert list(e._pole_sides) == keys
+            assert len(keys) == min(k + 1, _MEMO_CAP)

@@ -1,3 +1,4 @@
+import cmath
 import json
 import os
 import re
@@ -111,6 +112,19 @@ class TestEvaluation:
             with pytest.raises(PoleError, match=re.escape(
                     f"pole floor of {0.2 + 0.1j}")):
                 fn(sample_function, u)
+
+    def test_nan_point_does_not_hide_the_floor(self):
+        f = make_rational([(0.5, (1.0,))])
+        near, nan = 0.5 + 1e-12, complex(np.nan, 0.0)
+        for fn in (rf_eval, rf_derivative):
+            with pytest.raises(PoleError) as alone:
+                fn(f, near)
+            for u in ([near, nan], [nan, near]):
+                with pytest.raises(PoleError) as got:
+                    fn(f, np.array(u))
+                assert str(got.value) == str(alone.value)
+            assert cmath.isnan(fn(f, nan))
+            assert np.isnan(fn(f, np.array([nan, 0.1]))[0])
 
     @pytest.mark.parametrize("shape", [(0,), (0, 3), (2, 0)])
     def test_empty_input_gives_empty_output(self, sample_function, shape):

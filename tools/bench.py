@@ -4,21 +4,37 @@ ratio check, as BENCH_<n>.json.
 
 Run from the repository root:
 
-    python3 tools/bench.py --out BENCH_18.json [--parent parent.json]
+    python3 tools/bench.py --out BENCH_<n>.json [--parent parent.json]
+    python3 tools/bench.py --out BENCH_<n>.json --against <checkout>
 
 Each case is timed with time.perf_counter: a repeat runs the case NUMBER
 (20) times (the subprocess case SUBPROCESS_NUMBER, 2, times), and the record
 keeps the median and the quartiles (q1_s, q3_s) of the per-call time over
 REPEATS (9) repeats, after one untimed warm-up call.  The BLAS/OpenMP
 thread variables default to 1 (as in perfbench/run.py), so one product
-never spreads over idle cores.  To compare two commits, run this file
-from a git checkout of each (a clone or a worktree, not an exported tree:
-the record's "commit" comes from git describe, and is null without .git)
-and compare the median_s of matching (layer, case) records against the
-spread q1_s..q3_s of both: a gap inside either run's spread is not
-resolved.  --parent reads the other run's output, stores its median_s,
-q1_s and q3_s as parent_median_s, parent_q1_s and parent_q3_s, and its
-commit as parent_commit.
+never spreads over idle cores.
+
+--against compares this tree with another checkout in one process: it
+imports the other tree's src/bernbound under the package name
+bernbound_against, builds the same cases from each package, and times each
+case on both sides repeat by repeat, the sides taking turns to run first,
+so host drift between repeats falls on both.  The other side's median_s,
+q1_s and q3_s are stored as parent_median_s, parent_q1_s and parent_q3_s,
+its git describe as parent_commit; each record adds the median, smallest
+and largest of the per-repeat time ratios (this / other: ratio_median,
+ratio_lo, ratio_hi) and the repeats this side was faster in (wins).  A
+case reads "faster" or "slower" only when all 9 repeats agree, that is
+when 1 lies outside [ratio_lo, ratio_hi]: a sign test at 2/2^9, so a
+tree read against itself reads either on about one case in 256.
+
+Without --against, compare two commits by running this file from a git
+checkout of each (a clone or a worktree, not an exported tree: the
+record's "commit" comes from git describe, and is null without .git) and
+compare the median_s of matching (layer, case) records against the spread
+q1_s..q3_s of both: a gap inside either run's spread is not resolved.
+--parent reads the other run's output and stores its median_s, q1_s and
+q3_s and its commit as above.  Runs made one after the other drift apart
+on a shared host, so --against resolves gaps that they cannot.
 
 Map solves (work: the two sides of a pair, or the one map measured):
 
@@ -67,7 +83,11 @@ sweep curve; the map pair is solved once, outside the timings):
                      for every call, so each pays the first use of its
                      per-object geometry memos
     sup_norm         40 simple poles at 1.5 gamma(t_k), default sampling
-                     (4,096 points) on the reused curve
+                     (4,096 points) on the reused curve; "corpus_hit": the
+                     10 corpus functions on a curve whose pole memo holds
+                     the corpus poles, so every term reads its reciprocal
+                     offsets from the memo; "corpus_cold": the same on a
+                     curve whose memo is emptied before each call
     curve_samples    sample_grid on 4,096 points of a fresh ellipse(1.2, 0.8)
                      per call: the cost of one first-use sampling
 
@@ -76,7 +96,7 @@ on the curve (_pole_sides) and on the map (_preimages).  Every case above
 that reads one (classify_poles/*, bernstein_bound/corpus and the series-map
 map_invert cases) empties it before each call, so its label keeps timing
 the first computation; the same case with "/hit" appended repeats the call
-on the filled memo.
+on the filled memo.  The sup_norm corpus cases name their side instead.
 
 End to end, one case per shipped spec and one for start-up:
 
@@ -97,6 +117,8 @@ End to end, one case per shipped spec and one for start-up:
 """
 
 import argparse
+import importlib
+import importlib.util
 import json
 import os
 import platform
@@ -121,12 +143,14 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "tests"))
 
 import bernbound as bb  # noqa: E402
-from bernbound import cli  # noqa: E402
+import bernbound.cli  # noqa: E402,F401
 from helpers import (CORPUS_EXTERIOR, CORPUS_INTERIOR,  # noqa: E402
                      DEFAULT_SEED, random_corpus_function,
                      sweep_interior_poles)
 
 CORPUS_FUNCTIONS = 10
+# the subprocess case, timed SUBPROCESS_NUMBER times a repeat
+VERSION_CASE = "bern/--version"
 
 
 def _golden_config():
@@ -135,25 +159,39 @@ def _golden_config():
         return json.load(fh)["config"]
 
 
-def _bern(argv):
-    if cli.main(argv) != 0:
+def load_package(root, name):
+    """The package in root/src/bernbound, imported as the package name, so
+    that it runs beside this tree's bernbound in one process."""
+    init = os.path.join(root, "src", "bernbound", "__init__.py")
+    spec = importlib.util.spec_from_file_location(
+        name, init, submodule_search_locations=[os.path.dirname(init)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    importlib.import_module(name + ".cli")
+    return module
+
+
+def _bern(main, argv):
+    if main(argv) != 0:
         raise RuntimeError(f"bern {' '.join(argv)} failed")
 
 
-def _bern_version():
+def _bern_version(root):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
+        p for p in (os.path.join(root, "src"), env.get("PYTHONPATH")) if p)
     subprocess.run([sys.executable, "-c",
                     "import sys; from bernbound.cli import main; "
                     "sys.exit(main())", "--version"],
                    env=env, check=True, capture_output=True)
 
 
-def bern_cases(out_dir):
-    """(layer, case, work, callable) for each specs/*.json run in-process,
-    then each curve spec's cache hit, then bern --version in a
-    subprocess."""
+def bern_cases(bb, root, out_dir):
+    """(layer, case, work, callable) for each specs/*.json run in-process
+    through bb's cli, then each curve spec's cache hit, then bern
+    --version of the tree at root in a subprocess."""
+    main = bb.cli.main
     cases, hits = [], []
     spec_dir = os.path.join(ROOT, "specs")
     for name in sorted(os.listdir(spec_dir)):
@@ -165,12 +203,14 @@ def bern_cases(out_dir):
         stem = name[:-len(".json")]
         argv = [spec["command"], "--config", path,
                 "--out", os.path.join(out_dir, stem)]
-        cases.append(("cli", f"bern/{stem}", 1, lambda a=argv: _bern(a)))
+        cases.append(("cli", f"bern/{stem}", 1,
+                      lambda a=argv: _bern(main, a)))
         if "curve" in spec:
             argv = argv + ["--cache", os.path.join(out_dir, "cache")]
             hits.append(("cli", f"bern/{stem}/hit", 1,
-                         lambda a=argv: _bern(a)))
-    return cases + hits + [("cli", "bern/--version", 1, _bern_version)]
+                         lambda a=argv: _bern(main, a)))
+    return cases + hits + [("cli", VERSION_CASE, 1,
+                            lambda: _bern_version(root))]
 
 
 def _emptied(memo, fn):
@@ -181,8 +221,9 @@ def _emptied(memo, fn):
     return call
 
 
-def build_cases():
-    """(layer, case, work, callable) for every timed case."""
+def build_cases(bb):
+    """(layer, case, work, callable) for every timed case of the package
+    bb."""
     cfg = _golden_config()
     curve = bb.ellipse(cfg["a"], cfg["b"])
     u0 = bb.boundary_point(curve, cfg["t"])
@@ -245,14 +286,25 @@ def build_cases():
     trig_in, trig_out = 0.5 * trig_8, 1.6 * trig_8
 
     rng = np.random.default_rng(DEFAULT_SEED)
-    functions = [random_corpus_function(rng)[0]
-                 for _ in range(CORPUS_FUNCTIONS)]
+    functions = [bb.make_rational([(t.location, t.coeffs) for t in f.terms],
+                                  f.poly)
+                 for f, _ in (random_corpus_function(rng)
+                              for _ in range(CORPUS_FUNCTIONS))]
 
     def corpus_cold():
         for f in functions:
             c = bb.ellipse(cfg["a"], cfg["b"])
             fresh = bb.MapPair(c, *(bb.map_from_json(e) for e in entries))
             bb.verify_ratio(f, c, bb.boundary_point(c, cfg["t"]), fresh)
+
+    # one curve whose pole memo holds the corpus poles, one whose memo is
+    # emptied before each call
+    hit_curve = bb.ellipse(cfg["a"], cfg["b"])
+    cold_curve = bb.ellipse(cfg["a"], cfg["b"])
+    bb.classify_poles(corpus, hit_curve)
+
+    def sup_corpus(c):
+        return [bb.sup_norm(f, c) for f in functions]
 
     deg40 = bb.make_rational(
         [(complex(1.5 * bb.eval_curve(curve, t)), (1.0 + 0j,))
@@ -302,6 +354,10 @@ def build_cases():
         ("potential", "verify_ratio/corpus_cold", len(functions),
          corpus_cold),
         ("ratfun", "sup_norm/deg40", 1, lambda: bb.sup_norm(deg40, curve)),
+        ("ratfun", "sup_norm/corpus_hit", len(functions),
+         lambda: sup_corpus(hit_curve)),
+        ("ratfun", "sup_norm/corpus_cold", len(functions),
+         _emptied(cold_curve._pole_sides, lambda: sup_corpus(cold_curve))),
         ("extremal", "build_transferred_extremal/golden_n10", 1,
          lambda: bb.build_transferred_extremal(curve, pair, picks_10, zeta0,
                                                u0)),
@@ -317,34 +373,97 @@ def build_cases():
     ]
 
 
-def time_case(fn, number):
-    """(q1, median, q3) of the per-call time over REPEATS repeats of
-    number calls."""
-    fn()  # warm-up
-    per_call = []
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        for _ in range(number):
-            fn()
-        per_call.append((time.perf_counter() - start) / number)
-    return tuple(statistics.quantiles(per_call, n=4))
+def time_sides(fns, number):
+    """Per-call times of each callable in fns over REPEATS repeats of
+    number calls each, after one untimed warm-up call of each; the
+    callables take turns to run first, so drift within a repeat does not
+    favour one side."""
+    for fn in fns:
+        fn()
+    per_call = [[] for _ in fns]
+    for i in range(REPEATS):
+        order = range(len(fns)) if i % 2 == 0 else range(len(fns) - 1, -1, -1)
+        for j in order:
+            start = time.perf_counter()
+            for _ in range(number):
+                fns[j]()
+            per_call[j].append((time.perf_counter() - start) / number)
+    return per_call
 
 
-def git_commit():
+def quartiles(times):
+    """(q1, median, q3) of a list of times."""
+    return tuple(statistics.quantiles(times, n=4))
+
+
+def git_commit(root):
     try:
         out = subprocess.run(["git", "describe", "--always", "--dirty"],
-                             cwd=ROOT, capture_output=True, text=True,
+                             cwd=root, capture_output=True, text=True,
                              check=True)
     except (OSError, subprocess.CalledProcessError):
         return None
     return out.stdout.strip()
 
 
+def all_cases(bb, root, out_dir):
+    return build_cases(bb) + bern_cases(bb, root, out_dir)
+
+
+def _ms(t):
+    return f"{t * 1e3:9.3f} ms"
+
+
+def measure(args, out_dir):
+    """The records of every case: this tree alone, or this tree against the
+    tree at args.against (the parent_* fields), case by case."""
+    mine = all_cases(bb, ROOT, os.path.join(out_dir, "this"))
+    if args.against:
+        other = load_package(args.against, "bernbound_against")
+        theirs = all_cases(other, args.against,
+                           os.path.join(out_dir, "against"))
+        if [c[:3] for c in mine] != [c[:3] for c in theirs]:
+            raise SystemExit(f"{args.against} does not build the same cases")
+    records = []
+    for k, (layer, case, work, fn) in enumerate(mine):
+        number = SUBPROCESS_NUMBER if case == VERSION_CASE else NUMBER
+        fns = [fn, theirs[k][3]] if args.against else [fn]
+        times = time_sides(fns, number)
+        q1, median, q3 = quartiles(times[0])
+        record = {"layer": layer, "case": case, "median_s": median,
+                  "q1_s": q1, "q3_s": q3,
+                  "repeats": REPEATS, "number": number, "work": work}
+        line = f"{layer:10s} {case:38s} {_ms(median)} [{q1 * 1e3:.3f}, " \
+               f"{q3 * 1e3:.3f}]"
+        if args.against:
+            p1, pmed, p3 = quartiles(times[1])
+            ratios = sorted(a / b for a, b in zip(*times))
+            wins = sum(a < b for a, b in zip(*times))
+            # a sign test at 2 / 2^REPEATS: every repeat on one side
+            verdict = ("faster" if wins == REPEATS else
+                       "slower" if wins == 0 else "")
+            record.update(parent_median_s=pmed, parent_q1_s=p1,
+                          parent_q3_s=p3,
+                          ratio_median=statistics.median(ratios),
+                          ratio_lo=ratios[0], ratio_hi=ratios[-1],
+                          wins=wins, verdict=verdict or None)
+            line += (f" vs {_ms(pmed)}  ratio {record['ratio_median']:.3f} "
+                     f"[{ratios[0]:.3f}, {ratios[-1]:.3f}] "
+                     f"wins {wins}/{REPEATS} {verdict}")
+        records.append(record)
+        print(line, flush=True)
+    return records
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="BENCH_<n>.json path")
-    parser.add_argument("--parent", default=None,
-                        help="this script's output on the parent commit")
+    sides = parser.add_mutually_exclusive_group()
+    sides.add_argument("--parent", default=None,
+                       help="this script's output on the parent commit")
+    sides.add_argument("--against", default=None,
+                       help="another checkout, timed in this process, "
+                            "repeat by repeat")
     args = parser.parse_args(argv)
     parent, parent_s = None, {}
     if args.parent:
@@ -352,20 +471,13 @@ def main(argv=None):
             parent = json.load(fh)
         parent_s = {(r["layer"], r["case"]): r for r in parent["records"]}
 
-    records = []
     with tempfile.TemporaryDirectory() as out_dir:
-        for layer, case, work, fn in build_cases() + bern_cases(out_dir):
-            number = SUBPROCESS_NUMBER if fn is _bern_version else NUMBER
-            q1, median, q3 = time_case(fn, number)
-            record = {"layer": layer, "case": case, "median_s": median,
-                      "q1_s": q1, "q3_s": q3,
-                      "repeats": REPEATS, "number": number, "work": work}
-            for key in ("median_s", "q1_s", "q3_s"):
-                if key in parent_s.get((layer, case), {}):
-                    record["parent_" + key] = parent_s[layer, case][key]
-            records.append(record)
-            print(f"{layer:10s} {case:34s} {median * 1e3:9.3f} ms "
-                  f"[{q1 * 1e3:.3f}, {q3 * 1e3:.3f}]")
+        records = measure(args, out_dir)
+    for record in records:
+        for key in ("median_s", "q1_s", "q3_s"):
+            if key in parent_s.get((record["layer"], record["case"]), {}):
+                record["parent_" + key] = parent_s[
+                    record["layer"], record["case"]][key]
     result = {
         "environment": {
             "cores": os.cpu_count(),
@@ -374,12 +486,15 @@ def main(argv=None):
             "machine": platform.machine(),
             "threads": {v: os.environ[v] for v in THREAD_VARS},
         },
-        "commit": git_commit(),
+        "commit": git_commit(ROOT),
         "version": bb.__version__,
         "records": records,
     }
     if parent is not None:
         result["parent_commit"] = parent["commit"]
+    if args.against:
+        result["parent_commit"] = git_commit(args.against)
+        result["mode"] = "against"
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=1)
         fh.write("\n")
