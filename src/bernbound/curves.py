@@ -62,8 +62,9 @@ class AnalyticCurve:
     @cached_property
     def _pole_sides(self) -> dict:
         """classify_poles' memo, finite pole location -> (distance to the
-        curve, inside, read-only 1/(u - a) on the _DISTANCE_M grid), bounded
-        by _MEMO_CAP; like _grids, not a field."""
+        curve, inside, read-only 1/(u - a) on the _DISTANCE_M grid once
+        sup_norm has used it, else None), bounded by _MEMO_CAP; like
+        _grids, not a field."""
         return {}
 
 

@@ -237,8 +237,9 @@ def build_transferred_extremal(curve: AnalyticCurve, maps: MapPair, picks,
     fn = make_rational(list(f1.terms) + f2_terms, (const,) if const else ())
 
     deriv_mod = abs(rf_derivative(fn, u0.point))
+    poles = classify_poles(poles_of(fn), curve)
     sup, _ = sup_norm(fn, curve)
-    report = bernstein_bound(u0, classify_poles(poles_of(fn), curve), maps)
+    report = bernstein_bound(u0, poles, maps)
     ratio = deriv_mod / (sup * report.bound)
     residual = abs(deriv_mod - h_deriv) / max(h_deriv, 1e-300)
     return ExtremalRun(n, tuple(picks), zeta0, n_interp, leja,

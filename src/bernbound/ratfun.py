@@ -14,8 +14,9 @@ import numpy as np
 
 from .conformal import ConformalMap, map_derivative, map_eval
 from .curves import (_DISTANCE_M, TWO_PI, INFINITY, AnalyticCurve,
-                     _boundary_points, _memo_put, _readonly, is_infinite,
-                     point_in_curve, sample_grid)
+                     _boundary_points, _memo_put, _readonly,
+                     distance_to_curve, is_infinite, point_in_curve,
+                     sample_grid)
 from .errors import PoleError, QuadratureError
 
 POLE_FLOOR = 1e-9
@@ -96,19 +97,22 @@ def poles_of(f: RationalFunction):
 
 def _reciprocal_offsets(f, uarr, memo=None):
     """(term, 1/(u - a)) per pole term in term order.  A term whose location
-    is in memo (classify_poles' entries, whose r was taken on this uarr)
-    reads its stored r; any other term's offset u - a is checked first, and
-    the first term within POLE_FLOOR of a point raises, whatever NaN points
-    uarr also holds."""
+    is in memo (classify_poles' entries, on the grid that uarr is) reads the
+    r stored there, the first read storing it; any other term's offset
+    u - a is checked first, and the first term within POLE_FLOOR of a point
+    raises, whatever NaN points uarr also holds."""
     for t in f.terms:
         side = memo.get(t.location) if memo else None
-        if side is not None:
+        if side is not None and side[2] is not None:
             yield t, side[2]
             continue
         d = uarr - t.location
-        if (np.abs(d) < POLE_FLOOR).any():
+        if side is None and (np.abs(d) < POLE_FLOOR).any():
             raise PoleError(f"evaluation within the pole floor of {t.location}")
-        yield t, 1.0 / d
+        r = 1.0 / d
+        if side is not None:
+            memo[t.location] = side[:2] + (_readonly(r),)
+        yield t, r
 
 
 def _horner_sum(f, uarr, offsets):
@@ -359,9 +363,10 @@ def sup_norm(f: RationalFunction, boundary, m: int | None = None):
     every local maximum, re-evaluating |f| at each refined parameter; no
     global-optimality certificate beyond that resolution.  On a curve at
     M = 4096 (the distance grid) a term whose location classify_poles has
-    memoized reads its reciprocal offsets from the memo; every other term,
-    on arcs and at other M, takes them as rf_eval does, so the values and
-    the first PoleError are rf_eval's."""
+    memoized reads its reciprocal offsets from the memo entry, which the
+    first such read fills; every other term, on arcs and at other M, takes
+    them as rf_eval does and stores nothing, so the values and the first
+    PoleError are rf_eval's."""
     M = int(m) if m else max(4096, 64 * max(degree(f), 1))
     h = TWO_PI / M
     ts, pts = sample_grid(boundary, M)
@@ -420,12 +425,12 @@ def classify_poles(poles, curve: AnalyticCurve) -> PoleSet:
     classified location is kept in the curve's bounded memo
     (AnalyticCurve._pole_sides: location -> (distance, inside, r), at most
     _MEMO_CAP entries), so a pole set checked again on the same curve
-    object reads its geometry back; r = 1/(u - a) on the 4,096-point
-    distance grid, read-only, is what sup_norm reads there in place of
-    rf_eval's offsets (64 KiB an entry, at most 4 MiB a curve).  This is
-    the memo's one writer, and sup_norm its one other reader.  A location
-    that raised (a PoleError on the curve, a CurveError for an ambiguous
-    winding) is never kept and raises again, in the same input order."""
+    object reads its geometry back.  This is the memo's one writer of
+    entries; r is None here, and sup_norm fills it on the entry's first
+    use with 1/(u - a) on the 4,096-point distance grid, read-only (64 KiB
+    an entry, at most 4 MiB a curve).  A location that raised (a PoleError
+    on the curve, a CurveError for an ambiguous winding) is never kept and
+    raises again, in the same input order."""
     entries, inside = [], []
     sep = math.inf
     for a, m in poles:
@@ -439,14 +444,12 @@ def classify_poles(poles, curve: AnalyticCurve) -> PoleSet:
             continue
         side = curve._pole_sides.get(a)
         if side is None:
-            off = sample_grid(curve, _DISTANCE_M)[1] - a
-            d = float(np.min(np.abs(off)))
+            d = distance_to_curve(curve, a)
             if d < POLE_FLOOR:
                 raise PoleError(f"pole {a} lies on the curve "
                                 f"(distance {d:.2e})")
             side = _memo_put(curve._pole_sides, a,
-                             (d, point_in_curve(curve, a),
-                              _readonly(1.0 / off)))
+                             (d, point_in_curve(curve, a), None))
         sep = min(sep, side[0])
         entries.append((a, m))
         inside.append(side[1])

@@ -329,8 +329,9 @@ def _without_memo(curve, call):
 
 class TestSupNormReadsPoleMemo:
     """sup_norm on a curve at M = 4096 reads each classified pole's
-    reciprocal offsets 1/(u - a) from classify_poles' memo; every other
-    term, arcs and other M take rf_eval's offsets."""
+    reciprocal offsets 1/(u - a) from classify_poles' memo entry, which its
+    first read fills; every other term, arcs and other M take rf_eval's
+    offsets and store nothing."""
 
     @pytest.fixture(scope="class")
     def golden_functions(self, entries):
@@ -363,15 +364,27 @@ class TestSupNormReadsPoleMemo:
         f = make_rational([(CORPUS_INTERIOR[0], (1.0,))])
         want = sup_norm(f, e)[0]
         classify_poles(poles_of(f), e)
+        assert sup_norm(f, e)[0] == want
         d, inside, r = e._pole_sides[CORPUS_INTERIOR[0]]
         e._pole_sides[CORPUS_INTERIOR[0]] = (d, inside, 2.0 * r)
         assert sup_norm(f, e)[0] == pytest.approx(2.0 * want, rel=1e-4)
 
-    def test_stored_offsets_are_readonly_reciprocals(self):
+    def test_classify_stores_no_offsets_and_a_first_read_does(self):
+        # classify_poles alone (the bound, Green's function runs) pays no
+        # reciprocal; sup_norm fills each entry it reads, in place
         e = ellipse(*AB)
         classify_poles(CORPUS_POLES, e)
+        keys = list(e._pole_sides)
+        assert all(r is None for _, _, r in e._pole_sides.values())
+        f = make_rational([(a, (1.0, 0.5j)) for a in keys[:2]])
+        sup_norm(f, e)
+        assert list(e._pole_sides) == keys
         pts = sample_grid(e, 4096)[1]
-        for a, (_, _, r) in e._pole_sides.items():
+        for a, (d, _, r) in e._pole_sides.items():
+            if a not in keys[:2]:
+                assert r is None
+                continue
+            assert d == float(np.min(np.abs(pts - a)))
             assert r.tobytes() == (1.0 / (pts - a)).tobytes()
             with pytest.raises(ValueError):
                 r[0] = 0.0
@@ -421,6 +434,19 @@ class TestSupNormReadsPoleMemo:
         for arc in (segment_arc(), circular_arc(1.0)):
             assert sup_norm(small, arc) == loop_sup_norm(small, arc)
             assert "_pole_sides" not in vars(arc)
+
+    def test_a_sweep_row_reads_its_own_classification(self, entries):
+        # build_transferred_extremal classifies the row's poles before its
+        # sup norm, so a cold row fills every entry it added
+        cfg = json.loads((GOLDEN / "ellipse_sweep.json").read_text())["config"]
+        curve, pair = fresh_pair(entries)
+        row, = sharpness_sweep(curve, pair, boundary_point(curve, T0),
+                               sweep_interior_poles(cfg),
+                               complex(*cfg["zeta0"]), [10],
+                               policy=cfg["policy"])
+        locations = {t.location for t in row.run.fn.terms}
+        assert locations <= set(curve._pole_sides)
+        assert all(curve._pole_sides[a][2] is not None for a in locations)
 
     def test_sup_norm_keeps_the_memo_within_its_cap(self):
         e = ellipse(*AB)

@@ -4,8 +4,7 @@ ratio check, as BENCH_<n>.json.
 
 Run from the repository root:
 
-    python3 tools/bench.py --out BENCH_<n>.json [--parent parent.json]
-    python3 tools/bench.py --out BENCH_<n>.json --against <checkout>
+    python3 tools/bench.py --out BENCH_<n>.json [--against <checkout>]
 
 Each case is timed with time.perf_counter: a repeat runs the case NUMBER
 (20) times (the subprocess case SUBPROCESS_NUMBER, 2, times), and the record
@@ -14,9 +13,11 @@ REPEATS (9) repeats, after one untimed warm-up call.  The BLAS/OpenMP
 thread variables default to 1 (as in perfbench/run.py), so one product
 never spreads over idle cores.
 
---against compares this tree with another checkout in one process: it
-imports the other tree's src/bernbound under the package name
-bernbound_against, builds the same cases from each package, and times each
+--against compares this tree with another checkout, and is the one way
+to compare two trees: runs made one after the other drift apart on a
+shared host by more than the gaps they are asked to resolve.  It imports
+the other tree's src/bernbound under the package name bernbound_against,
+in this process, builds the same cases from each package, and times each
 case on both sides repeat by repeat, the sides taking turns to run first,
 so host drift between repeats falls on both.  The other side's median_s,
 q1_s and q3_s are stored as parent_median_s, parent_q1_s and parent_q3_s,
@@ -25,16 +26,9 @@ and largest of the per-repeat time ratios (this / other: ratio_median,
 ratio_lo, ratio_hi) and the repeats this side was faster in (wins).  A
 case reads "faster" or "slower" only when all 9 repeats agree, that is
 when 1 lies outside [ratio_lo, ratio_hi]: a sign test at 2/2^9, so a
-tree read against itself reads either on about one case in 256.
-
-Without --against, compare two commits by running this file from a git
-checkout of each (a clone or a worktree, not an exported tree: the
-record's "commit" comes from git describe, and is null without .git) and
-compare the median_s of matching (layer, case) records against the spread
-q1_s..q3_s of both: a gap inside either run's spread is not resolved.
---parent reads the other run's output and stores its median_s, q1_s and
-q3_s and its commit as above.  Runs made one after the other drift apart
-on a shared host, so --against resolves gaps that they cannot.
+tree read against itself reads either on about one case in 256.  The
+record's "commit" (and parent_commit) come from git describe, and are
+null in a tree without .git.
 
 Map solves (work: the two sides of a pair, or the one map measured):
 
@@ -458,26 +452,12 @@ def measure(args, out_dir):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--out", required=True, help="BENCH_<n>.json path")
-    sides = parser.add_mutually_exclusive_group()
-    sides.add_argument("--parent", default=None,
-                       help="this script's output on the parent commit")
-    sides.add_argument("--against", default=None,
-                       help="another checkout, timed in this process, "
-                            "repeat by repeat")
+    parser.add_argument("--against", default=None,
+                        help="another checkout, timed in this process, "
+                             "repeat by repeat")
     args = parser.parse_args(argv)
-    parent, parent_s = None, {}
-    if args.parent:
-        with open(args.parent, encoding="utf-8") as fh:
-            parent = json.load(fh)
-        parent_s = {(r["layer"], r["case"]): r for r in parent["records"]}
-
     with tempfile.TemporaryDirectory() as out_dir:
         records = measure(args, out_dir)
-    for record in records:
-        for key in ("median_s", "q1_s", "q3_s"):
-            if key in parent_s.get((record["layer"], record["case"]), {}):
-                record["parent_" + key] = parent_s[
-                    record["layer"], record["case"]][key]
     result = {
         "environment": {
             "cores": os.cpu_count(),
@@ -490,8 +470,6 @@ def main(argv=None):
         "version": bb.__version__,
         "records": records,
     }
-    if parent is not None:
-        result["parent_commit"] = parent["commit"]
     if args.against:
         result["parent_commit"] = git_commit(args.against)
         result["mode"] = "against"
