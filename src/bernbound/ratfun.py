@@ -14,9 +14,8 @@ import numpy as np
 
 from .conformal import ConformalMap, map_derivative, map_eval
 from .curves import (_DISTANCE_M, TWO_PI, INFINITY, AnalyticCurve,
-                     _boundary_points, _memo_put, _readonly,
-                     distance_to_curve, is_infinite, point_in_curve,
-                     sample_grid)
+                     _boundary_points, _memo_put, _readonly, distance_to_curve,
+                     is_infinite, point_in_curve, sample_grid)
 from .errors import PoleError, QuadratureError
 
 POLE_FLOOR = 1e-9
@@ -362,11 +361,10 @@ def sup_norm(f: RationalFunction, boundary, m: int | None = None):
     Dense sampling at M >= max(4096, 64 deg f) plus parabolic refinement of
     every local maximum, re-evaluating |f| at each refined parameter; no
     global-optimality certificate beyond that resolution.  On a curve at
-    M = 4096 (the distance grid) a term whose location classify_poles has
-    memoized reads its reciprocal offsets from the memo entry, which the
-    first such read fills; every other term, on arcs and at other M, takes
-    them as rf_eval does and stores nothing, so the values and the first
-    PoleError are rf_eval's."""
+    M = 4096 (the distance grid) a term that classify_poles has memoized
+    reads its reciprocal offsets from the memo entry, the first read
+    filling it; other terms, arcs and other M take them as rf_eval does,
+    storing nothing, so the values and the first PoleError are rf_eval's."""
     M = int(m) if m else max(4096, 64 * max(degree(f), 1))
     h = TWO_PI / M
     ts, pts = sample_grid(boundary, M)
