@@ -7,22 +7,22 @@ disk automorphism  v -> rot * (v + s)/(1 + s v)  realizing the normalization;
 the hyperbolic factor fixes +-1 and scales the boundary derivative by
 (1 - s)/(1 + s).
 
-General curves are solved by Wegmann's method for the boundary
-correspondence in the curve parameter t (_wegmann) about z_c = c_0, which
-the curve must wind once about; the exterior problem is the same iteration
-on the inverted boundary w = 1/(u - z_c).  Each step is damped and takes its
-products on the 2m-point grid; the iteration stops when the correction is
-small or no damped step lowers it, and the series tail then decides, on
-each grid of _GRIDS in turn, until it is at most _TAIL_TOL ("series
-unresolved" past the last, the one refusal).  Circles get the exact linear
-map on both sides, the ellipse exterior the Joukowski-type closed form;
-map_invert solves each core for w: these exactly, series maps by Newton.
+General curves are solved about z_c = c_0, which the curve must wind once
+about, the exterior as the interior of the inverted boundary 1/(u - z_c).
+One Nystrom solve of the Kerzman-Stein equation for the Szego kernel S on
+the curve-parameter grid (N. Kerzman and M. R. Trummer, J. Comput. Appl.
+Math. 14 (1986)) gives the boundary correspondence, theta'(t) ~ |S|^2
+|gamma'| (_correspondence).  Newton on it finds the t of each disk angle of
+a grid; the series tail decides, on the grids of _GRIDS in turn, until it
+is at most _TAIL_TOL ("series unresolved" past the last, the one refusal).
+Circles get the exact linear map on both sides, the ellipse exterior the
+Joukowski-type closed form; map_invert solves each core for w: these
+exactly, series maps by Newton.
 
 A map keeps only what evaluation, inversion and the map cache read: the core
 series, the prefix (rot, s), the anchor and the derivative there, the grid
 size m the series was resolved on (its uniform ring seeds map_invert), the
-extension margin and the truncation tail.  The boundary correspondence
-Wegmann's iteration solves for builds the series and is then dropped.
+extension margin and the truncation tail; not the correspondence.
 Arrays derived from those fields (the series and its derivative as complex
 arrays, map_invert's seed ring) are memoized on the map object on first
 use, read-only; they are not fields, so they are never serialized, and
@@ -45,7 +45,7 @@ import json
 import math
 from contextlib import suppress
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -59,11 +59,8 @@ _INF = complex(math.inf, 0.0)
 _TRIM_REL = 1e-14
 _GRIDS = (1024, 2048, 4096, 8192)  # solve grids, tried in turn
 _TAIL_TOL = 1e-12
-# _wegmann's tolerance on max |U|, its step cap and its damped step lengths
-# 1, 1/2, ..., 2^-6
-_SOLVE_TOL = 1e-13
-_MAX_ITER = 50
-_STEPS = tuple(0.5 ** j for j in range(7))
+_SZEGO_GRIDS = (128, 256, 512, 1024)  # Nystrom sizes, tried in turn
+_SZEGO_TOL = 1e-7     # the Fourier tail of S that ends them
 _SERIES_MIN = 8       # a series core keeps at least this many terms
 _MARGIN_M = 512       # ring size of the sampled margin walk
 _INVERT_TOL = 1e-13   # map_invert's relative residual, |Phi(v) - u| / (1 + |u|)
@@ -248,77 +245,79 @@ def map_derivative(cmap: ConformalMap, v):
 
 
 # ---------------------------------------------------------------------------
-# Wegmann's method
+# the boundary correspondence, from the Szego kernel
 # ---------------------------------------------------------------------------
 
-def _conjugate_periodic(x):
-    """Boundary conjugation operator: mode k picks up a factor -i*sign(k)."""
-    m = len(x)
-    f = np.fft.fft(x)
-    mult = np.zeros(m, dtype=complex)
-    mult[1:(m + 1) // 2] = -1j
-    mult[m // 2 + 1:] = 1j
-    return np.real(np.fft.ifft(f * mult))
-
-
-def _wegmann(curve, center, m, sign):
-    """Wegmann's method for the correspondence S (in the curve parameter, on
-    the m-point theta grid, from S = theta) of g = gamma(S) - center (sign
-    +1) or g = 1/(gamma(-S) - center) (sign -1, on tau = -t), mapped with
-    f(0) = 0.  A step S + lam U takes the first lam of _STEPS that keeps S
-    increasing and lowers the 2-norm of U (max |U| stalls on a local bump of
-    U), until max |U| < _SOLVE_TOL, no lam passes or _MAX_ITER steps.  U
-    has mean 0, so f keeps the rotation of the disk S = theta starts from
-    (_turned fixes it).  Returns gamma(S), whose series tail then decides."""
-    s = np.arange(m) * (TWO_PI / m)
-    u = _wegmann_step(curve, center, sign, s)
-    for _ in range(_MAX_ITER):
-        if not np.max(np.abs(u)) >= _SOLVE_TOL:  # a NaN residual stops too
-            break
-        for lam in _STEPS:
-            s_try = s + lam * u
-            if np.all(np.diff(s_try, append=s_try[0] + TWO_PI) > 0):
-                u_try = _wegmann_step(curve, center, sign, s_try)
-                if np.linalg.norm(u_try) < np.linalg.norm(u):
-                    s, u = s_try, u_try
-                    break
-        else:
-            break
-    return eval_curve(curve, sign * s)
-
-
-def _wegmann_step(curve, center, sign, s):
-    """Wegmann's correction U at s (see _wegmann), computed on the 2m-point
-    grid that s - theta is interpolated onto, so that no product aliases.
-    With psi = arg(i g' e^(-i theta)) unwrapped and E = exp(i psi - K[psi]),
-    f = E G solves Re(conj(i g') (f - g)) = 0 when G = sum g_k z^k has g_1 =
-    c_0 + i tau, g_k = 2 c_(k-1) for 2 <= k < m, c_n the Fourier
-    coefficients of Im(conj(g') g) / |g' E|.  tau, which turns the disk,
-    gives U = Re((f - g) / g') mean 0: the step never has to turn it, and
-    tau is finite whatever the rotation S = theta starts from."""
-    m, n = len(s), 2 * len(s)
-    spec = np.fft.rfft(s - np.arange(m) * (TWO_PI / m))
-    spec[-1] /= 2.0  # the Nyquist mode, split between +-m/2
-    theta2 = np.arange(n) * (TWO_PI / n)
-    s2 = theta2 + 2.0 * np.fft.irfft(spec, n)
+def _szego(curve, center, sign, n):
+    """(S, T, |g'|) at t_j = 2 pi j / n: the Szego kernel S(., 0) of the
+    domain inside g = gamma - center (sign +1) or g = 1/(gamma(-t) - center)
+    (sign -1), by Nystrom on the Kerzman-Stein equation (I - A diag(|g'| h))
+    S = conj(T / (2 pi i g)), with T = g' / |g'|, h = 2 pi / n, A = H - H*,
+    H_ij = T_j / (2 pi i (g_j - g_i)) and A_ii = 0."""
     ks, c = np.arange(-curve.order, curve.order + 1), _coeff_array(curve)
-    jet = np.exp(1j * np.multiply.outer(sign * s2, ks))
+    jet = np.exp(1j * np.multiply.outer(sign * TWO_PI / n * np.arange(n), ks))
     g = jet @ c - center
     dg = jet @ (1j * ks * c)
     if sign < 0:
         g = 1.0 / g
         dg = dg * g * g  # d/dtau 1/(gamma(-tau) - center) = gamma' g^2
-    psi = np.unwrap(np.angle(1j * dg * np.exp(-1j * theta2)))
-    kpsi = _conjugate_periodic(psi)
-    e = np.exp(1j * psi - kpsi)
-    ck = np.fft.fft((dg.conj() * g).imag / (np.abs(dg) * np.exp(-kpsi))) / n
-    gk = np.zeros(n, dtype=complex)
-    gk[1] = ck[0].real
-    gk[2:m] = 2.0 * ck[1:m - 1]
-    u = ((e * (np.fft.ifft(gk) * n) - g) / dg).real[::2]  # at the m points
-    # g_1 + i tau turns the disk and adds -tau exp(-K[psi]) / |g'| to U
-    weight = (np.exp(-kpsi) / np.abs(dg))[::2]
-    return u - weight * (np.mean(u) / np.mean(weight))
+    speed, tang = np.abs(dg), dg / np.abs(dg)
+    a = g - g[:, None]  # d_ij = g_j - g_i
+    np.fill_diagonal(a, 1.0)
+    np.reciprocal(a, out=a)
+    # 2 pi i A_ij = T_j / d_ij - conj(T_i / d_ij), two matrices at a time
+    b = np.multiply(tang, a)
+    np.multiply(tang.conj()[:, None], np.conj(a, out=a), out=a)
+    a = np.subtract(b, a, out=b)
+    a *= speed * (1j / n)  # -A diag(|g'| h)
+    np.fill_diagonal(a, 1.0)
+    return np.linalg.solve(a, np.conj(tang / (2j * math.pi * g))), tang, speed
+
+
+@lru_cache(maxsize=2)
+def _correspondence(curve, center, sign):
+    """(theta0, c, dc, knots): the disk angle theta0 + t + p(t) of g(t) (see
+    _szego) under the Riemann map f, f(0) = 0 < f'(0), with p = 2 Re sum c_k
+    e^(ikt), p' = 2 Re sum dc_k e^(ikt) and knots theta - theta0 at t_j = 2
+    pi j / n, j = 0..n.  If gamma is a polynomial in e^(it) (in e^(-it),
+    plus c_1 e^(it), outside), that is the map: theta = t.  Else theta' =
+    |S|^2 |g'| / mean, theta0 = arg(S^2 T / i) at t = 0, n the first size
+    whose S has a Fourier tail of at most _SZEGO_TOL, or the last.  The
+    last two calls are kept, so the grids of a side share one solve."""
+    ks = np.arange(-curve.order, curve.order + 1)
+    if not np.any(_coeff_array(curve)[ks < 0 if sign > 0 else ks > 1]):
+        zero = _readonly(np.zeros(1, dtype=complex))
+        return 0.0, zero, zero, _readonly(np.array([0.0, TWO_PI]))
+    for n in _SZEGO_GRIDS:
+        s, tang, speed = _szego(curve, center, sign, n)
+        spec = np.abs(np.fft.fft(s))  # its tail: the modes n/4 <= |k| <= n/2
+        if np.max(spec[n // 4:n - n // 4 + 1]) <= _SZEGO_TOL * np.max(spec):
+            break
+    dtheta = np.abs(s) ** 2 * speed
+    dc = np.fft.fft(dtheta)[:n // 2] / np.sum(dtheta)  # theta' has mean 1
+    dc[0] = 0.0
+    c = np.concatenate([[0.0], dc[1:] / (1j * np.arange(1, n // 2))])
+    c[0] = -np.sum(c.real)  # p(0) = 0
+    knots = np.arange(n + 1) * (TWO_PI / n)
+    knots[:n] += 2.0 * (np.fft.ifft(c, n) * n).real
+    theta0 = float(np.angle(s[0] ** 2 * tang[0] / 1j))
+    return theta0, _readonly(c), _readonly(dc), _readonly(knots)
+
+
+def _boundary(curve, center, m, sign):
+    """gamma at the parameters (t inside, -t outside) of the m disk angles
+    2 pi k / m: Newton on theta(t) (_correspondence) from its knots."""
+    theta0, c, dc, knots = _correspondence(curve, center, sign)
+    psi = (np.arange(m) * (TWO_PI / m) - theta0) % TWO_PI
+    t = np.interp(psi, knots, np.linspace(0.0, TWO_PI, len(knots)))
+    for _ in range(20):
+        e = np.exp(1j * t)
+        step = ((t + 2.0 * _poly_eval(c, e).real - psi)
+                / (1.0 + 2.0 * _poly_eval(dc, e).real))
+        t -= step
+        if not np.max(np.abs(step)) > 1e-13:
+            break
+    return eval_curve(curve, sign * t)
 
 
 def _turned(bins):
@@ -342,7 +341,7 @@ def _trim_series(series):
 
 def _interior_core(curve, z_c, m):
     """Raw interior map about z_c: series and tail."""
-    bnd = _wegmann(curve, z_c, m, +1)
+    bnd = _boundary(curve, z_c, m, +1)
     bins = _turned(np.fft.fft(bnd) / m)
     kmax = m // 2
     series = np.concatenate([[z_c], bins[1:kmax]])
@@ -354,7 +353,7 @@ def _interior_core(curve, z_c, m):
 
 def _exterior_core(curve, z_c, m):
     """Raw exterior map through the inversion w = 1/(u - z_c)."""
-    bnd = _wegmann(curve, z_c, m, -1)
+    bnd = _boundary(curve, z_c, m, -1)
     # Psi(e^{i theta}) = z_c + 1/W(e^{-i theta}) = gamma at W's theta_{m-j}
     bins = _turned(np.fft.fft(np.concatenate([bnd[:1], bnd[1:][::-1]])) / m)
     kmax = m // 2

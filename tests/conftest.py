@@ -41,7 +41,7 @@ def shifted_circle_pair():
 
 @pytest.fixture(scope="session")
 def trig_pair():
-    """Wegmann series maps on both sides, with s != 0 outside."""
+    """Series maps on both sides, with s != 0 outside."""
     c = trig_curve([(1, 1.0 + 0j), (4, 0.06 + 0j)])
     u0 = boundary_point(c, 0.3)
     return c, u0, solve_map_pair(c, u0)

@@ -8,10 +8,10 @@ import pytest
 
 from bernbound import (boundary_point, circle, ellipse, eval_curve,
                        map_derivative, map_eval, map_from_json, map_invert,
-                       map_to_json, openup_preimages, point_in_curve,
-                       roundtrip_residual, sample_grid, segment_arc,
-                       solve_exterior_map, solve_interior_map, solve_map_pair,
-                       trig_curve, validate_curve)
+                       map_to_json, openup_preimages, param_of_point,
+                       point_in_curve, roundtrip_residual, sample_grid,
+                       segment_arc, solve_exterior_map, solve_interior_map,
+                       solve_map_pair, trig_curve, validate_curve)
 from bernbound import conformal
 from bernbound.conformal import (_MARGIN_LADDER, _moebius, _poly_eval,
                                  exterior_pole)
@@ -243,7 +243,7 @@ class TestTheodorsen:
         assert pair.exterior.delta == 0.0476837158203125
 
 
-# (curve, anchor t) solved both ways: Wegmann's method on the curve parameter
+# (curve, anchor t) solved both ways: the Szego solve on the curve parameter
 # against Theodorsen's polar iteration, oracles.polar_theodorsen_core
 _ORACLE_CASES = [(ellipse(1.0, b), 6.3)
                  for b in (0.5, 0.6, 0.7, 0.742654, 0.8, 0.9)] + [
@@ -341,73 +341,147 @@ class TestDerivedGrid:
 # whose mean point c_0 = 0.5i lies outside it
 _CRESCENT = trig_curve([(1, 0.6), (-1, 0.4), (0, 0.5j), (2, 0.25j),
                         (-2, 0.25j)])
-# the damping case: the full first Wegmann step from S = theta folds S
+# the damping case of the former Wegmann iteration: its full first step from
+# S = theta folded S
 _DAMPED = trig_curve([(1, 1), (-2, 0.0068 + 0.1549j),
                       (-1, -0.177 - 0.106j)])
 
 
+def _s_tail(s):
+    """The Fourier tail of the n samples s that ends the ladder of Nystrom
+    sizes: max |s_k| over n/4 <= |k| <= n/2, over max |s_k|."""
+    n = len(s)
+    spec = np.abs(np.fft.fft(s))
+    return float(np.max(spec[n // 4:n - n // 4 + 1]) / np.max(spec))
+
+
 class TestWegmann:
-    """Wegmann's method on the curve parameter.  A step is one evaluation of
-    the correction U (_wegmann_step), the first at S = theta."""
+    """The series solve (named for the iteration it replaced): one
+    Kerzman-Stein solve for the Szego kernel per side, its Nystrom size
+    doubling over _SZEGO_GRIDS, and the correspondence it gives reused on
+    every grid of _GRIDS."""
 
     @staticmethod
     def recorded(monkeypatch):
-        """max |U| of every _wegmann_step call, in call order."""
+        """(sign, n, Fourier tail of S) of every _szego call, in call
+        order, from an empty correspondence memo."""
         log = []
-        real = conformal._wegmann_step
+        real = conformal._szego
 
-        def recording(curve, center, sign, s):
-            u = real(curve, center, sign, s)
-            log.append(float(np.max(np.abs(u))))
-            return u
+        def recording(curve, center, sign, n):
+            out = real(curve, center, sign, n)
+            log.append((sign, n, _s_tail(out[0])))
+            return out
 
-        monkeypatch.setattr(conformal, "_wegmann_step", recording)
+        monkeypatch.setattr(conformal, "_szego", recording)
+        conformal._correspondence.cache_clear()
         return log
 
-    def test_golden_interior_converges_in_few_steps(self, monkeypatch):
-        # 5 steps measured (max |U| 0.42, 0.049, 8.2e-4, 2.9e-7, 4.4e-14):
-        # every full step is taken and the error squares
+    def test_golden_interior_takes_one_solve(self, monkeypatch):
+        # S is resolved at the first Nystrom size (tail 9.4e-12 measured)
         log = self.recorded(monkeypatch)
         e = ellipse(1.2, 0.8)
         conformal._interior_core(e, conformal._interior_center(e), 1024)
-        assert len(log) <= 8
-        assert log[-1] < conformal._SOLVE_TOL
-        assert all(b < a ** 1.5 for a, b in zip(log, log[1:]))
+        assert [(sign, n) for sign, n, _ in log] == [(1, 128)]
+        assert log[0][2] < 1e-10
 
     @pytest.mark.parametrize("a,b", [(1.2, 0.8), (1.0, 0.4)])
-    def test_ellipse_exterior_takes_one_step(self, monkeypatch, a, b):
-        # the ellipse's own parametrization is its exterior correspondence,
-        # so U vanishes at S = theta and the core is the closed form
-        log = self.recorded(monkeypatch)
+    def test_ellipse_exterior_is_the_closed_form(self, a, b):
+        # the ellipse's own parametrization is its exterior correspondence:
+        # the Szego solve reads theta' = |S|^2 |g'| / mean = 1, and the core
+        # (which takes theta(t) = t from the curve's coefficients) is the
+        # closed form
         e = ellipse(a, b)
+        s, _, speed = conformal._szego(e, 0j, -1, 128)
+        dtheta = np.abs(s) ** 2 * speed
+        assert np.max(np.abs(dtheta / np.mean(dtheta) - 1.0)) < 1e-13
         series, tail = conformal._exterior_core(e, 0j, 1024)
-        assert len(log) == 1 and log[0] < conformal._SOLVE_TOL
         closed = conformal._closed_exterior_ellipse(a, b)
         assert tail == conformal._TRIM_REL
         assert np.max(np.abs(series - np.pad(closed, (0, len(series) - 3)))
                       ) < 1e-15
 
-    def test_damped_step(self, monkeypatch):
-        # from S = theta the full step folds the correspondence, so the
-        # first step taken is the half step; undamped, the first two steps
-        # raise max |U| from 1.12 to 1.21.  The interior resolves on grid
-        # 4096 (Theodorsen's iteration needed 8192)
-        z_c = conformal._interior_center(_DAMPED)
-        theta = np.arange(1024) * (2 * np.pi / 1024)
-        u0 = conformal._wegmann_step(_DAMPED, z_c, 1, theta)
-        u1 = conformal._wegmann_step(_DAMPED, z_c, 1, theta + u0)
-        assert np.max(np.abs(u1)) > np.max(np.abs(u0)) > 1.0
-        assert np.min(np.diff(theta + u0)) < 0.0
-        assert np.min(np.diff(theta + u0 / 2)) > 0.0
-        half = conformal._wegmann_step(_DAMPED, z_c, 1, theta + u0 / 2)
+    def test_damped_resolves_on_grid_4096(self, monkeypatch):
+        # the curve whose first full Wegmann step folded the correspondence:
+        # one ladder of Nystrom sizes inside, the series on grid 4096
+        # (Theodorsen's iteration needed 8192); no k >= 2 term, so the
+        # exterior takes theta(t) = t with no solve
         log = self.recorded(monkeypatch)
-        conformal._interior_core(_DAMPED, z_c, 1024)
-        assert log[:2] == [np.max(np.abs(u0)), np.max(np.abs(half))]
-        assert log[-1] < conformal._SOLVE_TOL
         pair = solve_map_pair(_DAMPED, boundary_point(_DAMPED, 0.0))
         assert pair.interior.grid == 4096 and pair.exterior.grid == 1024
         assert max(pair.interior.tail,
                    pair.exterior.tail) <= conformal._TAIL_TOL
+        sizes = [n for _, n, _ in log]
+        assert sizes == list(conformal._SZEGO_GRIDS[:len(sizes)])
+        assert {sign for sign, _, _ in log} == {1}
+        assert log[-1][2] <= conformal._SZEGO_TOL
+
+    def test_thin_ellipse_walks_the_grids_with_one_solve(self, monkeypatch):
+        # ellipse(1, 0.4)'s interior series resolves only on grid 4096; the
+        # three grids share the one Szego solve (sizes 128 and 256)
+        log = self.recorded(monkeypatch)
+        grids = []
+        real = conformal._interior_core
+
+        def recording(curve, z_c, m):
+            grids.append(m)
+            return real(curve, z_c, m)
+
+        monkeypatch.setattr(conformal, "_interior_core", recording)
+        e = ellipse(1.0, 0.4)
+        pair = solve_map_pair(e, boundary_point(e, 0.0))
+        assert grids == [1024, 2048, 4096] and pair.interior.grid == 4096
+        assert [(sign, n) for sign, n, _ in log] == [(1, 128), (1, 256)]
+        assert log[-1][2] <= conformal._SZEGO_TOL
+
+    def test_trig166_refuses_with_s_resolved(self, monkeypatch):
+        # the refusal is the series' truncation (tail 4.4e-6 on grid 8192),
+        # not the correspondence: S is resolved below the largest size
+        log = self.recorded(monkeypatch)
+        c = trig_curve([(1, 1), (-3, 0.13913 + 0.18653j)])
+        assert validate_curve(c).ok
+        with pytest.raises(MapError, match="series unresolved at m=8192"):
+            solve_interior_map(c, boundary_point(c, 0.0))
+        sign, n, tail = log[-1]
+        assert len(log) == 3 and n < conformal._SZEGO_GRIDS[-1]
+        assert tail <= conformal._SZEGO_TOL
+
+    def test_near_cusp_polynomial_is_its_own_map(self, monkeypatch):
+        # gamma = P(e^(it)) with |P'| down to 0.0046 on the circle: S is
+        # nearly singular in t (Fourier tail 1.4e-2 at n = 1024), but P is
+        # the interior map, taken with no solve
+        log = self.recorded(monkeypatch)
+        c = trig_curve([(1, 1), (2, 0.16284 + 0.06433j),
+                        (3, -0.1595 - 0.14429j)])
+        assert validate_curve(c).ok
+        cmap = solve_interior_map(c, boundary_point(c, 0.0))
+        assert log == [] and cmap.grid == 1024
+        want = np.pad(np.array(c.coeffs[3:]), (0, 4))
+        assert np.max(np.abs(np.subtract(cmap.series, want))) < 1e-15
+        assert _s_tail(conformal._szego(c, 0j, 1, 1024)[0]) > 1e-3
+
+    @settings(max_examples=20, deadline=None)
+    @example(terms=[(-2, 0.03 + 0.02j)])
+    @example(terms=[(3, 0.04j), (-1, 0.01)])
+    @given(st.lists(st.tuples(st.sampled_from([-3, -2, -1, 2, 3]),
+                              st.complex_numbers(max_magnitude=0.2)),
+                    min_size=1, max_size=2, unique_by=lambda term: term[0]))
+    def test_solved_boundary_lies_on_the_curve(self, terms):
+        # wherever the solve succeeds, both maps send the unit circle (off
+        # the solve grid) onto the curve; within 0.05 of the unit circle it
+        # always succeeds
+        curve = trig_curve([(1, 1.0)] + terms)
+        assume(validate_curve(curve).ok)
+        try:
+            pair = solve_map_pair(curve, boundary_point(curve, 0.0))
+        except MapError:
+            assert sum(abs(c) for _, c in terms) > 0.05
+            return
+        ring = np.exp(1j * (np.arange(64) + 0.5) * (2 * np.pi / 64))
+        for cmap in (pair.interior, pair.exterior):
+            for u in map_eval(cmap, ring):
+                t = param_of_point(curve, u)
+                assert abs(eval_curve(curve, t) - u) <= 1e-10
 
     @pytest.mark.parametrize("core,k", [(conformal._interior_core, 0),
                                         (conformal._exterior_core, 1)])

@@ -35,11 +35,16 @@ Map solves (work: the two sides of a pair, or the one map measured):
     solve_map_pair   circle() at t = 0, circle(1.7, 0.3+0.2i) at t = 0.15
                      (closed forms, exact margins); ellipse(1.2, 0.8) at
                      t = 0.4 and, as "ellipse_thin", ellipse(1, 0.5) at
-                     t = 0 (Wegmann series interior, closed-form
+                     t = 0 (Szego-kernel series interior, closed-form
                      exterior); "ellipse_0.4", ellipse(1, 0.4) at t = 0,
                      whose interior series resolves only on the third grid
                      (4096); "trig", the curve e^{it} + 0.06 e^{4it} at
-                     t = 0.3 (Wegmann series on both sides)
+                     t = 0.3 (series on both sides); "trig166_refused",
+                     e^{it} + (0.13913+0.18653i) e^{-3it} at t = 0, whose
+                     interior series is unresolved at m = 8192: the time
+                     to the MapError.  Each call starts from an empty
+                     correspondence memo (conformal._correspondence, where
+                     the package has one), so every call solves
     _measure_margin  the sampled ladder walk on that ellipse's interior map
     map_from_json    a map-cache hit: parsing that ellipse pair's two
                      serialized entries (one per side) back into maps
@@ -222,6 +227,20 @@ def build_cases(bb):
     curve = bb.ellipse(cfg["a"], cfg["b"])
     u0 = bb.boundary_point(curve, cfg["t"])
     pair = bb.solve_map_pair(curve, u0)
+    memo = getattr(bb.conformal, "_correspondence", None)
+
+    def solve(c, u):
+        if memo is not None:
+            memo.cache_clear()
+        return bb.solve_map_pair(c, u)
+
+    def refused(c, u):
+        try:
+            solve(c, u)
+        except bb.MapError:
+            return
+        raise RuntimeError("the refused case solved")
+
     solves = []
     for name, c, t in (("circle", bb.circle(), 0.0),
                        ("shifted_circle", bb.circle(1.7, 0.3 + 0.2j), 0.15),
@@ -231,7 +250,10 @@ def build_cases(bb):
                        ("trig", bb.trig_curve([(1, 1.0), (4, 0.06)]), 0.3)):
         u = bb.boundary_point(c, t)
         solves.append(("conformal", f"solve_map_pair/{name}", 2,
-                       lambda c=c, u=u: bb.solve_map_pair(c, u)))
+                       lambda c=c, u=u: solve(c, u)))
+    trig166 = bb.trig_curve([(1, 1.0), (-3, 0.13913 + 0.18653j)])
+    solves.append(("conformal", "solve_map_pair/trig166_refused", 2,
+                   lambda: refused(trig166, bb.boundary_point(trig166, 0.0))))
 
     corpus = list(zip(CORPUS_INTERIOR + CORPUS_EXTERIOR + (bb.INFINITY,),
                       (3, 2, 3, 2)))
