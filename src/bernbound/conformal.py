@@ -61,6 +61,7 @@ _GRIDS = (1024, 2048, 4096, 8192)  # solve grids, tried in turn
 _TAIL_TOL = 1e-12
 _SZEGO_GRIDS = (128, 256, 512, 1024)  # Nystrom sizes, tried in turn
 _SZEGO_TOL = 1e-7     # the Fourier tail of S that ends them
+_SZEGO_FLOOR = 1e-15  # modes of theta' below it are the solve's rounding
 _SERIES_MIN = 8       # a series core keeps at least this many terms
 _MARGIN_M = 512       # ring size of the sampled margin walk
 _INVERT_TOL = 1e-13   # map_invert's relative residual, |Phi(v) - u| / (1 + |u|)
@@ -258,11 +259,13 @@ def _szego(curve, center, sign, n):
     jet = np.exp(1j * np.multiply.outer(sign * TWO_PI / n * np.arange(n), ks))
     g = jet @ c - center
     dg = jet @ (1j * ks * c)
+    a = _differences(jet, sign * ks, c)
     if sign < 0:
         g = 1.0 / g
         dg = dg * g * g  # d/dtau 1/(gamma(-tau) - center) = gamma' g^2
+        a *= g
+        a *= -g[:, None]  # 1/x_j - 1/x_i = -(x_j - x_i) / (x_i x_j)
     speed, tang = np.abs(dg), dg / np.abs(dg)
-    a = g - g[:, None]  # d_ij = g_j - g_i
     np.fill_diagonal(a, 1.0)
     np.reciprocal(a, out=a)
     # 2 pi i A_ij = T_j / d_ij - conj(T_i / d_ij), two matrices at a time
@@ -274,41 +277,62 @@ def _szego(curve, center, sign, n):
     return np.linalg.solve(a, np.conj(tang / (2j * math.pi * g))), tang, speed
 
 
+def _differences(jet, ks, c):
+    """d_ij = x_j - x_i for x = jet @ c, jet_ik = e^(ik t_i) on the uniform
+    grid t_i = 2 pi i / n, as sum_k c_k e^(ik t_i) (e^(ik (t_j - t_i)) - 1)
+    with the bracket written 2i sin(u/2) e^(iu/2).  Subtracting x_i from
+    x_j keeps only the digits the two do not share: neighbours differ by
+    about 1/n, so the matrix, and S with it, would carry n eps of rounding."""
+    n = len(jet)
+    half = math.pi / n * np.multiply.outer(np.arange(n), ks)
+    bracket = 2j * np.sin(half) * np.exp(1j * half)
+    d, term = np.zeros((n, n), dtype=complex), np.empty((n, n), dtype=complex)
+    for k in np.flatnonzero(c):
+        # row i of the circulant is bracket at (j - i) mod n, j = 0..n-1
+        wrap = np.concatenate([bracket[1:, k], bracket[:, k]])
+        circ = np.lib.stride_tricks.sliding_window_view(wrap, n)[::-1]
+        d += np.multiply((c[k] * jet[:, k])[:, None], circ, out=term)
+    return d
+
+
 @lru_cache(maxsize=2)
 def _correspondence(curve, center, sign):
-    """(theta0, c, dc, knots): the disk angle theta0 + t + p(t) of g(t) (see
-    _szego) under the Riemann map f, f(0) = 0 < f'(0), with p = 2 Re sum c_k
-    e^(ikt), p' = 2 Re sum dc_k e^(ikt) and knots theta - theta0 at t_j = 2
-    pi j / n, j = 0..n.  If gamma is a polynomial in e^(it) (in e^(-it),
-    plus c_1 e^(it), outside), that is the map: theta = t.  Else theta' =
-    |S|^2 |g'| / mean, theta0 = arg(S^2 T / i) at t = 0, n the first size
-    whose S has a Fourier tail of at most _SZEGO_TOL, or the last.  The
-    last two calls are kept, so the grids of a side share one solve."""
+    """(c, dc, knots): the disk angle t + p(t) of g(t) (see _szego) under a
+    Riemann map f, f(0) = 0, with p = 2 Re sum c_k e^(ikt), p' = 2 Re sum
+    dc_k e^(ikt) and knots theta at t_j = 2 pi j / n, j = 0..n.  The map
+    with f'(0) > 0 adds a constant to theta, a turn of the disk that
+    _turned undoes, so none is kept: a constant found from S would move
+    every disk angle by its rounding.  If gamma is a polynomial in e^(it)
+    (in e^(-it), plus c_1 e^(it), outside), that is the map: theta = t.
+    Else theta' = |S|^2 |g'| / mean without its modes under _SZEGO_FLOOR,
+    n the first size whose S has a Fourier tail of at most _SZEGO_TOL, or
+    the last.  The last two calls are kept, so the grids of a side share
+    one solve."""
     ks = np.arange(-curve.order, curve.order + 1)
     if not np.any(_coeff_array(curve)[ks < 0 if sign > 0 else ks > 1]):
         zero = _readonly(np.zeros(1, dtype=complex))
-        return 0.0, zero, zero, _readonly(np.array([0.0, TWO_PI]))
+        return zero, zero, _readonly(np.array([0.0, TWO_PI]))
     for n in _SZEGO_GRIDS:
-        s, tang, speed = _szego(curve, center, sign, n)
+        s, _, speed = _szego(curve, center, sign, n)
         spec = np.abs(np.fft.fft(s))  # its tail: the modes n/4 <= |k| <= n/2
         if np.max(spec[n // 4:n - n // 4 + 1]) <= _SZEGO_TOL * np.max(spec):
             break
     dtheta = np.abs(s) ** 2 * speed
     dc = np.fft.fft(dtheta)[:n // 2] / np.sum(dtheta)  # theta' has mean 1
+    dc[np.abs(dc) < _SZEGO_FLOOR] = 0.0
     dc[0] = 0.0
     c = np.concatenate([[0.0], dc[1:] / (1j * np.arange(1, n // 2))])
     c[0] = -np.sum(c.real)  # p(0) = 0
     knots = np.arange(n + 1) * (TWO_PI / n)
     knots[:n] += 2.0 * (np.fft.ifft(c, n) * n).real
-    theta0 = float(np.angle(s[0] ** 2 * tang[0] / 1j))
-    return theta0, _readonly(c), _readonly(dc), _readonly(knots)
+    return _readonly(c), _readonly(dc), _readonly(knots)
 
 
 def _boundary(curve, center, m, sign):
     """gamma at the parameters (t inside, -t outside) of the m disk angles
     2 pi k / m: Newton on theta(t) (_correspondence) from its knots."""
-    theta0, c, dc, knots = _correspondence(curve, center, sign)
-    psi = (np.arange(m) * (TWO_PI / m) - theta0) % TWO_PI
+    c, dc, knots = _correspondence(curve, center, sign)
+    psi = np.arange(m) * (TWO_PI / m)
     t = np.interp(psi, knots, np.linspace(0.0, TWO_PI, len(knots)))
     for _ in range(20):
         e = np.exp(1j * t)

@@ -539,9 +539,11 @@ class TestWegmann:
         # about c_0 = 0 the centred ellipse's interior core, turned so that
         # c_1 > 0, is odd with real coefficients.  The 512-point mean centre
         # with Theodorsen's iteration left c_0 = -2.8e-17 - 5.6e-17i, 8.3e-17
-        # in the even k and 1.3e-16 in Im c_k, odd k.  Now c_0 is exact and
-        # rounding leaves 1.5e-17 in the even k (bound 4e-17, a margin of
-        # 2.7) and 3.6e-17 in the odd k (bound 1e-16, a margin of 2.8)
+        # in the even k and 1.3e-16 in Im c_k, odd k.  Now c_0 is exact; the
+        # Szego solve's rounding in the odd modes of theta' (1.9e-16) left
+        # 6.3e-17 in the even k until _SZEGO_FLOOR dropped them.  Rounding
+        # leaves 2.5e-17 in the even k (bound 4e-17, a margin of 1.6) and
+        # 2.6e-17 in the odd k (bound 1e-16, a margin of 3.8)
         series = np.asarray(ellipse_pair[2].interior.series)
         assert series[0] == 0.0
         assert np.max(np.abs(series[0::2])) < 4e-17
