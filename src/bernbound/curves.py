@@ -227,6 +227,12 @@ class CurveReport:
 # under glibc's 128 KiB mmap threshold, so a block's temporaries come from
 # the heap instead of fresh pages that fault on every call
 _SCAN_BLOCK = 7680
+# offsets after skip that the simplicity scan takes in full (the band), and
+# the samples per chunk whose bounding circles prune the farther pairs; the
+# band spans at least 2 (_SCAN_CHUNK - 1) offsets, so a chunk pair with a
+# pair past the band has all its pairs skip or more apart
+_SCAN_BAND = 32
+_SCAN_CHUNK = 16
 
 
 def _simplicity_margin(pts, step_scale):
@@ -236,22 +242,46 @@ def _simplicity_margin(pts, step_scale):
     grid step of each other, so a margin below 1 flags the curve; genuinely
     simple curves keep a fixed geometric separation and the margin grows
     linearly under grid refinement.
+
+    Far apart is skip = max(4, m // 16) steps or more around the ring, and
+    the scan is exact (the min over every such pair) at the cost of
+    m * _SCAN_BAND band pairs, (m / _SCAN_CHUNK)^2 chunk bounds and
+    _SCAN_CHUNK^2 pairs per survivor: the band's min prunes each chunk pair
+    whose bounding circles (about the middle samples, with 1e-9 relative
+    slack for their rounding) lie farther apart.  With every chunk pair
+    surviving, the pairs measured are about those of the all-pairs scan.
     """
     m = len(pts)
     floor = 1.5 * step_scale
-    skip = max(4, m // 16)
-    best = np.inf
-    if m >= 2 * skip:
-        # offset m - k pairs the same samples as offset k, so the offsets
-        # skip..m//2 after each sample cover every pair skip..m - skip apart
-        pts = np.asarray(pts)
-        width = m // 2 - skip + 1
-        ahead = np.lib.stride_tricks.sliding_window_view(
-            np.concatenate([pts, pts])[skip:], width)[:m]
-        rows = max(1, _SCAN_BLOCK // width)
-        for lo in range(0, m, rows):
-            near = np.abs(ahead[lo:lo + rows] - pts[lo:lo + rows, None])
-            best = min(best, np.min(near))
+    skip, half = max(4, m // 16), m // 2
+    if m < 2 * skip:
+        return np.inf / floor
+    # offset m - k pairs the same samples as offset k, so the offsets
+    # skip..m//2 after each sample cover every pair skip..m - skip apart
+    pts = np.asarray(pts)
+    far = skip + _SCAN_BAND
+    width = min(far, half + 1) - skip
+    ahead = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate([pts, pts])[skip:], width)[:m]
+    rows = max(1, _SCAN_BLOCK // width)
+    best = min(np.min(np.abs(ahead[i:i + rows] - pts[i:i + rows, None]))
+               for i in range(0, m, rows))
+    c = _SCAN_CHUNK
+    idx = np.minimum(np.arange(-(-m // c) * c).reshape(-1, c), m - 1)
+    chunks = pts[idx]
+    centre = chunks[:, c // 2]
+    radius = np.max(np.abs(chunks - centre[:, None]), axis=1)
+    # the farthest cyclic distance between chunk a and a later chunk b
+    lo = idx[None, :, 0] - idx[:, None, -1]
+    hi = idx[None, :, -1] - idx[:, None, 0]
+    reach = np.where(hi <= half, hi, np.where(lo >= m - half, m - lo, half))
+    near = np.abs(centre[:, None] - centre[None, :]) < \
+        (radius[:, None] + radius[None, :] + best) * (1.0 + 1e-9)
+    a, b = np.nonzero(np.triu(near & (reach >= far), 1))
+    rows = max(1, _SCAN_BLOCK // (c * c))
+    for i in range(0, len(a), rows):
+        s, t = chunks[a[i:i + rows]], chunks[b[i:i + rows]]
+        best = min(best, np.min(np.abs(s[:, :, None] - t[:, None, :])))
     return best / floor
 
 

@@ -205,6 +205,11 @@ class TestEllipseMaps:
 
 
 class TestTheodorsen:
+    """Series maps of a general curve through the public solves (named for
+    the solver the Szego solve replaced): a solved pair, the refusals of a
+    bad argument and of a far point, the roundtrip helper and an
+    overflowing margin rung."""
+
     def test_perturbed_circle(self):
         # three-lobed analytic perturbation, solved numerically
         c = trig_curve([(1, 1.0 + 0j), (4, 0.06 + 0j)])
@@ -252,6 +257,10 @@ _ORACLE_CASES = [(ellipse(1.0, b), 6.3)
 
 
 class TestTheodorsenOracle:
+    """The Szego solve's series on grid 1024 against Theodorsen's polar
+    iteration (oracles.polar_theodorsen_core, the oracle the name refers
+    to): coefficients, delta and tail, on both sides."""
+
     @pytest.mark.parametrize("curve,t", _ORACLE_CASES)
     def test_matches_polar_reinversion(self, curve, t):
         # both sides of every case, the ellipse exteriors included (their

@@ -5,10 +5,14 @@ from bernbound import (arc_endpoints, arc_point, boundary_point, circle,
                        circular_arc, curve_derivative, distance_to_curve,
                        ellipse, eval_curve, param_of_point, point_in_curve,
                        rq_eval, rq_solve, sample_grid, segment_arc,
-                       trig_curve, unit_normals, validate_curve,
-                       validate_openup, winding_number)
-from bernbound.curves import _simplicity_margin
-from bernbound.errors import ArcError, CurveError
+                       solve_exterior_map, solve_interior_map, trig_curve,
+                       unit_normals, validate_curve, validate_openup,
+                       winding_number)
+from bernbound import conformal
+from bernbound.curves import _SCAN_BAND, _SCAN_CHUNK, _simplicity_margin
+from bernbound.errors import ArcError, CurveError, MapError
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import roll_simplicity_margin
 
@@ -128,6 +132,89 @@ class TestSimplicityScan:
             step = float(rng.uniform(0.01, 1.0))
             assert _simplicity_margin(pts, step) == \
                 roll_simplicity_margin(pts, step)
+
+    @settings(deadline=None, max_examples=60)
+    @given(m=st.sampled_from([7, 9, 100, 511, 512, 1000, 1024]),
+           kind=st.sampled_from(["crowded", "pinched", "walk"]),
+           shape=st.floats(0.0, 0.9), seed=st.integers(0, 2 ** 32 - 1))
+    @example(m=512, kind="crowded", shape=0.9, seed=0)
+    @example(m=1000, kind="pinched", shape=0.0, seed=1)
+    @example(m=1024, kind="walk", shape=0.0, seed=2)
+    def test_pruned_scan_matches_roll_loop(self, m, kind, shape, seed):
+        # rings the chunk bounds prune poorly: samples crowded by the
+        # margin walk's Moebius prefix (s = shape), two lobes whose neck
+        # (half-width 1e-6 .. 0.3) pairs samples m/2 apart, far beyond the
+        # band, and random walks that fold back on themselves
+        rng = np.random.default_rng(seed)
+        ts = np.arange(m) * (2 * np.pi / m) + rng.uniform(0, 2 * np.pi)
+        z = np.exp(1j * ts)
+        if kind == "crowded":
+            pts = (z + shape) / (1 + shape * z)
+        elif kind == "pinched":
+            neck = 1e-6 + shape / 3
+            pts = np.cos(ts) + 1j * np.sin(ts) * (neck + np.cos(ts) ** 2)
+        else:
+            pts = np.cumsum(rng.standard_normal(m)
+                            + 1j * rng.standard_normal(m))
+        pts = pts * complex(*rng.uniform(0.5, 2.0, 2)) + rng.standard_normal()
+        step = float(rng.uniform(0.01, 1.0))
+        assert _simplicity_margin(pts, step) == \
+            roll_simplicity_margin(pts, step)
+
+    @pytest.mark.parametrize("m", [100, 103, 256, 511, 1024])
+    def test_planted_pairs_at_the_scan_edges(self, m, rng):
+        # a circle with one sample moved next to another, k samples on,
+        # for each k where the scan changes hands: skip (the first far
+        # offset), the band's last offset, the first past it, the half
+        # ring.  Moved from the first and last sample of each chunk, where
+        # a chunk pair's farthest pair lies, on the rings up to 256 (skip
+        # 16 there, so the band's last offset joins the first sample of one
+        # chunk to the last of another), from 8 random samples on the rest
+        skip = max(4, m // 16)
+        far = skip + _SCAN_BAND
+        ring = np.exp(1j * np.arange(m) * (2 * np.pi / m))
+        starts = ([i for i in range(m) if i % _SCAN_CHUNK in (0, 15)]
+                  if m <= 256 else rng.integers(0, m, 8))
+        for k in (skip - 1, skip, far - 1, far, far + 1, m // 2 - 1, m // 2):
+            for i in starts:
+                pts = ring.copy()
+                pts[(i + k) % m] = pts[i] + 1e-6 * np.exp(2j * rng.random())
+                assert _simplicity_margin(pts, 1.0) == \
+                    roll_simplicity_margin(pts, 1.0)
+
+    def test_walk_margins_match_the_roll_loop(self, monkeypatch):
+        # the margin walk's delta with the roll loop as its scan, bit for
+        # bit: seeded batch-shaped ellipses (b/a 0.5 .. 0.9, any anchor)
+        # and the first trig curves of the census family
+        rng = np.random.default_rng(21)
+        curves = []
+        for _ in range(8):
+            a = rng.uniform(0.8, 1.6)
+            curves.append((ellipse(a, a * rng.uniform(0.5, 0.9)),
+                           rng.uniform(0, 2 * np.pi)))
+        rng = np.random.default_rng(606)
+        while len(curves) < 12:
+            ks = rng.choice([-3, -2, -1, 2, 3], int(rng.integers(1, 4)),
+                            replace=False)
+            c = trig_curve([(1, 1.0 + 0j)] + [
+                (int(k), complex(*rng.uniform(-0.2, 0.2, 2))) for k in ks])
+            if validate_curve(c).ok:
+                curves.append((c, 0.0))
+        maps = []
+        for c, t in curves:
+            for solve in (solve_interior_map, solve_exterior_map):
+                try:
+                    cmap = solve(c, boundary_point(c, t))
+                except MapError:
+                    continue
+                if not conformal._is_closed_form(cmap):
+                    maps.append(cmap)
+        assert len(maps) >= 12
+        pruned = [conformal._measure_margin(cmap) for cmap in maps]
+        assert pruned == [cmap.delta for cmap in maps]
+        monkeypatch.setattr(conformal, "_simplicity_margin",
+                            roll_simplicity_margin)
+        assert [conformal._measure_margin(cmap) for cmap in maps] == pruned
 
     def test_map_margins_are_pinned(self, circle_pair, ellipse_pair):
         # each delta is a ladder step the scan accepted, halved; a scan

@@ -89,6 +89,10 @@ sweep curve; the map pair is solved once, outside the timings):
                      curve whose memo is emptied before each call
     curve_samples    sample_grid on 4,096 points of a fresh ellipse(1.2, 0.8)
                      per call: the cost of one first-use sampling
+    validate_curve   "ellipse": validate_curve on ellipse(1.2, 0.8) whose
+                     1,024-point grid (points and tangents) is sampled
+                     beforehand, so the case times the checks (speed,
+                     simplicity scan, winding), not the sampling
 
 classify_poles and the series-map branch of map_invert keep bounded memos
 on the curve (_pole_sides) and on the map (_preimages).  Every case above
@@ -322,6 +326,9 @@ def build_cases(bb):
     def sup_corpus(c):
         return [bb.sup_norm(f, c) for f in functions]
 
+    checked = bb.ellipse(cfg["a"], cfg["b"])
+    bb.sample_grid(checked, 1024, tangents=True)
+
     deg40 = bb.make_rational(
         [(complex(1.5 * bb.eval_curve(curve, t)), (1.0 + 0j,))
          for t in 0.1 + np.arange(40) * (2 * np.pi / 40)])
@@ -386,6 +393,8 @@ def build_cases(bb):
          lambda: bb.blaschke_eval(picks_40, peel_rings)),
         ("curves", "curve_samples/4096", 4096,
          lambda: bb.sample_grid(bb.ellipse(cfg["a"], cfg["b"]), 4096)),
+        ("curves", "validate_curve/ellipse", 1,
+         lambda: bb.validate_curve(checked)),
     ]
 
 
