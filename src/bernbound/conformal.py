@@ -37,7 +37,18 @@ on every call; a map keeps at most _MEMO_CAP batches and drops the oldest
 first.  A hit skips Newton and the prefix inverse but takes its residual
 again, by one evaluation (map_eval at v inside, the core at w outside), and
 passes the same check as a cold call.  Closed forms are inverted exactly
-on every call and keep no such memo.
+on every call and keep no preimage memo.
+
+Every map, closed forms too, keeps two more bounded memos for the rows of
+a sharpness sweep, which evaluate the same geometry again.  _rings is
+principal_parts': the key is the exact stacked pole batch (the bytes of
+its centers and ring radii), the value the read-only images of the poles
+and Phi(v) - Phi(a), Phi'(v) on their rings, as the stacked call computed
+them, so a hit gives the bits of a cold call with the same batch; only a
+batch of at most ratfun._RING_POLES (16) poles is kept, 64 KiB, so at most
+4 MiB a map.  _collisions is build_transferred_extremal's, on the interior
+map: the bits of the exterior anchor zeta0 -> the delta_prime its collision
+check accepted; a colliding anchor is never kept and raises on every call.
 """
 from __future__ import annotations
 
@@ -115,6 +126,21 @@ class ConformalMap:
         (target.tobytes()) -> its accepted (w, v), the core points and the
         preimages, read-only; at most _MEMO_CAP batches of at most
         _MEMO_CAP points."""
+        return {}
+
+    @cached_property
+    def _rings(self) -> dict:
+        """principal_parts' memo: the exact stacked pole batch (the bytes
+        of its centers and ring radii) -> the read-only (images, w, dphi)
+        of its 2q-node rings; at most _MEMO_CAP batches of at most
+        ratfun._RING_POLES poles (64 KiB a batch)."""
+        return {}
+
+    @cached_property
+    def _collisions(self) -> dict:
+        """build_transferred_extremal's memo on an interior map: the bits
+        of an exterior anchor zeta0 -> the delta_prime its collision check
+        accepted; at most _MEMO_CAP anchors."""
         return {}
 
 

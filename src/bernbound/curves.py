@@ -29,8 +29,9 @@ _PARAM_SEED_M = 2048
 _VALIDATE_M = 1024
 _OPENUP_M = 48
 # entries in each bounded memo (_memo_put): the pole sides on a curve, the
-# series-map preimage batches on a map, the shared parameter grids (_T_GRIDS);
-# also the longest target batch the preimage memo keeps
+# series-map preimage batches, principal_parts' ring batches and the
+# extremal's anchors on a map, the shared parameter grids (_T_GRIDS); also
+# the longest target batch the preimage memo keeps
 _MEMO_CAP = 64
 # sample_grid's parameter grids, m -> read-only t_j = 2 pi j / m, one array
 # per m for every curve and arc
@@ -85,10 +86,14 @@ def ellipse(a: float, b: float) -> AnalyticCurve:
 
 
 def trig_curve(pairs) -> AnalyticCurve:
-    """Build a curve from (k, c_k) pairs; missing coefficients are zero."""
+    """Build a curve from (k, c_k) pairs; missing coefficients are zero.  A
+    NaN or infinite part of a c_k is a CurveError naming its pair."""
     pairs = [(int(k), complex(c)) for k, c in pairs]
     if not pairs:
         raise CurveError("empty coefficient list")
+    for k, c in pairs:
+        if not cmath.isfinite(c):
+            raise CurveError(f"coefficient pair ({k}, {c}) is not finite")
     kmax = max(abs(k) for k, _ in pairs)
     coeffs = [0j] * (2 * kmax + 1)
     for k, c in pairs:

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conformal import MapPair, map_eval, map_invert
-from .curves import (TWO_PI, AnalyticCurve, BoundaryPoint, is_infinite,
-                     sample_grid)
+from .curves import (TWO_PI, AnalyticCurve, BoundaryPoint, _memo_put,
+                     is_infinite, sample_grid)
 from .errors import ExtremalError, MapInvertError, NumericsError
 from .potential import BoundReport, bernstein_bound, disk_normal_derivative
 from .ratfun import (RationalFunction, blaschke_derivative, blaschke_eval,
@@ -134,6 +134,29 @@ def _hermite_coefficients(xi, vals, dval0):
     return c
 
 
+def _clearance(interior, zeta0) -> float:
+    """delta_prime: half the interior map's margin, halved once more if
+    need be, such that zeta0 lies outside the inflated curve
+    Phi1((1 + delta_prime) e^{it}) and clear of its 512 samples; an
+    ExtremalError if neither offset does.  An accepted delta_prime is kept
+    in interior._collisions under zeta0's bits and read back from there."""
+    key = np.complex128(zeta0).tobytes()
+    delta_prime = interior._collisions.get(key)
+    if delta_prime is not None:
+        return delta_prime
+    delta_prime = interior.delta / 2.0
+    ring = np.exp(1j * np.arange(512) * (TWO_PI / 512))
+    for _ in range(2):
+        plus = map_eval(interior, (1.0 + delta_prime) * ring)
+        scale = float(np.max(np.abs(plus - np.mean(plus))))
+        inside = abs(_sample_winding(plus, zeta0)) > 0.5
+        if not inside and float(np.min(np.abs(plus - zeta0))) > 1e-6 * scale:
+            return _memo_put(interior._collisions, key, delta_prime)
+        delta_prime /= 2.0
+    raise ExtremalError(f"exterior anchor {zeta0} collides with the "
+                        "inflated curve")
+
+
 def build_transferred_extremal(curve: AnalyticCurve, maps: MapPair, picks,
                                zeta0, u0: BoundaryPoint) -> ExtremalRun:
     """Extremal candidate of degree about n from disk-side pole picks.
@@ -167,23 +190,12 @@ def build_transferred_extremal(curve: AnalyticCurve, maps: MapPair, picks,
              - complex(rf_derivative(f1, u0.point)))
 
     # the correction variable w = 1/(u - zeta0); zeta0 must stay clear of the
-    # slightly inflated curve on which the remainder is still analytic
+    # slightly inflated curve on which the remainder is still analytic.  The
+    # check depends only on the interior map and zeta0, so the map keeps
+    # each accepted delta_prime (_clearance); a collision is never kept
     if not maps.delta1 > 0.0:
         raise ExtremalError("interior map carries no verified extension margin")
-    delta_prime = maps.delta1 / 2.0
-    ring = np.exp(1j * np.arange(512) * (TWO_PI / 512))
-    ok = False
-    for _ in range(2):
-        plus = map_eval(maps.interior, (1.0 + delta_prime) * ring)
-        scale = float(np.max(np.abs(plus - np.mean(plus))))
-        inside = abs(_sample_winding(plus, zeta0)) > 0.5
-        if not inside and float(np.min(np.abs(plus - zeta0))) > 1e-6 * scale:
-            ok = True
-            break
-        delta_prime /= 2.0
-    if not ok:
-        raise ExtremalError(f"exterior anchor {zeta0} collides with the "
-                            "inflated curve")
+    delta_prime = _clearance(maps.interior, zeta0)
 
     w0 = 1.0 / (u0.point - zeta0)
     dpsi0 = -1.0 / (u0.point - zeta0) ** 2

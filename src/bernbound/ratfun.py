@@ -24,6 +24,9 @@ _CLUSTER_TOL = 1e-12
 # disagreement between them that raises
 _QUAD_NODES = 64
 _QUAD_TOL = 1e-9
+# the most poles of a batch whose mapped rings a map keeps
+# (ConformalMap._rings): w and Phi' on 16 rings of 2q nodes are 64 KiB
+_RING_POLES = 16
 
 
 def _pole_location(a) -> complex:
@@ -285,6 +288,28 @@ def _laurent_peel(vals, w, dphi, dv, order):
     return coeffs
 
 
+def _mapped_rings(cmap, centers, radii, nodes):
+    """(images, w, dphi) of the stacked rings nodes about centers: Phi at
+    the centers, and Phi(v) - Phi(a) and Phi'(v) at the nodes, evaluated on
+    one stacked array.  A batch of at most _RING_POLES poles is kept,
+    read-only, in cmap._rings under the bytes of its centers and radii (the
+    whole batch, since the series kernel rounds a point differently by
+    batch size), and a repeat of the exact batch reads it back."""
+    key = ((centers.tobytes(), radii.tobytes())
+           if len(radii) <= _RING_POLES else None)
+    hit = None if key is None else cmap._rings.get(key)
+    if hit is not None:
+        return hit
+    flat = nodes.ravel()
+    images = map_eval(cmap, centers[:, 0])
+    w = map_eval(cmap, flat).reshape(nodes.shape) - images[:, None]
+    dphi = map_derivative(cmap, flat).reshape(nodes.shape)
+    out = tuple(_readonly(x) for x in (images, w, dphi))
+    if key is not None:
+        _memo_put(cmap._rings, key, out)
+    return out
+
+
 def principal_parts(g, poles,
                     cmap: ConformalMap | None = None) -> RationalFunction:
     """Sum of principal parts of g o Phi^{-1} at Phi(a) over the (a, order)
@@ -294,7 +319,9 @@ def principal_parts(g, poles,
     punctured neighborhood of each pole.  The contour |v - a| = rho stays
     inside the disk when a map is given, so Phi is never inverted.  g, Phi
     and Phi' are evaluated once, on the 2q-node rings (q = _QUAD_NODES) of
-    all poles stacked into one array; the poles of one order are peeled
+    all poles stacked into one array, Phi and Phi' read back from the map's
+    ring memo on a repeat of the exact batch (_mapped_rings), as every row
+    of a sharpness sweep makes; the poles of one order are peeled
     together, one row each, and the q-node rule reads every other node.
     Disagreement of the two rules beyond _QUAD_TOL (relative to the
     largest coefficient) raises, and the 2q result is returned otherwise."""
@@ -315,17 +342,15 @@ def principal_parts(g, poles,
     terms = []
     if n_ok:
         centers = np.array(locs[:n_ok])[:, None]
+        radii = np.array(rhos[:n_ok])
         ring = np.exp(1j * (np.arange(2 * _QUAD_NODES)
                             * (TWO_PI / (2 * _QUAD_NODES))))
-        nodes = centers + np.array(rhos[:n_ok])[:, None] * ring
-        flat = nodes.ravel()
-        vals = np.asarray(g(flat), dtype=complex).reshape(nodes.shape)
+        nodes = centers + radii[:, None] * ring
+        vals = np.asarray(g(nodes.ravel()), dtype=complex).reshape(nodes.shape)
         dv = nodes - centers
         w, dphi, images = dv, np.ones(nodes.shape), centers[:, 0]
         if cmap is not None:
-            images = map_eval(cmap, centers[:, 0])
-            w = map_eval(cmap, flat).reshape(nodes.shape) - images[:, None]
-            dphi = map_derivative(cmap, flat).reshape(nodes.shape)
+            images, w, dphi = _mapped_rings(cmap, centers, radii, nodes)
     peels = {}  # pole index -> (q-node, 2q-node) coefficients
     for order in sorted(set(orders[:n_ok])):
         rows = [i for i in range(n_ok) if orders[i] == order]

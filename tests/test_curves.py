@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,14 @@ class TestConstructors:
             ellipse(1.0, -0.5)
         with pytest.raises(CurveError):
             trig_curve([])
+
+    @pytest.mark.parametrize("bad", [complex(math.nan, 0.0),
+                                     complex(0.0, math.nan),
+                                     complex(math.inf, 0.0),
+                                     complex(0.0, -math.inf)])
+    def test_non_finite_coefficient_names_its_pair(self, bad):
+        with pytest.raises(CurveError, match=r"coefficient pair \(2, "):
+            trig_curve([(1, 1.0), (2, bad)])
 
     def test_trig_curve_matches_pairs(self):
         # gamma(t) = e^{it} + 0.1 e^{2it}

@@ -1,7 +1,8 @@
 """Per-object geometry memos: sample grids on curves and arcs, coefficient
-arrays and inversion seeds on maps, and the bounded pole memos (pole sides
+arrays and inversion seeds on maps, the bounded pole memos (pole sides
 on a curve with their grid reciprocal offsets, series-map preimages per
-target batch).
+target batch) and the bounded memos of a sharpness row on a map (mapped
+principal-parts rings per pole batch, accepted anchor offsets per zeta0).
 
 The memo is computed on first use, read-only, and invisible to equality,
 hashing, replace() and serialization; a call on a reused object gives the
@@ -14,14 +15,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bernbound import (INFINITY, MapPair, boundary_point, circle,
-                       circular_arc, classify_poles, conformal, ellipse,
-                       make_rational, map_eval, map_from_json, map_invert,
-                       map_to_dict, map_to_json, poles_of, rf_eval,
+from bernbound import (INFINITY, MapPair, blaschke_eval, boundary_point,
+                       build_transferred_extremal, circle, circular_arc,
+                       classify_poles, cluster_points, conformal, ellipse,
+                       extremal, make_rational, map_derivative, map_eval,
+                       map_from_json, map_invert, map_to_dict, map_to_json,
+                       poles_of, principal_parts, ratfun, rf_eval,
                        sample_grid, segment_arc, sharpness_sweep,
                        solve_map_pair, sup_norm, trig_curve, verify_ratio)
+import bernbound.cli as cli
 from bernbound.curves import _MEMO_CAP
-from bernbound.errors import CurveError, MapInvertError, PoleError
+from bernbound.errors import (CurveError, ExtremalError, MapInvertError,
+                              PoleError)
+from bernbound.ratfun import _RING_POLES
 
 from helpers import (CORPUS_EXTERIOR, CORPUS_INTERIOR, CORPUS_SIZE,
                      DEFAULT_SEED, random_corpus_function,
@@ -29,6 +35,7 @@ from helpers import (CORPUS_EXTERIOR, CORPUS_INTERIOR, CORPUS_SIZE,
 from oracles import loop_classify_poles, loop_sup_norm
 
 GOLDEN = Path(__file__).parent / "golden"
+SPECS = Path(__file__).parent.parent / "specs"
 
 AB, T0 = (1.2, 0.8), 0.4
 CORPUS_POLES = list(zip(CORPUS_INTERIOR + CORPUS_EXTERIOR + (INFINITY,),
@@ -118,11 +125,16 @@ class TestEmptyMemo:
         assert replace(arc)._grids == {}
 
     def test_replace_and_parse_give_an_empty_map_memo(self, entries):
-        cmap = map_from_json(entries[0])
+        curve, pair = fresh_pair(entries)
+        cmap = pair.interior
         before = map_to_dict(cmap)
         map_invert(cmap, np.array([0.1 + 0.2j]))
-        memo = {"_coeffs", "_deriv_coeffs", "_seed_ring", "_preimages"}
-        assert memo <= set(vars(cmap)) and len(cmap._preimages) == 1
+        build_transferred_extremal(curve, pair, [0.3, -0.2j], -3.0 + 1.2j,
+                                   boundary_point(curve, T0))
+        memo = {"_coeffs", "_deriv_coeffs", "_seed_ring", "_preimages",
+                "_rings", "_collisions"}
+        assert memo <= set(vars(cmap))
+        assert len(cmap._rings) == len(cmap._collisions) == 1
         assert map_to_dict(cmap) == before
         for other in (replace(cmap), map_from_json(entries[0])):
             assert other == cmap and hash(other) == hash(cmap)
@@ -262,6 +274,20 @@ class TestPoleMemos:
         long = 0.5 * np.exp(1j * np.arange(_MEMO_CAP + 1))
         map_invert(cmap, long)
         assert cmap._preimages == {}
+        # nor past the cap of ring batches or anchors
+        curve, pair = fresh_pair(entries)
+        u0 = boundary_point(curve, T0)
+        for k in range(_MEMO_CAP + 6):
+            zeta0 = -3.0 + 0.01j * k
+            build_transferred_extremal(curve, pair, [0.3 * np.exp(0.05j * k)],
+                                       zeta0, u0)
+            assert len(pair.interior._rings) <= _MEMO_CAP
+            assert len(pair.interior._collisions) <= _MEMO_CAP
+        assert len(pair.interior._rings) == _MEMO_CAP
+        assert list(pair.interior._collisions) == [
+            np.complex128(-3.0 + 0.01j * k).tobytes()
+            for k in range(6, _MEMO_CAP + 6)]
+        assert pair.exterior._rings == pair.exterior._collisions == {}
 
     def test_writing_a_result_leaves_the_memo_alone(self, entries):
         cmap = map_from_json(entries[0])
@@ -315,6 +341,182 @@ class TestPoleMemos:
         map_invert(cmap, pts)
         assert len(cmap._preimages) == 1
         assert np.all(np.isfinite(map_eval(cmap, map_invert(cmap, pts))))
+
+
+SWEEP = json.loads((GOLDEN / "ellipse_sweep.json").read_text())["config"]
+
+
+def _sweep(curve, pair, ring, n_list, policy=SWEEP["policy"],
+           zeta0=complex(*SWEEP["zeta0"])):
+    return sharpness_sweep(curve, pair, boundary_point(curve, T0), ring,
+                           zeta0, n_list, policy=policy)
+
+
+def _stacked_rings(cmap, centers, radii, nodes):
+    """principal_parts' map geometry with no memo: Phi at the centers, and
+    Phi(v) - Phi(a) and Phi'(v) on one stacked array of all the rings."""
+    flat = nodes.ravel()
+    images = map_eval(cmap, centers[:, 0])
+    return (images,
+            map_eval(cmap, flat).reshape(nodes.shape) - images[:, None],
+            map_derivative(cmap, flat).reshape(nodes.shape))
+
+
+def _unmemoized(monkeypatch):
+    """principal_parts evaluates every batch by _stacked_rings and
+    build_transferred_extremal keeps no anchor, so every call computes its
+    map geometry afresh."""
+    monkeypatch.setattr(ratfun, "_mapped_rings", _stacked_rings)
+    monkeypatch.setattr(extremal, "_memo_put", lambda memo, key, value: value)
+
+
+class TestSharpnessRowMemos:
+    """The map geometry of a sharpness row, kept on the map: principal_parts'
+    mapped rings per exact stacked pole batch (_rings) and the collision
+    check's delta_prime per exterior anchor zeta0 (_collisions, on the
+    interior map).  A row reads back the bits a cold row computes."""
+
+    @pytest.mark.parametrize("policy", ["cycle_list", "repeat_single_pole"])
+    @pytest.mark.parametrize("shift", [0.0, -0.02, 0.02])
+    def test_primed_emptied_and_unmemoized_rows_agree(self, entries,
+                                                      monkeypatch, policy,
+                                                      shift):
+        ring = sweep_interior_poles(
+            dict(SWEEP, ring_phase=SWEEP["ring_phase"] + shift))
+        n_list = list(range(1, 41))
+        curve, pair = fresh_pair(entries)
+        cold = _sweep(curve, pair, ring, n_list, policy)
+        # repeat_single_pole's order-12 pole and above fail the quadrature
+        # check, after a ring memo read, and stay flagged rows
+        assert sum(not row.flags for row in cold) >= 11
+        assert pair.interior._rings and pair.interior._collisions
+        primed = _sweep(curve, pair, ring, n_list, policy)
+        emptied = []
+        for n in n_list:
+            pair.interior._rings.clear()
+            pair.interior._collisions.clear()
+            emptied += _sweep(curve, pair, ring, [n], policy)
+        _unmemoized(monkeypatch)
+        curve, pair = fresh_pair(entries)
+        unmemoized = _sweep(curve, pair, ring, n_list, policy)
+        assert pair.interior._rings == pair.interior._collisions == {}
+        want = [repr(row) for row in unmemoized]
+        for rows in (cold, primed, emptied):
+            assert [repr(row) for row in rows] == want
+
+    def test_sharpness_spec_bundles_agree(self, tmp_path, monkeypatch):
+        # bern calls of one process share the parsed map pair of a cache
+        # entry (cli._PAIRS), so a hit's rows read its memos
+        spec, cache = SPECS / "sharpness_circle.json", tmp_path / "cache"
+
+        def bundle(out):
+            argv = ["sharpness", "--config", str(spec), "--out",
+                    str(tmp_path / out), "--cache", str(cache)]
+            assert cli.main(argv) == 0
+            return [(tmp_path / out / name).read_bytes()
+                    for name in ("summary.csv", "items.csv")]
+
+        cli._CURVES.clear()
+        cli._PAIRS.clear()
+        try:
+            cold = bundle("cold")  # solves and writes the entry
+            first_hit = bundle("first_hit")  # parses it and fills the memos
+            (maps,) = cli._PAIRS.values()
+            interior = maps[0]
+            assert interior._rings and interior._collisions
+            primed = [bundle(f"primed_{k}") for k in range(2)]
+            assert list(cli._PAIRS.values()) == [maps]
+            interior._rings.clear()
+            interior._collisions.clear()
+            emptied = bundle("emptied")
+            _unmemoized(monkeypatch)
+            cli._PAIRS.clear()
+            unmemoized = bundle("unmemoized")
+            (maps,) = cli._PAIRS.values()
+            assert maps[0]._rings == maps[0]._collisions == {}
+        finally:
+            cli._CURVES.clear()
+            cli._PAIRS.clear()
+        assert primed == [unmemoized, unmemoized]
+        assert cold == first_hit == emptied == unmemoized
+
+    def test_a_row_repeat_reads_the_ring_batch(self, entries, monkeypatch):
+        # a repeated row peels the same stacked batch, so it evaluates no
+        # map on the rings; rows of other n stack centers that cluster_points
+        # averages from other multiplicities, so they are other batches
+        ring = sweep_interior_poles(SWEEP)
+        curve, pair = fresh_pair(entries)
+        _sweep(curve, pair, ring, [10])
+        (key, value), = pair.interior._rings.items()
+        # the bytes of 8 complex centers and of their 8 ring radii
+        assert [len(part) for part in key] == [8 * 16, 8 * 8]
+        images, w, dphi = value
+        assert images.shape == (8,) and w.shape == dphi.shape == (8, 128)
+        for arr in value:
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        calls = []
+        for name in ("map_eval", "map_derivative"):
+            def counting(*args, fn=getattr(ratfun, name), name=name):
+                calls.append(name)
+                return fn(*args)
+            monkeypatch.setattr(ratfun, name, counting)
+        _sweep(curve, pair, ring, [10, 10])
+        assert calls == [] and len(pair.interior._rings) == 1
+        _sweep(curve, pair, ring, [40, 40])
+        assert calls == ["map_eval", "map_eval", "map_derivative"]
+        assert len(pair.interior._rings) == 2
+
+    def test_more_than_16_poles_are_never_kept(self, entries):
+        cmap = map_from_json(entries[0])
+        for count in (_RING_POLES + 1, _RING_POLES):
+            picks = list(0.6 * np.exp(2j * np.pi * np.arange(count) / count))
+            want = repr(principal_parts(lambda v: blaschke_eval(picks, v),
+                                        cluster_points(picks),
+                                        map_from_json(entries[0])))
+            for _ in range(2):
+                got = principal_parts(lambda v: blaschke_eval(picks, v),
+                                      cluster_points(picks), cmap)
+                assert repr(got) == want
+            assert len(cmap._rings) == (count == _RING_POLES)
+        assert _RING_POLES == 16
+
+    def test_colliding_anchor_raises_on_every_call(self, entries):
+        curve, pair = fresh_pair(entries)
+        u0 = boundary_point(curve, T0)
+        build_transferred_extremal(curve, pair, [0.3], -3.0 + 1.2j, u0)
+        messages = set()
+        for _ in range(3):
+            with pytest.raises(ExtremalError, match="collides") as got:
+                build_transferred_extremal(curve, pair, [0.3], 0.5, u0)
+            messages.add(str(got.value))
+        assert len(messages) == 1
+        assert list(pair.interior._collisions) == [
+            np.complex128(-3.0 + 1.2j).tobytes()]
+
+    @pytest.mark.parametrize("anchor", [(-3.0, 0.0), (0.0, 3.0)])
+    def test_signed_zero_anchors_give_the_same_bits(self, entries, anchor):
+        x, y = anchor
+        signed = [complex(x, y), complex(-x if x == 0 else x,
+                                         -y if y == 0 else y)]
+        assert signed[0] == signed[1]
+        assert np.complex128(signed[0]).tobytes() != \
+            np.complex128(signed[1]).tobytes()
+        ring = sweep_interior_poles(SWEEP)
+        rows = []
+        for order in (signed, signed[::-1]):
+            curve, pair = fresh_pair(entries)
+            for zeta0 in order + order:
+                rows.append((zeta0, _sweep(curve, pair, ring, [12],
+                                           zeta0=zeta0)[0]))
+            # the memo keys bits, so the two anchors are two entries
+            assert len(pair.interior._collisions) == 2
+        for zeta0, row in rows:
+            c, fresh = fresh_pair(entries)
+            want = _sweep(c, fresh, ring, [12], zeta0=zeta0)[0]
+            assert not want.flags and repr(row) == repr(want)
+            assert (row.ratio, row.run.delta_prime) == \
+                (rows[0][1].ratio, rows[0][1].run.delta_prime)
 
 
 def _without_memo(curve, call):

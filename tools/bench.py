@@ -56,11 +56,17 @@ sweep curve; the map pair is solved once, outside the timings):
 
     classify_poles   the 3 corpus poles with infinity; 9 poles, 3 inside
     bernstein_bound  the corpus pole set, orders (3, 2, 3, 2)
-    principal_parts  the golden n = 20 picks (8 distinct, cycle_list)
+    principal_parts  the golden n = 20 picks (8 distinct, cycle_list);
+                     "golden_n20_cold" empties the map's ring memo
+                     (ConformalMap._rings, where the package has one)
+                     before each call, so it evaluates the map on the rings
     build_transferred_extremal
                      one golden sweep row, n = 10 and n = 40 (the same
                      picks and zeta0 as the sweep; the whole row: principal
                      parts, the Leja repair, sup norm and bound)
+    sharpness_sweep  "golden_round": one round of perfbench's sweep, the
+                     rows n = 5, 10, 20 and 40 at the golden phase, one
+                     sharpness_sweep call per row on the reused pair
     rf_eval          "golden_n40_grid": the n = 40 row's function on the
                      4,096-point curve grid its sup norm samples
     blaschke_eval    "golden_n40_ring": the product over the 40 picks on
@@ -100,6 +106,11 @@ that reads one (classify_poles/*, bernstein_bound/corpus and the series-map
 map_invert cases) empties it before each call, so its label keeps timing
 the first computation; the same case with "/hit" appended repeats the call
 on the filled memo.  The sup_norm corpus cases name their side instead.
+The rows of a sharpness sweep keep two more memos on the interior map, the
+mapped rings per pole batch (_rings) and the collision check per zeta0
+(_collisions): principal_parts/golden_n20, the build_transferred_extremal
+cases and sharpness_sweep/golden_round read them filled, as every round of
+a sweep after its first does.
 
 End to end, one case per shipped spec and one for start-up:
 
@@ -279,6 +290,12 @@ def build_cases(bb):
     zeta0 = complex(*cfg["zeta0"])
     picks_10, picks_40 = ([base[i % len(base)] for i in range(n)]
                           for n in (10, 40))
+    rings = getattr(pair.interior, "_rings", {})
+
+    def golden_round():
+        return [bb.sharpness_sweep(curve, pair, u0, ring, zeta0, [n],
+                                   policy=cfg["policy"])[0]
+                for n in cfg["n_list"]]
     f40 = bb.build_transferred_extremal(curve, pair, picks_40, zeta0, u0).fn
     grid_4096 = bb.sample_grid(curve, 4096)[1]
     # the peel rings of principal_parts: radius half the distance to the
@@ -370,6 +387,9 @@ def build_cases(bb):
          lambda: bb.map_eval(pair.interior, disk_4096)),
         ("ratfun", "principal_parts/golden_n20", len(clustered),
          lambda: bb.principal_parts(transplant, clustered, pair.interior)),
+        ("ratfun", "principal_parts/golden_n20_cold", len(clustered),
+         _emptied(rings, lambda: bb.principal_parts(transplant, clustered,
+                                                    pair.interior))),
         ("conformal", "map_invert/exterior_8", len(outer),
          lambda: bb.map_invert(pair.exterior, outer)),
         ("potential", "verify_ratio/corpus", len(functions),
@@ -387,6 +407,8 @@ def build_cases(bb):
         ("extremal", "build_transferred_extremal/golden_n40", 1,
          lambda: bb.build_transferred_extremal(curve, pair, picks_40, zeta0,
                                                u0)),
+        ("extremal", "sharpness_sweep/golden_round", len(cfg["n_list"]),
+         golden_round),
         ("ratfun", "rf_eval/golden_n40_grid", len(grid_4096),
          lambda: bb.rf_eval(f40, grid_4096)),
         ("ratfun", "blaschke_eval/golden_n40_ring", len(peel_rings),
