@@ -16,15 +16,17 @@ Math. 14 (1986)) gives the boundary correspondence, theta'(t) ~ |S|^2
 a grid; the series tail decides, on the grids of _GRIDS in turn, until it
 is at most _TAIL_TOL ("series unresolved" past the last, the one refusal).
 Circles get the exact linear map on both sides, the ellipse exterior the
-Joukowski-type closed form; map_invert solves each core for w: these
-exactly, series maps by Newton.
+Joukowski-type closed form.  map_invert and the anchor solve each core for
+w: closed forms exactly, series cores by the argument principle on the
+circle of m nodes that the prefix maps the verified boundary onto
+(_argument_inverse), with no iteration and no stored correspondence.
 
 A map keeps only what evaluation, inversion and the map cache read: the core
 series, the prefix (rot, s), the anchor and the derivative there, the grid
-size m the series was resolved on (its uniform ring seeds map_invert), the
-extension margin and the truncation tail; not the correspondence.
-Arrays derived from those fields (the series and its derivative as complex
-arrays, map_invert's seed ring) are memoized on the map object on first
+size m the series was resolved on (the node count of its inversion
+contour), the extension margin and the truncation tail; not the
+correspondence.  Arrays derived from those fields (the series and its
+derivative as complex arrays) are memoized on the map object on first
 use, read-only; they are not fields, so they are never serialized, and
 replace() or map_from_dict starts a map with an empty memo.
 
@@ -34,7 +36,7 @@ the series kernel's product rounds a point differently by batch size), the
 value the read-only accepted (w, v).  Only a batch of at most _MEMO_CAP
 (64) points whose every residual passed is kept, so a failure raises again
 on every call; a map keeps at most _MEMO_CAP batches and drops the oldest
-first.  A hit skips Newton and the prefix inverse but takes its residual
+first.  A hit skips the contour and the prefix inverse but takes its residual
 again, by one evaluation (map_eval at v inside, the core at w outside), and
 passes the same check as a cold call.  Closed forms are inverted exactly
 on every call and keep no preimage memo.
@@ -108,17 +110,6 @@ class ConformalMap:
         if self.side == "interior":
             return _readonly(ks[1:] * c[1:])
         return _readonly((ks[2:] - 1) * c[2:])
-
-    @cached_property
-    def _seed_ring(self):
-        """(w ring, Phi ring): the core points w = _moebius(v) of every
-        (m // 128)-th point v of the solve's uniform ring and the core
-        there, map_invert's boundary seeds in the variable _newton runs in."""
-        m = self.grid
-        stride = max(1, m // 128)
-        vb = np.exp(1j * np.arange(0, m, stride) * (TWO_PI / m))
-        wb = _moebius(self, vb)
-        return _readonly(wb), _readonly(_core_eval(self, wb))
 
     @cached_property
     def _preimages(self) -> dict:
@@ -430,28 +421,29 @@ def _raw_map(side, series, tail, m):
 def normalize_at_anchor(raw: ConformalMap, u0: BoundaryPoint) -> ConformalMap:
     """Fix the automorphism freedom: Phi(1) = u0.point, |Phi'(1)| = 1.
 
-    The anchor preimage angle of the core map supplies the rotation; the
-    hyperbolic factor (v + s)/(1 + s v) then corrects |Phi'(1)|.
+    The anchor's preimage w* under the core, projected onto the circle,
+    w0 = w*/|w*|, supplies the rotation; the hyperbolic factor
+    (v + s)/(1 + s v) then corrects |Phi'(1)|.  A closed-form core gives
+    w* exactly (_closed_core_inverse); a series core by _argument_inverse
+    on the unit circle, where the core and w core' at the m = raw.grid
+    roots of unity are one inverse FFT each of the coefficients placed at
+    their powers (0, 1, ... inside; 1, 0, -1, ... outside).
     """
-    m = raw.grid
-    thetas = np.arange(m) * (TWO_PI / m)
-    ring = np.exp(1j * thetas)
-    vals = _core_eval(raw, ring)
-    theta0 = float(thetas[int(np.argmin(np.abs(vals - u0.point)))])
-    uscale = 1.0 + abs(u0.point)
-    for _ in range(60):
-        w = complex(np.exp(1j * theta0))
-        f = complex(_core_eval(raw, np.atleast_1d(w))[0]) - u0.point
-        if abs(f) < 1e-14 * uscale:
-            break
-        d = complex(_core_deriv(raw, np.atleast_1d(w))[0]) * 1j * w
-        step = (f / d).real
-        theta0 -= step
-        if abs(step) < 1e-15:
-            break
-    w0 = complex(np.exp(1j * theta0))
+    target = np.array([u0.point])
+    if _is_closed_form(raw):
+        w = _closed_core_inverse(raw, target)
+    else:
+        m, c = raw.grid, raw._coeffs
+        powers = (np.arange(len(c)) if raw.side == "interior"
+                  else 1 - np.arange(len(c)))
+        placed = np.zeros((2, m), dtype=complex)
+        placed[:, powers % m] = c, powers * c
+        f, wdf = m * np.fft.ifft(placed)
+        zeta = np.exp(1j * (TWO_PI / m) * np.arange(m))
+        w = _argument_inverse(raw.side, 0.0, 1.0, zeta, f, wdf, target)
+    w0 = complex(w[0] / abs(w[0]))
     resid = abs(complex(_core_eval(raw, np.atleast_1d(w0))[0]) - u0.point)
-    if resid > 1e-8 * uscale:
+    if not resid <= 1e-8 * (1.0 + abs(u0.point)):
         raise MapError("anchor preimage search failed", residual=resid)
 
     lam = abs(complex(_core_deriv(raw, np.atleast_1d(w0))[0]))
@@ -634,6 +626,55 @@ def _closed_core_inverse(cmap, u):
     return -0.5 * (b + root) / c[0]
 
 
+def _argument_inverse(side, c, r, zeta, f, wdf, target):
+    """The zero w of core - u on one side of the circle |w - c| = r, for
+    each target u: the argument principle in barycentric form (A. Austin,
+    P. Kravanja & L. N. Trefethen, SIAM J. Numer. Anal. 52 (2014)).  f and
+    wdf are the core and (w - c) core' at the m = len(zeta) nodes
+    w_k = c + r zeta_k, zeta_k = e^(2 pi i k/m); d_k = wdf_k / (f_k - u).
+    Inside, w = c + r sum zeta_k d_k / sum d_k.  Outside, zeta (core - u),
+    zeta = r/(w - c), has the one zero, zeta* = -sum conj(zeta_k) d_k /
+    (m - sum d_k), and w = c + r/zeta*; 1 - d_k in the sums would round off
+    the small d_k of a far target.  A target equal to a node value takes it."""
+    m = len(zeta)
+    turn = zeta if side == "interior" else zeta.conj()
+    weights = np.stack([turn * wdf, wdf], axis=1)
+    w = np.empty(len(target), dtype=complex)
+    rows = max(1, (1 << 20) // m)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for i in range(0, len(target), rows):
+            q = np.subtract(f, target[i:i + rows, None])
+            moment, total = (np.reciprocal(q, out=q) @ weights).T
+            w[i:i + rows] = (c + r * moment / total if side == "interior"
+                             else c - r * (m - total) / moment)
+    for i in np.flatnonzero(~np.isfinite(w)):
+        for k in np.flatnonzero(f == target[i])[:1]:
+            w[i] = c + r * zeta[k]
+    return w
+
+
+def _series_inverse(cmap, target):
+    """(w, core(w) - u) for the targets u of a series map: _argument_inverse
+    on the circle that the prefix maps the verified boundary |v| = R onto,
+    R = 1 + delta inside and 1 - delta outside, at m = cmap.grid nodes.
+    The prefix pole -1/s (inside) or the core's pole w = 0, v = -s
+    (outside), lies off the verified side; with real s, [-R, R] maps to the
+    diameter from a = (R + s)/(1 + s R) to b = (s - R)/(1 - s R).  A target
+    past the domain may sum to a w that overflows the core; r fails then."""
+    rad = 1.0 + cmap.delta if cmap.side == "interior" else 1.0 - cmap.delta
+    s = cmap.s
+    assert rad * abs(s) < 1.0 if cmap.side == "interior" else rad > abs(s), \
+        f"a {cmap.side} pole lies on the verified side of |v| = {rad}"
+    a, b = (rad + s) / (1.0 + s * rad), (s - rad) / (1.0 - s * rad)
+    c, r = cmap.rot * (a + b) / 2.0, abs(a - b) / 2.0
+    zeta = np.exp(1j * (TWO_PI / cmap.grid) * np.arange(cmap.grid))
+    nodes = c + r * zeta
+    w = _argument_inverse(cmap.side, c, r, zeta, _core_eval(cmap, nodes),
+                          r * zeta * _core_deriv(cmap, nodes), target)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return w, _core_eval(cmap, w) - target
+
+
 def _pull(cmap, w, lo, hi):
     """(v, moved): the preimage v = prefix^-1(w) pulled radially into
     lo <= |v| <= hi, and the points the pull moved.  A non-finite prefix
@@ -645,78 +686,6 @@ def _pull(cmap, w, lo, hi):
         scale = np.where(rad > hi, hi / rad, np.where(rad < lo, lo / rad, 1.0))
         v = np.where(np.isfinite(root), root * scale, hi)
     return v, np.isfinite(v) & (v != root)
-
-
-def _newton_seeds(cmap, target):
-    """Newton seeds for a series map in the core variable w, one row per
-    point in the order that point tries them, and their residuals
-    core(w) - u: the two nearest of the memoized ring samples (_seed_ring)
-    and, for interior maps, the linear seed w = (u - c0)/c1 where its
-    prefix inverse lies in the unit disk, ordered by ascending |residual|.
-    The ring residuals are free; the linear seeds cost one _core_eval."""
-    wb, ub = cmap._seed_ring
-    gap = ub - target[:, None]
-    dist = np.abs(gap)
-    rows = np.arange(len(target))
-    seeds, res = [], []
-    for _ in range(2):
-        k = dist.argmin(axis=1)
-        dist[rows, k] = np.inf
-        seeds.append(wb[k])
-        res.append(gap[rows, k])
-    c = cmap._coeffs
-    if cmap.side == "interior" and c[1] != 0:
-        lin = (target - c[0]) / c[1]
-        ok = np.abs(_prefix_inverse(cmap, lin)) < 1.0
-        lin_res = np.full(len(target), np.inf, dtype=complex)
-        if np.any(ok):
-            lin_res[ok] = _core_eval(cmap, lin[ok]) - target[ok]
-        seeds.insert(0, lin)
-        res.insert(0, lin_res)
-    seeds, res = np.array(seeds).T, np.array(res).T
-    order = np.argsort(np.abs(res), axis=1, kind="stable")
-    return (np.take_along_axis(seeds, order, axis=1),
-            np.take_along_axis(res, order, axis=1))
-
-
-def _newton(cmap, target, atol, lo, hi):
-    """Damped Newton on the core, in w, from each point's seeds
-    (_newton_seeds) in turn, until |core(w) - u| < atol: a seed gets at
-    most 80 steps, each halved down to 2^-12 until it lowers the residual
-    and pulled so that its prefix inverse lies in lo <= |v| <= hi (_pull).
-    Outside, v = infinity is the ordinary point w = rot/s once s != 0, so
-    a point at or near the finite value Phi2(infinity) converges instead of
-    running off in v.  Returns w and its residual core(w) - u."""
-    seeds, seed_res = _newton_seeds(cmap, target)
-    w = np.empty(len(target), dtype=complex)
-    r = np.full(len(target), np.inf, dtype=complex)  # core(w) - u
-    for seed, res in zip(seeds.T, seed_res.T):
-        live = ~(np.abs(r) < atol) & np.isfinite(res)
-        if not np.any(live):
-            continue
-        w[live], r[live] = seed[live], res[live]
-        for _ in range(80):
-            live &= ~(np.abs(r) < atol)
-            idx = np.nonzero(live)[0]
-            if not len(idx):
-                break
-            d = _core_deriv(cmap, w[idx])
-            ok = (d != 0) & np.isfinite(np.abs(d))
-            live[idx[~ok]] = False
-            idx, step = idx[ok], r[idx[ok]] / d[ok]
-            lam = 1.0
-            while lam > 2 ** -12 and len(idx):
-                wt = w[idx] - lam * step
-                v, moved = _pull(cmap, wt, lo, hi)
-                if np.any(moved):
-                    wt[moved] = _moebius(cmap, v[moved])
-                rt = _core_eval(cmap, wt) - target[idx]
-                win = np.abs(rt) < np.abs(r[idx])
-                w[idx[win]], r[idx[win]] = wt[win], rt[win]
-                idx, step = idx[~win], step[~win]
-                lam /= 2.0
-            live[idx] = False  # no step lowered the residual
-    return w, r
 
 
 def _check_residuals(target, r, atol):
@@ -736,8 +705,8 @@ def map_invert(cmap: ConformalMap, u):
     points near it invert to v = infinity or to a large |v|.
 
     Every map is inverted in its core variable w: a closed-form core
-    (_is_closed_form) exactly (_closed_core_inverse), a series core by
-    damped Newton (_newton) from seeds ordered by their starting residual.
+    (_is_closed_form) exactly (_closed_core_inverse), a series core by the
+    argument principle on its verified boundary circle (_series_inverse).
     Then one tail: the residual is the core's at w, |core(w) - u|, taken
     before the prefix inverse (near the exterior pole -1/s a far point's v
     carries a rounding error that grows like |u|, which w does not); v is
@@ -781,7 +750,7 @@ def _invert(cmap, u):
                  else _core_eval(cmap, w)) - target
         else:
             if series:
-                w, r = _newton(cmap, target, atol, lo, hi)
+                w, r = _series_inverse(cmap, target)
             else:
                 w = _closed_core_inverse(cmap, target)
                 r = _core_eval(cmap, w) - target

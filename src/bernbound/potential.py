@@ -145,7 +145,8 @@ def bernstein_bound(u0: BoundaryPoint, poles: PoleSet, maps: MapPair) -> BoundRe
     over its multiplicity.  The poles of each side are inverted in one
     map_invert call, which a series map memoizes per exact batch
     (ConformalMap._preimages), so a pole set bounded again on the same
-    map pair skips Newton; each such hit still re-checks its residual."""
+    map pair skips the contour sum; each such hit still re-checks its
+    residual."""
     _check_anchor(u0, maps)
     locs = np.array([a for a, _ in poles.poles], dtype=complex)
     inside = np.array(poles.inside, dtype=bool)

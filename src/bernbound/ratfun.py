@@ -216,19 +216,19 @@ def blaschke_derivative(points, v):
 
 def cluster_points(points):
     """Group near-coincident points into (center, multiplicity) pairs,
-    preserving first-appearance order."""
-    centers, members = [], []
+    preserving first-appearance order.  A cluster's center is its first
+    member, so equal points keep their own bits at any multiplicity."""
+    centers, counts = [], []
     for p in points:
         p = complex(p)
         for i, c in enumerate(centers):
             if abs(p - c) <= _CLUSTER_TOL * (1.0 + abs(c)):
-                members[i].append(p)
-                centers[i] = sum(members[i]) / len(members[i])
+                counts[i] += 1
                 break
         else:
             centers.append(p)
-            members.append([p])
-    return [(centers[i], len(members[i])) for i in range(len(centers))]
+            counts.append(1)
+    return list(zip(centers, counts))
 
 
 def blaschke_product(points) -> RationalFunction:

@@ -721,6 +721,8 @@ _CLOSED_MAPS = [("circle_pair", "interior"), ("circle_pair", "exterior"),
                 ("shifted_circle_pair", "interior"),
                 ("shifted_circle_pair", "exterior"),
                 ("ellipse_pair", "exterior")]
+_SERIES_MAPS = [("ellipse_pair", "interior"), ("trig_pair", "interior"),
+                ("trig_pair", "exterior")]
 
 
 @pytest.fixture(scope="session", params=_CLOSED_MAPS)
@@ -736,11 +738,11 @@ def closed_map(request):
 class TestClosedFormInversion:
     """The exact inverse of the closed-form cores against damped Newton in
     v (oracles.newton_map_invert); test_matches_newton also pins series
-    maps, which map_invert solves by Newton in the core variable w."""
+    maps, which map_invert solves by the argument principle in the core
+    variable w."""
 
-    @pytest.mark.parametrize("closed_map", _CLOSED_MAPS + [
-        ("ellipse_pair", "interior"), ("trig_pair", "interior"),
-        ("trig_pair", "exterior")], indirect=True)
+    @pytest.mark.parametrize("closed_map", _CLOSED_MAPS + _SERIES_MAPS,
+                             indirect=True)
     @settings(deadline=None, max_examples=25)
     @given(draws=st.lists(_SCALED, min_size=1, max_size=6))
     def test_matches_newton(self, closed_map, draws):
@@ -789,10 +791,11 @@ class TestClosedFormInversion:
 
     def test_one_map_eval_and_no_derivative(self, closed_map, monkeypatch):
         # the one evaluation is the core's at its exact root, not map_eval
-        # at the preimage; no derivative and no Newton
+        # at the preimage; no derivative and no contour sum
         curve, cmap = closed_map
         calls = []
-        for name in ("_core_eval", "map_eval", "map_derivative", "_newton"):
+        for name in ("_core_eval", "_core_deriv", "map_eval",
+                     "map_derivative", "_argument_inverse"):
             def counting(*args, fn=getattr(conformal, name), name=name):
                 calls.append(name)
                 return fn(*args)
@@ -805,11 +808,11 @@ class TestClosedFormInversion:
     def test_series_kernel_calls_on_the_corpus_poles(self, ellipse_pair,
                                                      monkeypatch):
         # the exterior pole is one closed-form map_eval; the interior pair
-        # (s = 0.293) starts from its best seed by residual.  A copy of the
-        # shared map has an empty inversion memo, so Newton runs.
+        # (s = 0.293) takes the core and its derivative once on the m-node
+        # contour and the core once at its roots, whatever the targets.  A
+        # copy of the shared map has an empty inversion memo.
         _, _, pair = ellipse_pair
         interior = dataclasses.replace(pair.interior)
-        interior._seed_ring  # a memo filled once per map
         calls = []
 
         def counting(c, x, fn=conformal._poly_eval):
@@ -818,10 +821,156 @@ class TestClosedFormInversion:
 
         monkeypatch.setattr(conformal, "_poly_eval", counting)
         map_invert(pair.exterior, np.array(CORPUS_EXTERIOR))
-        assert len(calls) == 1
+        assert calls == [1]
         del calls[:]
         map_invert(interior, np.array(CORPUS_INTERIOR))
-        assert 1 < len(calls) <= 8
+        m = interior.grid
+        assert calls == [m, m, len(CORPUS_INTERIOR)]
+
+
+@pytest.fixture(scope="module")
+def thin_ellipse_pair():
+    """ellipse(1, 0.4) at t = 0: an interior series of 1,876 terms on
+    grid 4096, s = 0.80 and delta = 0."""
+    e = ellipse(1.0, 0.4)
+    u0 = boundary_point(e, 0.0)
+    return e, u0, solve_map_pair(e, u0)
+
+
+def _spied_contour(cmap, target, monkeypatch):
+    """The (c, r, f) that map_invert hands _argument_inverse for a fresh
+    copy of a series map: the contour's centre, radius and core values."""
+    seen = []
+
+    def spy(side, c, r, zeta, f, wdf, t, fn=conformal._argument_inverse):
+        seen.append((c, r, f))
+        return fn(side, c, r, zeta, f, wdf, t)
+
+    monkeypatch.setattr(conformal, "_argument_inverse", spy)
+    map_invert(dataclasses.replace(cmap), target)
+    monkeypatch.undo()
+    (contour,) = seen
+    return contour
+
+
+class TestArgumentInverse:
+    """map_invert against damped Newton in v (oracles.newton_map_invert)
+    on closed-form and series maps, both sides: from depth 0.3 to the
+    unit circle and the verified boundary |v| = 1 +- delta; far exterior
+    points; a target equal to a node value of the series contour; targets
+    past the verified domain; and the anchor preimage of series cores."""
+
+    @pytest.mark.parametrize("closed_map", _CLOSED_MAPS + _SERIES_MAPS,
+                             indirect=True)
+    def test_matches_newton_from_depth_to_the_verified_boundary(
+            self, closed_map):
+        _, cmap = closed_map
+        big = 1.0 + cmap.delta if cmap.side == "interior" else 1.0 - cmap.delta
+        depths = np.array([0.3, 0.6, 0.9])
+        radii = np.concatenate([depths if cmap.side == "interior"
+                                else 1.0 / depths, [1.0, big]])
+        angles = np.arange(16) * (2 * np.pi / 16) + 0.1
+        v_true = np.outer(radii, np.exp(1j * angles)).ravel()
+        u = map_eval(cmap, v_true)
+        v = map_invert(dataclasses.replace(cmap), u)
+        want = newton_map_invert(cmap, u)
+        slack = 2e-13 * (1.0 + np.abs(u)) / np.abs(map_derivative(cmap, v))
+        assert np.all(np.abs(v - want) <= slack)
+        assert np.all(np.abs(v - v_true) <= slack)
+
+    @pytest.mark.parametrize("closed_map", [("trig_pair", "exterior")],
+                             indirect=True)
+    def test_far_exterior_points(self, closed_map):
+        # Newton in v finds the preimages of 1e3 and 1e4 only; Newton on
+        # the core in w from its leading term (u - c1)/c0 finds them all
+        _, cmap = closed_map
+        assert cmap.s != 0.0
+        u = 10.0 ** np.arange(3, 10) * np.exp(0.7j)
+        fresh = dataclasses.replace(cmap)
+        v = map_invert(fresh, u)
+        ((w, _),) = fresh._preimages.values()
+        c = np.array(cmap.series)
+        w_ref = (u - c[1]) / c[0]
+        for _ in range(8):
+            w_ref = w_ref - ((conformal._core_eval(cmap, w_ref) - u)
+                             / conformal._core_deriv(cmap, w_ref))
+        assert np.all(np.abs(w - w_ref) <= 1e-14 * np.abs(w_ref))
+        atol = conformal._INVERT_TOL * (1.0 + np.abs(u))
+        assert np.all(np.abs(conformal._core_eval(cmap, w) - u) < atol)
+        want = newton_map_invert(cmap, u[:2])
+        slack = 2e-13 * (1.0 + np.abs(u[:2])) / np.abs(
+            map_derivative(cmap, v[:2]))
+        assert np.all(np.abs(v[:2] - want) <= slack)
+
+    @pytest.mark.parametrize("closed_map", _SERIES_MAPS, indirect=True)
+    def test_a_node_value_takes_its_node(self, closed_map, monkeypatch):
+        # d_k = wdf_k / (f_k - u) is infinite there, so the sums are not
+        # finite; the node itself is the root
+        curve, cmap = closed_map
+        scale = 0.5 if cmap.side == "interior" else 1.6
+        probe = np.array([scale * eval_curve(curve, 0.2)])
+        c, r, f = _spied_contour(cmap, probe, monkeypatch)
+        m = cmap.grid
+        ks = np.array([0, 5, m // 3, m - 1])
+        target = np.append(f[ks], scale * eval_curve(curve, 1.1))
+        fresh = dataclasses.replace(cmap)
+        v = map_invert(fresh, target)
+        ((w, _),) = fresh._preimages.values()
+        nodes = c + r * np.exp(1j * (2 * np.pi / m) * np.arange(m))
+        assert w[:-1].tobytes() == nodes[ks].tobytes()
+        big = 1.0 + cmap.delta if cmap.side == "interior" else 1.0 - cmap.delta
+        assert np.all(np.abs(np.abs(v[:-1]) - big) <= 1e-14)
+        want = newton_map_invert(cmap, target)
+        slack = 2e-13 * (1.0 + np.abs(target)) / np.abs(
+            map_derivative(cmap, v))
+        assert np.all(np.abs(v - want) <= slack)
+
+    @pytest.mark.parametrize("closed_map", _SERIES_MAPS, indirect=True)
+    @settings(deadline=None, max_examples=10)
+    @given(angles=st.lists(st.floats(0.0, 2 * np.pi, exclude_max=True),
+                           min_size=1, max_size=3),
+           beyond=st.floats(1.2, 3.0))
+    def test_targets_past_the_verified_domain_raise(self, closed_map, angles,
+                                                    beyond):
+        # the verified domain's image is bounded by that of |v| = 1 +- delta:
+        # inside, within max |Phi - z_c| on it; outside, beyond its min.
+        # Targets past those radii are named, the good one before them passes
+        curve, cmap = closed_map
+        z_c = complex(curve.coeffs[curve.order])
+        big = 1.0 + cmap.delta if cmap.side == "interior" else 1.0 - cmap.delta
+        edge = np.abs(map_eval(cmap, big * np.exp(
+            1j * np.arange(512) * (2 * np.pi / 512))) - z_c)
+        if cmap.side == "interior":
+            good, radius = 0.5, beyond * np.max(edge)
+        else:
+            good, radius = 1.6, np.min(edge) / beyond
+        good = good * eval_curve(curve, 0.2)
+        far = z_c + radius * np.exp(1j * np.array(angles))
+        with pytest.raises(MapInvertError, match=re.escape(str(far[0]))):
+            map_invert(dataclasses.replace(cmap),
+                       np.concatenate([[good], far]))
+
+    @pytest.mark.parametrize("name", ["ellipse_pair", "thin_ellipse_pair",
+                                      "trig_pair"])
+    def test_anchor_preimage_matches_newton(self, name, request):
+        # the normalization's rotation is the core preimage of u0 on the
+        # unit circle: Newton in v on the raw core (no prefix) agrees
+        _, u0, pair = request.getfixturevalue(name)
+        series = [m for m in (pair.interior, pair.exterior)
+                  if len(m.series) >= 8]
+        assert series
+        for cmap in series:
+            raw = conformal._raw_map(cmap.side, cmap.series, cmap.tail,
+                                     cmap.grid)
+            want = newton_map_invert(raw, u0.point)
+            deriv = abs(conformal._core_deriv(raw, np.array([want]))[0])
+            slack = 2e-13 * (1.0 + abs(u0.point)) / deriv
+            assert abs(cmap.rot - want / abs(want)) <= slack
+            assert abs(abs(cmap.rot) - 1.0) <= 4e-16
+            resid = abs(conformal._core_eval(raw, np.array([cmap.rot]))[0]
+                        - u0.point)
+            assert resid < 1e-12 * (1.0 + abs(u0.point))
+            assert abs(abs(cmap.anchor_deriv) - 1.0) <= 1e-14
 
 
 class TestSeriesKernel:

@@ -1,8 +1,8 @@
 """Per-object geometry memos: sample grids on curves and arcs, coefficient
-arrays and inversion seeds on maps, the bounded pole memos (pole sides
-on a curve with their grid reciprocal offsets, series-map preimages per
-target batch) and the bounded memos of a sharpness row on a map (mapped
-principal-parts rings per pole batch, accepted anchor offsets per zeta0).
+arrays on maps, the bounded pole memos (pole sides on a curve with their
+grid reciprocal offsets, series-map preimages per target batch) and the
+bounded memos of a sharpness row on a map (mapped principal-parts rings
+per pole batch, accepted anchor offsets per zeta0).
 
 The memo is computed on first use, read-only, and invisible to equality,
 hashing, replace() and serialization; a call on a reused object gives the
@@ -89,7 +89,7 @@ class TestReadOnly:
     def test_map_arrays_cannot_be_written(self, entries):
         for text in entries:
             cmap = map_from_json(text)
-            for arr in (*cmap._seed_ring, cmap._coeffs, cmap._deriv_coeffs):
+            for arr in (cmap._coeffs, cmap._deriv_coeffs):
                 with pytest.raises(ValueError):
                     arr[0] = 0.0
 
@@ -131,9 +131,10 @@ class TestEmptyMemo:
         map_invert(cmap, np.array([0.1 + 0.2j]))
         build_transferred_extremal(curve, pair, [0.3, -0.2j], -3.0 + 1.2j,
                                    boundary_point(curve, T0))
-        memo = {"_coeffs", "_deriv_coeffs", "_seed_ring", "_preimages",
-                "_rings", "_collisions"}
-        assert memo <= set(vars(cmap))
+        memo = {"_coeffs", "_deriv_coeffs", "_preimages", "_rings",
+                "_collisions"}
+        fields = set(map_to_dict(cmap))
+        assert set(vars(cmap)) - fields == memo
         assert len(cmap._rings) == len(cmap._collisions) == 1
         assert map_to_dict(cmap) == before
         for other in (replace(cmap), map_from_json(entries[0])):
@@ -307,14 +308,15 @@ class TestPoleMemos:
     def test_hit_skips_newton_and_evaluates_once(self, entries, trig_pair,
                                                  monkeypatch):
         # a hit takes its residual again by one core evaluation, with no
-        # Newton and no prefix inverse: at the stored v through map_eval
-        # inside, at the stored core point w outside
+        # contour sum and no prefix inverse: at the stored v through
+        # map_eval inside, at the stored core point w outside
         cases = ((map_from_json(entries[0]), np.array(CORPUS_INTERIOR),
                   ["map_eval", "_core_eval"]),
                  (trig_pair[2].exterior, 2.0 * np.array(CORPUS_EXTERIOR),
                   ["_core_eval"]))
         calls = []
-        for name in ("_newton", "_pull", "map_eval", "_core_eval"):
+        for name in ("_argument_inverse", "_core_deriv", "_pull", "map_eval",
+                     "_core_eval"):
             def counting(*args, fn=getattr(conformal, name), name=name):
                 calls.append(name)
                 return fn(*args)
@@ -329,8 +331,8 @@ class TestPoleMemos:
     def test_far_exterior_points_on_a_series_map(self):
         # with s != 0 a far point's preimage lies near the pole -1/s, where
         # v rounds by about 1e-16 |u|; a hit checks its residual in the
-        # core variable, as Newton did, so it never raises where a cold
-        # call passed
+        # core variable, as the cold call does, so it never raises where a
+        # cold call passed
         c = trig_curve([(1, 1.0 + 0j), (4, 0.06 + 0j)])
         u0 = boundary_point(c, 0.3)
         text = map_to_json(solve_map_pair(c, u0).exterior)
@@ -442,8 +444,9 @@ class TestSharpnessRowMemos:
 
     def test_a_row_repeat_reads_the_ring_batch(self, entries, monkeypatch):
         # a repeated row peels the same stacked batch, so it evaluates no
-        # map on the rings; rows of other n stack centers that cluster_points
-        # averages from other multiplicities, so they are other batches
+        # map on the rings; so does a row of another n with the same
+        # distinct picks, since cluster_points keeps each pick's own bits
+        # as its center at any multiplicity
         ring = sweep_interior_poles(SWEEP)
         curve, pair = fresh_pair(entries)
         _sweep(curve, pair, ring, [10])
@@ -464,8 +467,7 @@ class TestSharpnessRowMemos:
         _sweep(curve, pair, ring, [10, 10])
         assert calls == [] and len(pair.interior._rings) == 1
         _sweep(curve, pair, ring, [40, 40])
-        assert calls == ["map_eval", "map_eval", "map_derivative"]
-        assert len(pair.interior._rings) == 2
+        assert calls == [] and len(pair.interior._rings) == 1
 
     def test_more_than_16_poles_are_never_kept(self, entries):
         cmap = map_from_json(entries[0])

@@ -467,6 +467,21 @@ class TestClassification:
         assert abs(got[0][0] - 0.3) < 1e-12
         assert got[1] == (5.0 + 0j, 1)
 
+    def test_equal_points_keep_their_bits(self, ellipse_pair):
+        # a cluster is centered on its first member, so k equal points give
+        # that point bit for bit at every multiplicity: here the golden
+        # sweep's picks (the disk preimages of its poles), k = 1 ... 40
+        _, _, pair = ellipse_pair
+        with open(GOLDEN_SWEEP, encoding="utf-8") as fh:
+            config = json.load(fh)["config"]
+        picks = map_invert(pair.interior,
+                           np.array(sweep_interior_poles(config)))
+        for a in map(complex, picks):
+            for k in range(1, 41):
+                ((center, count),) = cluster_points([a] * k)
+                assert count == k
+                assert repr(center) == repr(a)
+
 
 # ---------------------------------------------------------------------------
 # the one-pass pole-set routines against their one-pole-at-a-time loops

@@ -80,7 +80,9 @@ sweep curve; the map pair is solved once, outside the timings):
                      "trig_exterior_8": 0.5 gamma(t_k) and 1.6 gamma(t_k),
                      t_k = 2 pi k / 8, through the series maps of the
                      curve e^{it} + 0.06 e^{4it} anchored at t = 0.3
-                     (Newton on both sides)
+                     (series on both sides).  A cold series-map call
+                     builds its m-node inversion contour (the map's grid)
+                     and sums over it; nothing of it is kept
     verify_ratio     10 seeded corpus functions (tests/helpers.py, seed
                      1729): "corpus" reuses the curve, anchor and map pair,
                      as a batch of items on one curve does; "corpus_cold"
