@@ -30,19 +30,20 @@ derivative as complex arrays) are memoized on the map object on first
 use, read-only; they are not fields, so they are never serialized, and
 replace() or map_from_dict starts a map with an empty memo.
 
-A series map also memoizes map_invert's answers (_preimages): the key is
-the exact finite target batch (target.tobytes(), not a single point, since
-the series kernel's product rounds a point differently by batch size), the
-value the read-only accepted (w, v).  Only a batch of at most _MEMO_CAP
-(64) points whose every residual passed is kept, so a failure raises again
-on every call; a map keeps at most _MEMO_CAP batches and drops the oldest
-first.  A hit skips the contour and the prefix inverse but takes its residual
-again, by one evaluation (map_eval at v inside, the core at w outside), and
-passes the same check as a cold call.  Closed forms are inverted exactly
-on every call and keep no preimage memo.
+Every map, closed forms too, memoizes map_invert's answers (_preimages):
+the key is the exact finite target batch (target.tobytes(), not a single
+point, since the series kernel's product rounds a point differently by
+batch size), the value the read-only accepted (w, v).  Only a batch of at
+most _MEMO_CAP (64) points whose every residual passed is kept, so a
+failure raises again on every call; a map keeps at most _MEMO_CAP batches
+and drops the oldest first.  A hit skips the inverse (the contour sum or
+the closed form) and the prefix inverse but takes its residual again, by
+one evaluation (map_eval at v inside a series map, the core at w on a
+closed form and outside a series map, where v near the pole rounds like
+|u|), and passes the same check as a cold call.
 
-Every map, closed forms too, keeps two more bounded memos for the rows of
-a sharpness sweep, which evaluate the same geometry again.  _rings is
+Every map also keeps two more bounded memos for the rows of a sharpness
+sweep, which evaluate the same geometry again.  _rings is
 principal_parts': the key is the exact stacked pole batch (the bytes of
 its centers and ring radii), the value the read-only images of the poles
 and Phi(v) - Phi(a), Phi'(v) on their rings, as the stacked call computed
@@ -113,7 +114,7 @@ class ConformalMap:
 
     @cached_property
     def _preimages(self) -> dict:
-        """map_invert's memo for a series map: the exact finite target batch
+        """map_invert's memo: the exact finite target batch
         (target.tobytes()) -> its accepted (w, v), the core points and the
         preimages, read-only; at most _MEMO_CAP batches of at most
         _MEMO_CAP points."""
@@ -677,12 +678,16 @@ def _series_inverse(cmap, target):
 
 def _pull(cmap, w, lo, hi):
     """(v, moved): the preimage v = prefix^-1(w) pulled radially into
-    lo <= |v| <= hi, and the points the pull moved.  A non-finite prefix
-    inverse is v = infinity, which the exterior side (hi = inf) keeps and
-    the interior pulls to v = hi."""
+    lo <= |v| <= hi, and the points the pull moved (None when every root
+    is finite and in range, so none moved).  A non-finite prefix inverse is
+    v = infinity, which the exterior side (hi = inf) keeps and the interior
+    pulls to v = hi."""
     with np.errstate(divide="ignore", invalid="ignore"):
         root = _prefix_inverse(cmap, w)
-        rad = np.maximum(np.abs(root), 1e-300)
+        rad = np.abs(root)
+        if lo <= rad.min() and rad.max() < hi:
+            return root, None
+        rad = np.maximum(rad, 1e-300)
         scale = np.where(rad > hi, hi / rad, np.where(rad < lo, lo / rad, 1.0))
         v = np.where(np.isfinite(root), root * scale, hi)
     return v, np.isfinite(v) & (v != root)
@@ -691,10 +696,11 @@ def _pull(cmap, w, lo, hi):
 def _check_residuals(target, r, atol):
     """A MapInvertError naming the first target with |r| >= atol (or a NaN
     residual)."""
-    bad = np.nonzero(~(np.abs(r) < atol))[0]
-    if len(bad):
-        raise MapInvertError(f"inversion failed for {target[bad[0]]}",
-                             residual=float(abs(r[bad[0]])))
+    passed = np.abs(r) < atol
+    if not passed.all():
+        i = int(np.argmin(passed))  # the first False
+        raise MapInvertError(f"inversion failed for {target[i]}",
+                             residual=float(abs(r[i])))
 
 
 def map_invert(cmap: ConformalMap, u):
@@ -713,11 +719,12 @@ def map_invert(cmap: ConformalMap, u):
     the prefix inverse pulled into the verified domain (_pull), and only
     points the pull moved are checked through map_eval at their pulled v.
     Every point must end with a residual below _INVERT_TOL (1 + |u|), or a
-    MapInvertError names the first that does not.  A series map memoizes
+    MapInvertError names the first that does not.  Every map memoizes
     the accepted (w, v) per exact target batch (_preimages) once every
-    point has passed.  A hit takes its residual again by one evaluation,
-    map_eval at v inside (the prefix is bounded there) and the core at w
-    outside, where v near the pole rounds like |u|."""
+    point has passed.  A hit takes its residual again by one evaluation:
+    map_eval at v inside a series map (the prefix is bounded there), the
+    core at w on a closed form, as its cold call does, and outside a series
+    map, where v near the pole rounds like |u|."""
     return _invert(cmap, u)[0]
 
 
@@ -726,27 +733,27 @@ def _invert(cmap, u):
     points as it checked them."""
     uarr = np.asarray(u, dtype=complex)
     out = uarr.ravel().copy()
-    inf = np.isinf(out)
-    nan = np.isnan(out) & ~inf
-    if np.any(nan):
-        raise MapInvertError(f"cannot invert {out[np.argmax(nan)]}: "
-                             "not a number")
-    if np.any(inf):
+    fin = slice(None)  # every point finite: out[fin] is out itself
+    if not np.isfinite(out).all():
+        inf = np.isinf(out)
+        nan = np.isnan(out) & ~inf
+        if np.any(nan):
+            raise MapInvertError(f"cannot invert {out[np.argmax(nan)]}: "
+                                 "not a number")
         if cmap.side != "exterior":
             raise MapInvertError("infinity has no interior-map preimage")
         out[inf] = exterior_pole(cmap)
-    fin, r = np.nonzero(~inf)[0], np.zeros(0, dtype=complex)
-    if len(fin):
-        target = out[fin]
+        fin = np.nonzero(~inf)[0]
+    target, r = out[fin], np.zeros(0, dtype=complex)
+    if len(target):
         lo, hi = _domain_limits(cmap)
         atol = _INVERT_TOL * (1.0 + np.abs(target))
         series = not _is_closed_form(cmap)
-        key = (target.tobytes() if series and len(target) <= _MEMO_CAP
-               else None)
+        key = target.tobytes() if len(target) <= _MEMO_CAP else None
         hit = None if key is None else cmap._preimages.get(key)
         if hit is not None:
             w, v = hit
-            r = (map_eval(cmap, v) if cmap.side == "interior"
+            r = (map_eval(cmap, v) if series and cmap.side == "interior"
                  else _core_eval(cmap, w)) - target
         else:
             if series:
@@ -755,7 +762,7 @@ def _invert(cmap, u):
                 w = _closed_core_inverse(cmap, target)
                 r = _core_eval(cmap, w) - target
             v, moved = _pull(cmap, w, lo, hi)
-            if np.any(moved):
+            if moved is not None and moved.any():
                 r[moved] = map_eval(cmap, v[moved]) - target[moved]
         _check_residuals(target, r, atol)
         if key is not None and hit is None:

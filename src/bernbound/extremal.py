@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,11 +20,11 @@ import numpy as np
 from .conformal import MapPair, map_eval, map_invert
 from .curves import (TWO_PI, AnalyticCurve, BoundaryPoint, _memo_put,
                      is_infinite, sample_grid)
-from .errors import ExtremalError, MapInvertError, NumericsError
+from .errors import ExtremalError, MapInvertError, NumericsError, PoleError
 from .potential import BoundReport, bernstein_bound, disk_normal_derivative
-from .ratfun import (RationalFunction, blaschke_derivative, blaschke_eval,
-                     blaschke_product, classify_poles, cluster_points,
-                     make_rational, poles_of, principal_parts, rf_derivative,
+from .ratfun import (POLE_FLOOR, RationalFunction, blaschke_derivative,
+                     blaschke_eval, blaschke_product, classify_poles,
+                     cluster_points, make_rational, poles_of, principal_parts,
                      rf_eval, sup_norm)
 
 _OFF_CIRCLE = 1e-9
@@ -40,8 +41,12 @@ _REMAINDER_TOL = 1e-9
 @dataclass(frozen=True)
 class LejaSet:
     nodes: tuple    # chosen points, in greedy order
-    monic: tuple    # monic node polynomial, descending coefficients
     indices: tuple  # positions of the nodes in the candidate array
+
+    @property
+    def monic(self) -> tuple:
+        """The monic node polynomial, descending coefficients."""
+        return tuple(complex(c) for c in np.poly(self.nodes))
 
 
 def leja_points(candidates, count: int, seed=None) -> LejaSet:
@@ -49,7 +54,8 @@ def leja_points(candidates, count: int, seed=None) -> LejaSet:
     predecessors over the candidate array (first index wins ties).
 
     seed is snapped to the nearest candidate and defaults to the point
-    farthest from the candidate centroid."""
+    farthest from the candidate centroid.  Candidates with fewer distinct
+    points than count raise an ExtremalError naming the shortfall."""
     if count < 1:
         raise ExtremalError("node count must be at least 1")
     cand = np.asarray(candidates, dtype=complex).ravel()
@@ -64,11 +70,13 @@ def leja_points(candidates, count: int, seed=None) -> LejaSet:
         running = np.log(np.abs(cand - cand[i0]))
         for _ in range(count - 1):
             j = int(np.argmax(running))
+            if running[j] == -np.inf:  # every candidate is a chosen node
+                raise ExtremalError(
+                    f"the candidates hold {len(indices)} distinct points, "
+                    f"fewer than the {count} requested nodes")
             indices.append(j)
             running += np.log(np.abs(cand - cand[j]))
-    nodes = tuple(complex(cand[j]) for j in indices)
-    return LejaSet(nodes, tuple(complex(c) for c in np.poly(nodes)),
-                   tuple(indices))
+    return LejaSet(tuple(complex(cand[j]) for j in indices), tuple(indices))
 
 
 # ---------------------------------------------------------------------------
@@ -134,6 +142,35 @@ def _hermite_coefficients(xi, vals, dval0):
     return c
 
 
+def _blaschke_jet(picks, v: complex):
+    """(B(v), B'(v)) of the product over picks at the scalar v, in Python
+    complex arithmetic: one factor per distinct pick, raised to its
+    multiplicity."""
+    val, logd = 1.0 + 0j, 0j
+    for a, m in Counter(picks).items():
+        num, den = 1.0 - a.conjugate() * v, v - a
+        val *= (num / den) ** m
+        logd -= m * (a.conjugate() / num + 1.0 / den)
+    return val, val * logd
+
+
+def _terms_jet(terms, u: complex, val=0j, der=0j):
+    """(val + f(u), der + f'(u)) for the pole terms f at the scalar u, in
+    term order: rf_eval's and rf_derivative's Horner in r = 1/(u - a) from
+    one reciprocal offset per term, and rf_eval's pole-floor PoleError."""
+    for t in terms:
+        d = u - t.location
+        if abs(d) < POLE_FLOOR:
+            raise PoleError(f"evaluation within the pole floor of {t.location}")
+        r = 1.0 / d
+        acc, dacc = t.coeffs[-1] * r, t.order * t.coeffs[-1] * r
+        for k in range(t.order - 1, 0, -1):
+            acc = (acc + t.coeffs[k - 1]) * r
+            dacc = (dacc + k * t.coeffs[k - 1]) * r
+        val, der = val + acc, der - dacc * r
+    return val, der
+
+
 def _clearance(interior, zeta0) -> float:
     """delta_prime: half the interior map's margin, halved once more if
     need be, such that zeta0 lies outside the inflated curve
@@ -178,16 +215,16 @@ def build_transferred_extremal(curve: AnalyticCurve, maps: MapPair, picks,
     if abs(maps.anchor - u0.point) > 1e-8 * (1.0 + abs(u0.point)):
         raise ExtremalError("map pair is not anchored at the boundary point")
 
-    dh1 = complex(blaschke_derivative(picks, 1.0 + 0j))
-    h_deriv = abs(dh1)
-
     # principal parts of the transplant B o Phi1^{-1} at the image poles
     f1 = principal_parts(lambda v: blaschke_eval(picks, v),
                          cluster_points(picks), maps.interior)
 
-    phi0 = complex(blaschke_eval(picks, 1.0 + 0j)) - complex(rf_eval(f1, u0.point))
-    dphi0 = (dh1 / maps.interior.anchor_deriv
-             - complex(rf_derivative(f1, u0.point)))
+    # the anchor values, each once, by scalar arithmetic
+    h1, dh1 = _blaschke_jet(picks, 1.0 + 0j)
+    h_deriv = abs(dh1)
+    f1_jet = _terms_jet(f1.terms, u0.point)
+    phi0 = h1 - f1_jet[0]
+    dphi0 = dh1 / maps.interior.anchor_deriv - f1_jet[1]
 
     # the correction variable w = 1/(u - zeta0); zeta0 must stay clear of the
     # slightly inflated curve on which the remainder is still analytic.  The
@@ -226,13 +263,12 @@ def build_transferred_extremal(curve: AnalyticCurve, maps: MapPair, picks,
 
         # expand sum_k c_k prod_{i<k}(w - xi_i) exactly in s = u - zeta0,
         # w = 1/s:  prod_{i<k}(1/s - xi_i) = s^{-k} prod_{i<k}(1 - xi_i s)
-        order = len(xi)
-        neg = np.zeros(order, dtype=complex)  # neg[p] multiplies s^{-p}
-        poly = np.array([1.0 + 0j])
+        neg = [0j] * len(xi)  # neg[p] multiplies s^{-p}
+        poly = [1.0 + 0j]
         for k, ck in enumerate(newton):
-            for j in range(k + 1):
-                neg[k - j] += ck * poly[j]
-            poly = np.convolve(poly, [1.0, -xi[k]])
+            for j, pj in enumerate(poly):
+                neg[k - j] += ck * pj
+            poly = [a - xi[k] * b for a, b in zip(poly + [0j], [0j] + poly)]
         # Trim expansion orders whose worst-case boundary contribution
         # |c_p| * max_Γ |u - zeta0|^{-p} falls below _REMAINDER_TOL (the
         # transplanted sup norm is ~1 by construction).  Magnitude alone
@@ -241,14 +277,16 @@ def build_transferred_extremal(curve: AnalyticCurve, maps: MapPair, picks,
         # order-wise, in the outer normal-derivative sum and wreck the
         # ratio.
         dist = float(np.min(np.abs(pts - zeta0)))
-        prin = list(neg[1:])
+        prin = neg[1:]
         while prin and abs(prin[-1]) * dist ** -len(prin) <= _REMAINDER_TOL:
             prin.pop()
-        const = complex(neg[0]) if abs(neg[0]) > _REMAINDER_TOL else 0j
+        const = neg[0] if abs(neg[0]) > _REMAINDER_TOL else 0j
     f2_terms = [(zeta0, tuple(prin))] if prin else []
     fn = make_rational(list(f1.terms) + f2_terms, (const,) if const else ())
 
-    deriv_mod = abs(rf_derivative(fn, u0.point))
+    # fn'(u0): f1'(u0) continued by the zeta0 term (a constant adds nothing)
+    deriv_mod = abs(_terms_jet(fn.terms[len(f1.terms):], u0.point,
+                               *f1_jet)[1])
     poles = classify_poles(poles_of(fn), curve)
     sup, _ = sup_norm(fn, curve)
     report = bernstein_bound(u0, poles, maps)

@@ -274,17 +274,18 @@ def blaschke_product(points) -> RationalFunction:
 # principal parts by contour quadrature
 # ---------------------------------------------------------------------------
 
-def _laurent_peel(vals, w, dphi, dv, order):
+def _laurent_peel(vals, powers, dphi, dv, order):
     """c_k = mean(g (Phi(v) - Phi(a))^{k-1} Phi'(v) (v - a)) over the ring
-    nodes v (one ring per row), from g, w = Phi(v) - Phi(a), dphi = Phi'(v)
-    and dv = v - a there; peeled from the top order down so that the huge
-    top-order contribution never swamps the low-order means."""
+    nodes v (one ring per row), from g, powers[j] = w ** j of w = Phi(v) -
+    Phi(a) (j = 0..order), dphi = Phi'(v) and dv = v - a there; peeled from
+    the top order down so that the huge top-order contribution never swamps
+    the low-order means."""
     vals = vals.copy()
     coeffs = np.zeros(vals.shape[:-1] + (order,), dtype=complex)
     for k in range(order, 0, -1):
-        c = np.mean(vals * w ** (k - 1) * dphi * dv, axis=-1)
+        c = np.mean(vals * powers[k - 1] * dphi * dv, axis=-1)
         coeffs[..., k - 1] = c
-        vals -= c[..., None] / w ** k
+        vals -= c[..., None] / powers[k]
     return coeffs
 
 
@@ -322,9 +323,10 @@ def principal_parts(g, poles,
     all poles stacked into one array, Phi and Phi' read back from the map's
     ring memo on a repeat of the exact batch (_mapped_rings), as every row
     of a sharpness sweep makes; the poles of one order are peeled
-    together, one row each, and the q-node rule reads every other node.
-    Disagreement of the two rules beyond _QUAD_TOL (relative to the
-    largest coefficient) raises, and the 2q result is returned otherwise."""
+    together, one row each, from one set of powers of w, and the q-node
+    rule reads every other node of each.  Disagreement of the two rules
+    beyond _QUAD_TOL (relative to the largest coefficient) raises, naming
+    the first such pole, and the 2q result is returned otherwise."""
     locs = [complex(a) for a, _ in poles]
     orders = [int(m) for _, m in poles]
     if any(m < 1 for m in orders):
@@ -351,25 +353,30 @@ def principal_parts(g, poles,
         w, dphi, images = dv, np.ones(nodes.shape), centers[:, 0]
         if cmap is not None:
             images, w, dphi = _mapped_rings(cmap, centers, radii, nodes)
-    peels = {}  # pole index -> (q-node, 2q-node) coefficients
+    peels = [None] * n_ok  # per pole: its 2q-node coefficients, cut
+    disagree = np.empty(n_ok)
     for order in sorted(set(orders[:n_ok])):
         rows = [i for i in range(n_ok) if orders[i] == order]
-        ring_data = [x[rows] for x in (vals, w, dphi, dv)]
-        c1 = _laurent_peel(*(x[:, ::2] for x in ring_data), order)
-        c2 = _laurent_peel(*ring_data, order)
-        peels.update(zip(rows, zip(c1, c2)))
-    for i in range(n_ok):
-        c1, c2 = peels[i]
-        scale = max(float(np.max(np.abs(c2))), 1e-300)
-        disagree = float(np.max(np.abs(c1 - c2))) / scale
-        if disagree > _QUAD_TOL:
-            raise QuadratureError(
-                f"quadrature disagreement {disagree:.2e} at pole {locs[i]} "
-                f"exceeds {_QUAD_TOL:.2e}")
-        keep = np.abs(c2) > 1e-13 * scale
-        top = int(np.nonzero(keep)[0][-1]) + 1 if np.any(keep) else 0
-        if top:
-            terms.append((complex(images[i]), tuple(c2[:top])))
+        g_v, w_v, dphi_v, dv_v = (x[rows] for x in (vals, w, dphi, dv))
+        powers = [w_v ** j for j in range(order + 1)]
+        c1 = _laurent_peel(g_v[:, ::2], [p[:, ::2] for p in powers],
+                           dphi_v[:, ::2], dv_v[:, ::2], order)
+        c2 = _laurent_peel(g_v, powers, dphi_v, dv_v, order)
+        scale = np.maximum(np.max(np.abs(c2), axis=1), 1e-300)
+        disagree[rows] = np.max(np.abs(c1 - c2), axis=1) / scale
+        keep = np.abs(c2) > 1e-13 * scale[:, None]
+        tops = np.where(keep.any(axis=1),
+                        order - np.argmax(keep[:, ::-1], axis=1), 0)
+        for i, c, top in zip(rows, c2, tops):
+            peels[i] = c[:top]
+    bad = np.flatnonzero(disagree > _QUAD_TOL)
+    if len(bad):
+        raise QuadratureError(
+            f"quadrature disagreement {disagree[bad[0]]:.2e} at pole "
+            f"{locs[bad[0]]} exceeds {_QUAD_TOL:.2e}")
+    for i, c in enumerate(peels):
+        if len(c):
+            terms.append((complex(images[i]), tuple(c)))
     if n_ok < len(locs):
         raise QuadratureError(f"no feasible quadrature radius at pole "
                               f"{locs[n_ok]} (rho = {rhos[n_ok]:.2e})")

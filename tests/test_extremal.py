@@ -9,10 +9,14 @@ import pytest
 from bernbound import (blaschke_derivative, blaschke_eval, boundary_point,
                        build_circle_extremal, build_transferred_extremal,
                        circle, conformal, extremal, leja_points,
-                       map_invert, potential, rf_derivative, rf_eval,
-                       sample_grid, sharpness_sweep, solve_map_pair,
-                       sup_norm)
+                       map_invert, potential, principal_parts,
+                       rf_derivative, rf_eval, sample_grid, sharpness_sweep,
+                       solve_map_pair, sup_norm)
 from bernbound.errors import ExtremalError, PoleError
+from bernbound.extremal import _blaschke_jet, _terms_jet
+from bernbound.ratfun import POLE_FLOOR, cluster_points, make_rational
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import sweep_interior_poles
 from oracles import loop_sup_norm
@@ -90,6 +94,20 @@ class TestLejaPoints:
         with pytest.raises(ExtremalError):
             leja_points(np.array([1.0, 2.0], dtype=complex), 3)
 
+    @pytest.mark.parametrize("cand, count, distinct", [
+        ([0, 0, 1], 3, 2), ([1, 1, 1], 2, 1)])
+    def test_too_few_distinct_candidates_raise(self, cand, count, distinct):
+        # the greedy step would pick an already chosen node again, which
+        # the Hermite step would read as the confluent anchor pair
+        with pytest.raises(ExtremalError,
+                           match=f"hold {distinct} distinct points, fewer "
+                                 f"than the {count} requested"):
+            leja_points(np.array(cand, dtype=complex), count)
+
+    def test_distinct_candidates_suffice(self):
+        got = leja_points(np.array([0, 0, 1, 1, 2], dtype=complex), 3)
+        assert sorted(got.nodes, key=abs) == [0, 1, 2]
+
     def test_capacity_convergence_on_circle(self):
         # the product of distances from the newest node to its
         # predecessors, to the power 1/N, approaches the circle capacity 1
@@ -107,6 +125,69 @@ class TestLejaPoints:
         monic = leja_points(cand, 64, seed=1.0).monic
         sup = float(np.max(np.abs(np.polyval(monic, samples))))
         assert abs(sup ** (1.0 / 64) - 1.0) < 0.05
+
+
+# 1-5 distinct picks r e^{it}, r in 0.1..0.8 and t on 12 angles, each with
+# its multiplicity 1-5
+_PICKS = st.lists(st.tuples(st.integers(1, 8), st.integers(0, 11),
+                            st.integers(1, 5)),
+                  min_size=1, max_size=5, unique_by=lambda d: d[:2])
+
+
+def _rel(got, want):
+    return abs(got - want) / abs(want)
+
+
+def _magnitude(terms, u, deriv):
+    """sum_k k^deriv |c_k| |u - a|^-(k + deriv) over the pole terms: the
+    size of the Horner sums of f(u) (deriv 0) or f'(u) (deriv 1).  Close
+    picks give principal parts that cancel at u, so the two evaluations,
+    whose complex products may round an ulp apart, are compared on it."""
+    return sum(k ** deriv * abs(c) * abs(u - t.location) ** -(k + deriv)
+               for t in terms for k, c in enumerate(t.coeffs, 1))
+
+
+class TestAnchorPass:
+    """The scalar anchor values of build_transferred_extremal against the
+    array routines they replace."""
+
+    @pytest.mark.parametrize("pair_name", ["circle_pair", "ellipse_pair"])
+    @settings(deadline=None, max_examples=40)
+    @given(draws=_PICKS, tail=st.lists(st.complex_numbers(max_magnitude=2.0,
+                                                          allow_nan=False),
+                                       min_size=1, max_size=4))
+    def test_matches_the_array_routines(self, request, pair_name, draws,
+                                        tail):
+        _, u0, pair = request.getfixturevalue(pair_name)
+        picks = [complex(0.1 * r * np.exp(1j * np.pi * t / 6))
+                 for r, t, m in draws for _ in range(m)]
+        h1, dh1 = _blaschke_jet(picks, 1.0 + 0j)
+        assert _rel(h1, blaschke_eval(picks, 1.0 + 0j)) <= 1e-13
+        assert _rel(dh1, blaschke_derivative(picks, 1.0 + 0j)) <= 1e-13
+        f1 = principal_parts(lambda v: blaschke_eval(picks, v),
+                             cluster_points(picks), pair.interior)
+        u = u0.point
+        val, der = _terms_jet(f1.terms, u)
+        assert abs(val - rf_eval(f1, u)) <= 1e-13 * _magnitude(f1.terms, u, 0)
+        assert abs(der - rf_derivative(f1, u)) <= \
+            1e-13 * _magnitude(f1.terms, u, 1)
+        # fn: f1 and a correction term at an exterior zeta0, plus a constant
+        fn = make_rational(list(f1.terms) + [(-3.0 + 1.2j, tuple(tail))],
+                           (0.25 + 0j,))
+        _, dfn = _terms_jet(fn.terms[len(f1.terms):], u, val, der)
+        assert abs(dfn - rf_derivative(fn, u)) <= \
+            1e-13 * _magnitude(fn.terms, u, 1)
+
+    @pytest.mark.parametrize("offset", [0.0, 0.5 * POLE_FLOOR])
+    def test_pole_floor_error_is_rf_eval_s(self, ellipse_pair, offset):
+        _, u0, _ = ellipse_pair
+        f = make_rational([(u0.point + 0.5, (1.0,)),
+                           (u0.point + offset, (2.0, 1.0))])
+        with pytest.raises(PoleError) as want:
+            rf_eval(f, u0.point)
+        with pytest.raises(PoleError) as got:
+            _terms_jet(f.terms, u0.point)
+        assert str(got.value) == str(want.value)
 
 
 class TestCircleExtremal:

@@ -18,9 +18,9 @@ import pytest
 from bernbound import (INFINITY, MapPair, blaschke_eval, boundary_point,
                        build_transferred_extremal, circle, circular_arc,
                        classify_poles, cluster_points, conformal, ellipse,
-                       extremal, make_rational, map_derivative, map_eval,
-                       map_from_json, map_invert, map_to_dict, map_to_json,
-                       poles_of, principal_parts, ratfun, rf_eval,
+                       eval_curve, extremal, make_rational, map_derivative,
+                       map_eval, map_from_json, map_invert, map_to_dict,
+                       map_to_json, poles_of, principal_parts, ratfun, rf_eval,
                        sample_grid, segment_arc, sharpness_sweep,
                        solve_map_pair, sup_norm, trig_curve, verify_ratio)
 import bernbound.cli as cli
@@ -343,6 +343,80 @@ class TestPoleMemos:
         map_invert(cmap, pts)
         assert len(cmap._preimages) == 1
         assert np.all(np.isfinite(map_eval(cmap, map_invert(cmap, pts))))
+
+
+_CLOSED_FORMS = [("circle_pair", "interior"), ("circle_pair", "exterior"),
+                 ("shifted_circle_pair", "interior"),
+                 ("shifted_circle_pair", "exterior"),
+                 ("ellipse_pair", "exterior")]
+
+
+@pytest.fixture(params=_CLOSED_FORMS, ids="-".join)
+def closed_form(request):
+    """(curve, serialized map) of each closed-form core: map_from_json
+    gives a fresh map with an empty inversion memo."""
+    name, side = request.param
+    curve, _, pair = request.getfixturevalue(name)
+    return curve, map_to_json(getattr(pair, side))
+
+
+def _closed_form_targets(curve, side, scale=1.0):
+    """8 points inside (0.5 gamma) or outside (1.6 gamma) the curve, times
+    scale."""
+    ring = eval_curve(curve, 0.1 + np.arange(8) * (2 * np.pi / 8))
+    return scale * (0.5 if side == "interior" else 1.6) * ring
+
+
+class TestClosedFormPreimageMemo:
+    """map_invert's memo on the closed forms: the same bits as a cold call,
+    failures never kept, bounded."""
+
+    def test_a_hit_gives_the_bits_of_a_cold_call(self, closed_form):
+        curve, text = closed_form
+        cmap = map_from_json(text)
+        for pts in (_closed_form_targets(curve, cmap.side),
+                    _closed_form_targets(curve, cmap.side)[:1]):
+            assert_fresh_equals_reused(map_invert,
+                                       lambda: (map_from_json(text), pts))
+        # the hit reads the one entry per batch that the cold call kept
+        reused = map_from_json(text)
+        pts = _closed_form_targets(curve, cmap.side)
+        map_invert(reused, pts)
+        map_invert(reused, pts)
+        assert list(reused._preimages) == [pts.tobytes()]
+
+    def test_a_failing_batch_is_never_kept(self, closed_form):
+        curve, text = closed_form
+        cmap = map_from_json(text)
+        good = _closed_form_targets(curve, cmap.side)
+        # points well on the other side of the curve: the pull moves their
+        # preimages into the verified domain, where the residual fails
+        other, scale = (("exterior", 1.5) if cmap.side == "interior"
+                        else ("interior", 0.2))
+        bad = _closed_form_targets(curve, other, scale)
+        batch = np.concatenate([good[:2], bad[:1], good[2:]])
+        messages = set()
+        for _ in range(3):
+            with pytest.raises(MapInvertError) as got:
+                map_invert(cmap, batch)
+            messages.add(str(got.value))
+        assert len(messages) == 1
+        assert messages.pop().startswith(f"inversion failed for {bad[0]} ")
+        assert cmap._preimages == {}
+
+    def test_the_memo_stays_within_its_cap(self, closed_form):
+        curve, text = closed_form
+        cmap = map_from_json(text)
+        pts = _closed_form_targets(curve, cmap.side)
+        for k in range(_MEMO_CAP + 10):
+            map_invert(cmap, pts[:1] * (1.0 + 1e-3 * k))
+            assert len(cmap._preimages) <= _MEMO_CAP
+        assert len(cmap._preimages) == _MEMO_CAP
+        assert (pts[:1] * 1.0).tobytes() not in cmap._preimages
+        long = np.resize(pts, _MEMO_CAP + 1)
+        fresh = map_from_json(text)
+        map_invert(fresh, long)
+        assert fresh._preimages == {}
 
 
 SWEEP = json.loads((GOLDEN / "ellipse_sweep.json").read_text())["config"]

@@ -61,7 +61,7 @@ sweep curve; the map pair is solved once, outside the timings):
                      (ConformalMap._rings, where the package has one)
                      before each call, so it evaluates the map on the rings
     build_transferred_extremal
-                     one golden sweep row, n = 10 and n = 40 (the same
+                     one golden sweep row, n = 5, 10, 20 and 40 (the same
                      picks and zeta0 as the sweep; the whole row: principal
                      parts, the Leja repair, sup norm and bound)
     sharpness_sweep  "golden_round": one round of perfbench's sweep, the
@@ -73,6 +73,9 @@ sweep curve; the map pair is solved once, outside the timings):
                      the 1,024 nodes of the 8 peel rings (128 nodes each)
                      that principal_parts samples it on
     map_invert       8 interior and 8 exterior points in one array each;
+                     "exterior_1": the first of the exterior points alone
+                     (the closed-form exterior; its /hit case is the
+                     shape of a sweep row's zeta0 inversion);
                      "boundary_30": 30 points on the curve through the
                      interior map (the shape of the extremal's Leja nodes);
                      "corpus_poles": the 3 corpus poles, one call per side
@@ -102,10 +105,10 @@ sweep curve; the map pair is solved once, outside the timings):
                      beforehand, so the case times the checks (speed,
                      simplicity scan, winding), not the sampling
 
-classify_poles and the series-map branch of map_invert keep bounded memos
-on the curve (_pole_sides) and on the map (_preimages).  Every case above
-that reads one (classify_poles/*, bernstein_bound/corpus and the series-map
-map_invert cases) empties it before each call, so its label keeps timing
+classify_poles and map_invert keep bounded memos on the curve (_pole_sides)
+and on every map (_preimages).  Every case above that reads one
+(classify_poles/*, bernstein_bound/corpus and the map_invert cases)
+empties it before each call, so its label keeps timing
 the first computation; the same case with "/hit" appended repeats the call
 on the filled memo.  The sup_norm corpus cases name their side instead.
 The rows of a sharpness sweep keep two more memos on the interior map, the
@@ -229,10 +232,13 @@ def bern_cases(bb, root, out_dir):
                             lambda: _bern_version(root))]
 
 
-def _emptied(memo, fn):
-    """fn, called each time on an emptied memo dict."""
+def _emptied(memos, fn):
+    """fn, called each time on emptied memo dicts (one, or a tuple)."""
+    memos = memos if isinstance(memos, tuple) else (memos,)
+
     def call():
-        memo.clear()
+        for memo in memos:
+            memo.clear()
         return fn()
     return call
 
@@ -280,7 +286,8 @@ def build_cases(bb):
         for s, t in zip((1.4, 1.8, 2.5, 1.2, 3.0, 2.0),
                         (0.3, 1.1, 2.0, 3.3, 4.4, 5.5))]
     corpus_set = bb.classify_poles(corpus, curve)
-    sides, preimages = curve._pole_sides, pair.interior._preimages
+    sides = curve._pole_sides
+    preimages = (pair.interior._preimages, pair.exterior._preimages)
 
     base = list(bb.map_invert(pair.interior, np.array(ring)))
     picks = [base[i % len(base)] for i in range(20)]
@@ -290,8 +297,8 @@ def build_cases(bb):
         return bb.blaschke_eval(picks, v)
 
     zeta0 = complex(*cfg["zeta0"])
-    picks_10, picks_40 = ([base[i % len(base)] for i in range(n)]
-                          for n in (10, 40))
+    picks_5, picks_10, picks_40 = ([base[i % len(base)] for i in range(n)]
+                                   for n in (5, 10, 40))
     rings = getattr(pair.interior, "_rings", {})
 
     def golden_round():
@@ -314,6 +321,7 @@ def build_cases(bb):
     inner = np.array(ring, dtype=complex)
     outer = np.array([complex(1.6 * bb.eval_curve(curve, t))
                       for t in np.arange(8) * (2 * np.pi / 8)])
+    outer_1 = outer[:1].copy()
     on_curve = bb.eval_curve(curve, 0.05 + np.arange(30) * (2 * np.pi / 30))
     disk_1 = np.array([0.9 * np.exp(0.3j)])
     disk_4096 = 0.9 * np.exp(1j * np.arange(4096) * (2 * np.pi / 4096))
@@ -373,6 +381,10 @@ def build_cases(bb):
         ("conformal", "map_invert/trig_exterior_8", len(trig_out),
          tpair.exterior._preimages,
          lambda: bb.map_invert(tpair.exterior, trig_out)),
+        ("conformal", "map_invert/exterior_8", len(outer), preimages,
+         lambda: bb.map_invert(pair.exterior, outer)),
+        ("conformal", "map_invert/exterior_1", len(outer_1), preimages,
+         lambda: bb.map_invert(pair.exterior, outer_1)),
     ]
     memo_cases = [case for layer, name, work, memo, fn in memo_cases
                   for case in ((layer, name, work, _emptied(memo, fn)),
@@ -392,8 +404,6 @@ def build_cases(bb):
         ("ratfun", "principal_parts/golden_n20_cold", len(clustered),
          _emptied(rings, lambda: bb.principal_parts(transplant, clustered,
                                                     pair.interior))),
-        ("conformal", "map_invert/exterior_8", len(outer),
-         lambda: bb.map_invert(pair.exterior, outer)),
         ("potential", "verify_ratio/corpus", len(functions),
          lambda: [bb.verify_ratio(f, curve, u0, pair) for f in functions]),
         ("potential", "verify_ratio/corpus_cold", len(functions),
@@ -403,8 +413,14 @@ def build_cases(bb):
          lambda: sup_corpus(hit_curve)),
         ("ratfun", "sup_norm/corpus_cold", len(functions),
          _emptied(cold_curve._pole_sides, lambda: sup_corpus(cold_curve))),
+        ("extremal", "build_transferred_extremal/golden_n5", 1,
+         lambda: bb.build_transferred_extremal(curve, pair, picks_5, zeta0,
+                                               u0)),
         ("extremal", "build_transferred_extremal/golden_n10", 1,
          lambda: bb.build_transferred_extremal(curve, pair, picks_10, zeta0,
+                                               u0)),
+        ("extremal", "build_transferred_extremal/golden_n20", 1,
+         lambda: bb.build_transferred_extremal(curve, pair, picks, zeta0,
                                                u0)),
         ("extremal", "build_transferred_extremal/golden_n40", 1,
          lambda: bb.build_transferred_extremal(curve, pair, picks_40, zeta0,
