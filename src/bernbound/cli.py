@@ -33,7 +33,7 @@ from ._version import __version__
 from .conformal import MapPair, map_from_dict, map_to_dict, solve_map_pair
 from .curves import (INFINITY, AnalyticCurve, ArcOpenUp, _memo_put,
                      boundary_point, circle, circular_arc, ellipse,
-                     point_in_curve, segment_arc, trig_curve)
+                     point_in_curve, segment_arc, trig_curve, validate_curve)
 from .errors import NumericsError, RunSpecError
 from .extremal import sharpness_sweep
 from .potential import arc_bound, bernstein_bound, green_domain, verify_ratio
@@ -215,9 +215,19 @@ _PAIRS: dict = {}   # map-cache entry bytes -> its (interior, exterior) maps
 def _shared_curve(obj, path) -> AnalyticCurve:
     """_CURVE's curve, as its value's one object in _CURVES, so its memos
     (sample grids, pole sides) carry over.  Keyed by repr: equality folds
-    -0.0 into 0.0, and a map bundle prints that sign."""
+    -0.0 into 0.0, and a map bundle prints that sign.  A trig curve new to
+    _CURVES must pass validate_curve, or the error names each failed check."""
     curve = _CURVE(obj, path)
     key = repr(curve)
+    if key not in _CURVES and curve.kind == "trig":
+        rep = validate_curve(curve)
+        failed = [f"{name} {value:.4g}" for name, value, ok in (
+            ("speed", rep.speed_min, rep.speed_ok),
+            ("simplicity margin", rep.simplicity_margin, rep.simple_ok),
+            ("winding", rep.winding, rep.orientation_ok)) if not ok]
+        if failed:
+            raise RunSpecError(path, "curve fails validate_curve: "
+                               + ", ".join(failed))
     return _CURVES.get(key) or _memo_put(_CURVES, key, curve,
                                          _PROCESS_MEMO_CAP)
 
@@ -357,10 +367,8 @@ _CONTRIB_HEADER = ("index", "pole_re", "pole_im", "side", "value")
 
 
 def _contribution_rows(report, prefix=()):
-    rows = []
-    for i, c in enumerate(report.contributions):
-        rows.append((*prefix, i, c.pole.real, c.pole.imag, c.side, c.value))
-    return rows
+    return [(*prefix, i, c.pole.real, c.pole.imag, c.side, c.value)
+            for i, c in enumerate(report.contributions)]
 
 
 def _run_bound(spec: RunSpec, cache_dir):
@@ -402,10 +410,8 @@ def _run_sharpness(spec: RunSpec, cache_dir):
               "residual_flags")
     summary = [(r.n, r.n_interp, r.ratio, r.bound, r.sup, r.deriv_mod,
                 r.flags) for r in rows]
-    items = []
-    for r in rows:
-        if r.run is not None:
-            items.extend(_contribution_rows(r.run.report, prefix=(r.n,)))
+    items = [item for r in rows if r.run is not None
+             for item in _contribution_rows(r.run.report, prefix=(r.n,))]
     return header, summary, ("n",) + _CONTRIB_HEADER, items
 
 
@@ -413,13 +419,12 @@ def _run_map(spec: RunSpec, cache_dir):
     maps, _ = _solve_pair(spec, cache_dir)
     header = ("side", "anchor_re", "anchor_im", "anchor_deriv_re",
               "anchor_deriv_im", "delta", "tail", "n_coeffs")
-    summary, items = [], []
-    for cmap in (maps.interior, maps.exterior):
-        summary.append((cmap.side, cmap.anchor.real, cmap.anchor.imag,
-                        cmap.anchor_deriv.real, cmap.anchor_deriv.imag,
-                        cmap.delta, cmap.tail, len(cmap.series)))
-        for k, c in enumerate(cmap.series):
-            items.append((cmap.side, k, c.real, c.imag))
+    sides = (maps.interior, maps.exterior)
+    summary = [(cmap.side, cmap.anchor.real, cmap.anchor.imag,
+                cmap.anchor_deriv.real, cmap.anchor_deriv.imag, cmap.delta,
+                cmap.tail, len(cmap.series)) for cmap in sides]
+    items = [(cmap.side, k, c.real, c.imag)
+             for cmap in sides for k, c in enumerate(cmap.series)]
     return header, summary, ("side", "k", "coeff_re", "coeff_im"), items
 
 

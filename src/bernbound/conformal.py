@@ -19,7 +19,7 @@ Circles get the exact linear map on both sides, the ellipse exterior the
 Joukowski-type closed form.  map_invert and the anchor solve each core for
 w: closed forms exactly, series cores by the argument principle on the
 circle of m nodes that the prefix maps the verified boundary onto
-(_argument_inverse), with no iteration and no stored correspondence.
+(_argument_inverse by _cauchy_sums), no iteration, no stored correspondence.
 
 A map keeps only what evaluation, inversion and the map cache read: the core
 series, the prefix (rot, s), the anchor and the derivative there, the grid
@@ -50,8 +50,9 @@ and Phi(v) - Phi(a), Phi'(v) on their rings, as the stacked call computed
 them, so a hit gives the bits of a cold call with the same batch; only a
 batch of at most ratfun._RING_POLES (16) poles is kept, 64 KiB, so at most
 4 MiB a map.  _collisions is build_transferred_extremal's, on the interior
-map: the bits of the exterior anchor zeta0 -> the delta_prime its collision
-check accepted; a colliding anchor is never kept and raises on every call.
+map: the bits of the exterior anchor zeta0 -> the delta_prime its preimage
+radius allowed (_clearance); a colliding anchor is never kept, so it raises
+on every call.
 """
 from __future__ import annotations
 
@@ -131,7 +132,7 @@ class ConformalMap:
     @cached_property
     def _collisions(self) -> dict:
         """build_transferred_extremal's memo on an interior map: the bits
-        of an exterior anchor zeta0 -> the delta_prime its collision check
+        of an exterior anchor zeta0 -> the delta_prime that _clearance
         accepted; at most _MEMO_CAP anchors."""
         return {}
 
@@ -529,9 +530,8 @@ def _closed_margin(cmap: ConformalMap) -> float:
 def _with_margin(cmap):
     """cmap with its ladder margin: exact for a closed-form core
     (_closed_margin), sampled (_measure_margin) for a series."""
-    if _is_closed_form(cmap):
-        return replace(cmap, delta=_closed_margin(cmap))
-    return replace(cmap, delta=_measure_margin(cmap))
+    margin = _closed_margin if _is_closed_form(cmap) else _measure_margin
+    return replace(cmap, delta=margin(cmap))
 
 
 # ---------------------------------------------------------------------------
@@ -627,27 +627,35 @@ def _closed_core_inverse(cmap, u):
     return -0.5 * (b + root) / c[0]
 
 
+def _cauchy_sums(values, weights, targets):
+    """sum_k weights[k, :] / (values_k - u_j), a row per target u_j, by one
+    matrix product per block of at most 2^20 reciprocal offsets (a row rounds
+    by its block's shape); a target equal to a value sums to inf or nan."""
+    out = np.empty((len(targets), weights.shape[1]), dtype=complex)
+    rows = max(1, (1 << 20) // len(values))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for i in range(0, len(targets), rows):
+            q = np.subtract(values, targets[i:i + rows, None])
+            out[i:i + rows] = np.reciprocal(q, out=q) @ weights
+    return out
+
+
 def _argument_inverse(side, c, r, zeta, f, wdf, target):
     """The zero w of core - u on one side of the circle |w - c| = r, for
     each target u: the argument principle in barycentric form (A. Austin,
     P. Kravanja & L. N. Trefethen, SIAM J. Numer. Anal. 52 (2014)).  f and
     wdf are the core and (w - c) core' at the m = len(zeta) nodes
     w_k = c + r zeta_k, zeta_k = e^(2 pi i k/m); d_k = wdf_k / (f_k - u).
-    Inside, w = c + r sum zeta_k d_k / sum d_k.  Outside, zeta (core - u),
-    zeta = r/(w - c), has the one zero, zeta* = -sum conj(zeta_k) d_k /
-    (m - sum d_k), and w = c + r/zeta*; 1 - d_k in the sums would round off
-    the small d_k of a far target.  A target equal to a node value takes it."""
-    m = len(zeta)
+    Inside, w = c + r sum zeta_k d_k / sum d_k (_cauchy_sums).  Outside,
+    zeta (core - u), zeta = r/(w - c), has the one zero, zeta* = -sum
+    conj(zeta_k) d_k / (m - sum d_k), and w = c + r/zeta*; 1 - d_k would
+    round off a far target's small d_k.  A node value takes its node."""
     turn = zeta if side == "interior" else zeta.conj()
-    weights = np.stack([turn * wdf, wdf], axis=1)
-    w = np.empty(len(target), dtype=complex)
-    rows = max(1, (1 << 20) // m)
+    moment, total = _cauchy_sums(f, np.stack([turn * wdf, wdf], axis=1),
+                                 target).T
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for i in range(0, len(target), rows):
-            q = np.subtract(f, target[i:i + rows, None])
-            moment, total = (np.reciprocal(q, out=q) @ weights).T
-            w[i:i + rows] = (c + r * moment / total if side == "interior"
-                             else c - r * (m - total) / moment)
+        w = (c + r * moment / total if side == "interior"
+             else c - r * (len(zeta) - total) / moment)
     for i in np.flatnonzero(~np.isfinite(w)):
         for k in np.flatnonzero(f == target[i])[:1]:
             w[i] = c + r * zeta[k]

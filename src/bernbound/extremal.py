@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conformal import MapPair, map_eval, map_invert
+from .conformal import MapPair, map_invert
 from .curves import (TWO_PI, AnalyticCurve, BoundaryPoint, _memo_put,
                      is_infinite, sample_grid)
 from .errors import ExtremalError, MapInvertError, NumericsError, PoleError
@@ -121,12 +121,6 @@ class ExtremalRun:
     report: BoundReport
 
 
-def _sample_winding(pts, z):
-    rel = pts - z
-    ang = np.angle(rel / np.roll(rel, 1))
-    return float(np.sum(ang) / TWO_PI)
-
-
 def _hermite_coefficients(xi, vals, dval0):
     """Newton coefficients on the multiset xi = [w0, w0, x1, ...]; the single
     confluent pair takes the supplied derivative value."""
@@ -172,24 +166,20 @@ def _terms_jet(terms, u: complex, val=0j, der=0j):
 
 
 def _clearance(interior, zeta0) -> float:
-    """delta_prime: half the interior map's margin, halved once more if
-    need be, such that zeta0 lies outside the inflated curve
-    Phi1((1 + delta_prime) e^{it}) and clear of its 512 samples; an
-    ExtremalError if neither offset does.  An accepted delta_prime is kept
-    in interior._collisions under zeta0's bits and read back from there."""
+    """delta_prime = delta/2, else delta/4, of the interior map, such that
+    zeta0 lies outside Phi1((1 + delta_prime) e^{it}): its preimage radius,
+    infinite past the verified domain (map_invert raises), exceeds
+    1 + delta_prime; else an ExtremalError.  Kept in interior._collisions."""
     key = np.complex128(zeta0).tobytes()
-    delta_prime = interior._collisions.get(key)
-    if delta_prime is not None:
-        return delta_prime
-    delta_prime = interior.delta / 2.0
-    ring = np.exp(1j * np.arange(512) * (TWO_PI / 512))
-    for _ in range(2):
-        plus = map_eval(interior, (1.0 + delta_prime) * ring)
-        scale = float(np.max(np.abs(plus - np.mean(plus))))
-        inside = abs(_sample_winding(plus, zeta0)) > 0.5
-        if not inside and float(np.min(np.abs(plus - zeta0))) > 1e-6 * scale:
+    if key in interior._collisions:
+        return interior._collisions[key]
+    try:
+        radius = abs(map_invert(interior, zeta0))
+    except MapInvertError:
+        radius = math.inf
+    for delta_prime in (interior.delta / 2.0, interior.delta / 4.0):
+        if radius > 1.0 + delta_prime:
             return _memo_put(interior._collisions, key, delta_prime)
-        delta_prime /= 2.0
     raise ExtremalError(f"exterior anchor {zeta0} collides with the "
                         "inflated curve")
 
@@ -227,9 +217,7 @@ def build_transferred_extremal(curve: AnalyticCurve, maps: MapPair, picks,
     dphi0 = dh1 / maps.interior.anchor_deriv - f1_jet[1]
 
     # the correction variable w = 1/(u - zeta0); zeta0 must stay clear of the
-    # slightly inflated curve on which the remainder is still analytic.  The
-    # check depends only on the interior map and zeta0, so the map keeps
-    # each accepted delta_prime (_clearance); a collision is never kept
+    # slightly inflated curve on which the remainder is still analytic
     if not maps.delta1 > 0.0:
         raise ExtremalError("interior map carries no verified extension margin")
     delta_prime = _clearance(maps.interior, zeta0)

@@ -217,9 +217,8 @@ def arc_bound(z0, poles, arc: ArcOpenUp) -> BoundReport:
         v1, v2 = (_arc_side_value(u, fp, pre) for u, fp in sides)
         if not (v1 > 0.0 and v2 > 0.0):
             raise DomainError(f"nonpositive contribution at pole {a}")
-        for _ in range(int(m)):
-            contributions.append(Contribution(a, "n1", v1))
-            contributions.append(Contribution(a, "n2", v2))
+        contributions.extend([Contribution(a, "n1", v1),
+                              Contribution(a, "n2", v2)] * int(m))
     return _assemble_report(z0, contributions, "n1", "n2")
 
 

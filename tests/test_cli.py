@@ -879,6 +879,36 @@ class TestProcessMemos:
         assert [list(m.items()) for m in (memos._CURVES, memos._PAIRS)] == \
             before
 
+    def test_invalid_trig_curve_is_refused_before_solving(
+            self, tmp_path, capsys, monkeypatch, memos):
+        # e^{it} + 0.6 e^{-2it} crosses itself: validate_curve reads a
+        # simplicity margin of 0.0998, and the spec is refused with it
+        # (exit 2) before any map solve, leaving both memos as they were
+        cache = tmp_path / "cache"
+        good = write_spec(tmp_path, KIND_SPECS["trig"], "good.json")
+        assert run_cli("map", good, tmp_path / "cold", "--cache", cache) == 0
+        before = [list(m.items()) for m in (memos._CURVES, memos._PAIRS)]
+        solves = []
+        monkeypatch.setattr(memos, "solve_map_pair",
+                            lambda *a: solves.append(a))
+        bad = write_spec(tmp_path, {
+            "command": "bound", "t": 0.0, "poles": [{"point": [0.0, 0.0]}],
+            "curve": {"kind": "trig",
+                      "pairs": [[1, [1.0, 0.0]], [-2, [0.6, 0.0]]]}})
+        capsys.readouterr()
+        for _ in range(2):
+            assert run_cli("bound", bad, tmp_path / "bad",
+                           "--cache", cache) == 2
+            assert capsys.readouterr().err == (
+                "spec error at curve: curve fails validate_curve: "
+                "simplicity margin 0.09979\n")
+        assert solves == []
+        assert [list(m.items()) for m in (memos._CURVES, memos._PAIRS)] == \
+            before
+        monkeypatch.undo()
+        assert run_cli("map", good, tmp_path / "hit", "--cache", cache) == 0
+        assert bundle_bytes(tmp_path / "hit") == bundle_bytes(tmp_path / "cold")
+
     def test_arc_specs_share_nothing(self, tmp_path, memos):
         spec = SPECS / "verify_chebyshev.json"
         assert run_cli("verify", spec, tmp_path, "--cache", tmp_path) == 0

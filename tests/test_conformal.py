@@ -1,12 +1,14 @@
 import dataclasses
+import json
 import math
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bernbound import (boundary_point, circle, ellipse, eval_curve,
+from bernbound import (AnalyticCurve, boundary_point, circle, ellipse, eval_curve,
                        map_derivative, map_eval, map_from_json, map_invert,
                        map_to_json, openup_preimages, param_of_point,
                        point_in_curve, roundtrip_residual, sample_grid,
@@ -976,6 +978,81 @@ class TestArgumentInverse:
                         - u0.point)
             assert resid < 1e-12 * (1.0 + abs(u0.point))
             assert abs(abs(cmap.anchor_deriv) - 1.0) <= 1e-14
+
+
+class TestCauchySums:
+    """The blocked sum of _argument_inverse: a row of at most 2^20
+    reciprocal offsets a block, one matrix product each."""
+
+    def test_three_blocks_equal_their_block_products(self):
+        # 1,024 rows a block at m = 1,024: two full blocks and 452 rows.
+        # Each block is the one-block product of its own targets, bit for
+        # bit, whatever blocks come before it; a single-row product rounds
+        # by another shape, so it agrees to rounding only
+        rng = np.random.default_rng(26)
+        m, count = 1024, 2500
+        values = np.exp(2j * np.pi * np.arange(m) / m) * (
+            1.0 + 0.1 * rng.random(m))
+        weights = (rng.standard_normal((m, 2))
+                   + 1j * rng.standard_normal((m, 2)))
+        targets = 0.5 * (rng.random(count) + 1j * rng.random(count))
+        got = conformal._cauchy_sums(values, weights, targets)
+        assert got.shape == (count, 2)
+        starts = range(0, count, (1 << 20) // m)
+        assert len(starts) == 3
+        for i in starts:
+            block = targets[i:i + m]
+            want = np.reciprocal(values - block[:, None]) @ weights
+            assert got[i:i + m].tobytes() == want.tobytes()
+            alone = conformal._cauchy_sums(values, weights, block)
+            assert alone.tobytes() == want.tobytes()
+        for j in (0, 1500, count - 1):
+            one = np.reciprocal(values - targets[j]) @ weights
+            assert np.allclose(got[j], one, rtol=1e-12, atol=0.0)
+
+
+CENSUS = Path(__file__).resolve().parent / "golden" / "census_606.json"
+# a fixed subset of tools/census.py's family: trig curves refused inside
+# (trig6, trig21), outside (trig24, trig133) and on both sides (trig75);
+# thin ellipses refused inside or resolved on grids 2048 to 8192; and
+# phase-shifted copies, one of them of trig133
+CENSUS_SUBSET = ("trig0", "trig1", "trig6", "trig21", "trig24", "trig75",
+                 "trig133", "ellipse(1, 0.3)@0.0", "ellipse(1, 0.35)@0.0",
+                 "ellipse(1, 0.4)@1.0", "ellipse(1, 0.45)@1.5",
+                 "trig10+1.0", "trig92+1.0", "trig133+1.0")
+
+
+@pytest.fixture(scope="module")
+def census_rows():
+    golden = json.loads(CENSUS.read_text())
+    assert golden["config"]["seed"] == 606
+    return {row["name"]: row for row in golden["curves"]}
+
+
+class TestCensus:
+    """Curves of the seed-606 census (tools/gen_golden.py) solve as
+    recorded: the refusal message, or the grid and delta exactly and the
+    first series coefficients within 1e-12 of max |c_k|."""
+
+    @pytest.mark.parametrize("name", CENSUS_SUBSET)
+    def test_solves_as_recorded(self, census_rows, name):
+        row = census_rows[name]
+        curve = AnalyticCurve(tuple(complex(*c) for c in row["coeffs"]),
+                              row["kind"], tuple(row["params"]))
+        u0 = boundary_point(curve, row["t"])
+        for side, solve in (("interior", solve_interior_map),
+                            ("exterior", solve_exterior_map)):
+            want = row[side]
+            if "refusal" in want:
+                with pytest.raises(MapError) as refused:
+                    solve(curve, u0)
+                assert str(refused.value) == want["refusal"]
+                continue
+            cmap = solve(curve, u0)
+            assert (cmap.grid, cmap.delta) == (want["grid"], want["delta"])
+            ref = np.array([complex(*c) for c in want["series"]])
+            diff = np.abs(np.array(cmap.series[:len(ref)]) - ref)
+            assert np.max(diff) <= 1e-12 * np.max(np.abs(cmap.series))
 
 
 class TestSeriesKernel:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -9,10 +10,10 @@ import pytest
 from bernbound import (blaschke_derivative, blaschke_eval, boundary_point,
                        build_circle_extremal, build_transferred_extremal,
                        circle, conformal, extremal, leja_points,
-                       map_invert, potential, principal_parts,
+                       map_eval, map_invert, potential, principal_parts,
                        rf_derivative, rf_eval, sample_grid, sharpness_sweep,
                        solve_map_pair, sup_norm)
-from bernbound.errors import ExtremalError, PoleError
+from bernbound.errors import ExtremalError, MapInvertError, PoleError
 from bernbound.extremal import _blaschke_jet, _terms_jet
 from bernbound.ratfun import POLE_FLOOR, cluster_points, make_rational
 from hypothesis import given, settings
@@ -355,6 +356,42 @@ class TestTransferredExtremal:
         with pytest.raises(ExtremalError):
             build_transferred_extremal(e, pair, [0.3], -3.0 + 1.2j,
                                        u0=boundary_point(e, 2.0))
+
+
+class TestClearance:
+    """delta_prime from the radius of zeta0's preimage under Phi1: delta/2
+    when that radius exceeds 1 + delta/2, else delta/4 when it exceeds
+    1 + delta/4, else an ExtremalError; past the verified domain the
+    radius is infinite.  The anchors 1e-5 inside an inflated curve (in
+    |v|) sit halfway between two of 512 samples of it, next to the sample
+    farthest from the origin, where the curve bends most: there the chord
+    of a 512-sample polygon passes between the anchor and the curve."""
+
+    @pytest.mark.parametrize("name", ["ellipse_pair", "circle_pair"])
+    def test_offsets_follow_the_preimage_radius(self, name, request):
+        _, _, pair = request.getfixturevalue(name)
+        interior = dataclasses.replace(pair.interior)  # empty memos
+        half, quarter = interior.delta / 2.0, interior.delta / 4.0
+        assert half > 0.0
+        ring = np.exp(1j * (2 * np.pi / 512) * np.arange(512))
+        tip = np.argmax(np.abs(map_eval(interior, ring)))
+        mid = np.exp(1j * (2 * np.pi / 512) * (tip + 0.5))
+
+        def near(rad):
+            return complex(map_eval(interior, (rad - 1e-5) * mid))
+
+        for zeta0 in (near(1.0), near(1.0 + quarter)):
+            with pytest.raises(ExtremalError, match="collides"):
+                extremal._clearance(interior, zeta0)
+        assert extremal._clearance(interior, near(1.0 + half)) == quarter
+        far = 3.0 * complex(map_eval(interior, (1.0 + interior.delta) * mid))
+        with pytest.raises(MapInvertError):
+            map_invert(interior, far)
+        for _ in range(2):
+            assert extremal._clearance(interior, far) == half
+        assert interior._collisions == {
+            np.complex128(near(1.0 + half)).tobytes(): quarter,
+            np.complex128(far).tobytes(): half}
 
 
 class TestSharpnessSweep:

@@ -85,7 +85,16 @@ sweep curve; the map pair is solved once, outside the timings):
                      curve e^{it} + 0.06 e^{4it} anchored at t = 0.3
                      (series on both sides).  A cold series-map call
                      builds its m-node inversion contour (the map's grid)
-                     and sums over it; nothing of it is kept
+                     and sums over it; nothing of it is kept.
+                     "interior_1100": 1,100 points 0.3 to 0.9 gamma(t_k)
+                     in one array, two blocks of the contour sum at
+                     m = 1,024, never memoized (over the batch cap)
+    _clearance       "golden_cold": the collision check of the golden
+                     zeta0 on the interior map, and "circle_cold" on
+                     circle()'s at t = 0, where zeta0 lies past the
+                     verified domain; each call empties the map's
+                     _collisions and _preimages memos first, as the first
+                     row of a sweep on a fresh map computes it
     verify_ratio     10 seeded corpus functions (tests/helpers.py, seed
                      1729): "corpus" reuses the curve, anchor and map pair,
                      as a batch of items on one curve does; "corpus_cold"
@@ -331,6 +340,15 @@ def build_cases(bb):
     tpair = bb.solve_map_pair(trig, bb.boundary_point(trig, 0.3))
     trig_8 = bb.eval_curve(trig, np.arange(8) * (2 * np.pi / 8))
     trig_in, trig_out = 0.5 * trig_8, 1.6 * trig_8
+    t_1100 = np.arange(1100) * (2 * np.pi / 1100)
+    inner_1100 = (0.3 + 0.6 * (np.arange(1100) % 7) / 6) * bb.eval_curve(
+        curve, t_1100)
+    unit = bb.circle()
+    unit_pair = bb.solve_map_pair(unit, bb.boundary_point(unit, 0.0))
+
+    def clearance_cold(cmap):
+        return _emptied((cmap._collisions, cmap._preimages),
+                        lambda: bb.extremal._clearance(cmap, zeta0))
 
     rng = np.random.default_rng(DEFAULT_SEED)
     functions = [bb.make_rational([(t.location, t.coeffs) for t in f.terms],
@@ -395,6 +413,12 @@ def build_cases(bb):
          lambda: bb.conformal._measure_margin(pair.interior)),
         ("conformal", "map_from_json/ellipse_pair", len(entries),
          lambda: [bb.map_from_json(text) for text in entries]),
+        ("conformal", "map_invert/interior_1100", len(inner_1100),
+         lambda: bb.map_invert(pair.interior, inner_1100)),
+        ("extremal", "_clearance/golden_cold", 1,
+         clearance_cold(pair.interior)),
+        ("extremal", "_clearance/circle_cold", 1,
+         clearance_cold(unit_pair.interior)),
         ("conformal", "map_eval/interior_1", len(disk_1),
          lambda: bb.map_eval(pair.interior, disk_1)),
         ("conformal", "map_eval/interior_4096", len(disk_4096),

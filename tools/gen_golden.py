@@ -3,12 +3,17 @@
 
 Run from the repository root:
 
-    python3 tools/gen_golden.py
+    python3 tools/gen_golden.py [sweep] [corpus] [census]
 
-Writes tests/golden/ellipse_sweep.json and
-tests/golden/ratio_corpus.json.  The test suite reads the
+(all three when none is named).
+
+Writes tests/golden/ellipse_sweep.json, tests/golden/ratio_corpus.json
+and tests/golden/census_606.json.  The test suite reads the
 configuration blocks out of these files and re-runs the exact same
-computations, so config and frozen values cannot drift apart.
+computations, so config and frozen values cannot drift apart.  The
+census records, for tools/census.py's family at seed 606, each curve
+(coefficients, kind, params, anchor t) and per side the refusal message,
+or the grid, delta and the first CENSUS_TERMS series coefficients.
 """
 
 import json
@@ -16,14 +21,23 @@ import os
 import sys
 import time
 
-import numpy as np
+# one BLAS thread, as tools/bench.py pins it: the last bits of a solve
+# depend on the thread count
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "tests"))
+sys.path.insert(0, os.path.join(ROOT, "tools"))
 
+import bernbound
 from bernbound import (boundary_point, ellipse, solve_map_pair, verify_ratio)
 from bernbound.extremal import sharpness_sweep
 
+import census
 import helpers
 
 GOLDEN_DIR = os.path.join(ROOT, "tests", "golden")
@@ -109,10 +123,52 @@ def gen_corpus():
     print(f"  max rough ratio = {max_rough:.9f}")
 
 
+CENSUS_TERMS = 8
+
+
+def _pairs(values):
+    return [[z.real, z.imag] for z in values]
+
+
+def gen_census():
+    curves = []
+    t0 = time.perf_counter()
+    for name, curve, t in census.family(bernbound, census.SEED,
+                                        census.DRAWS):
+        row = {"name": name, "kind": curve.kind,
+               "params": list(curve.params),
+               "coeffs": _pairs(curve.coeffs), "t": t}
+        for side in ("interior", "exterior"):
+            cmap, why, _ = census.solve_side(bernbound, side, curve, t)
+            row[side] = ({"refusal": why} if cmap is None else
+                         {"grid": cmap.grid, "delta": cmap.delta,
+                          "series": _pairs(cmap.series[:CENSUS_TERMS])})
+        curves.append(row)
+    wall = time.perf_counter() - t0
+    config = {"seed": census.SEED, "draws": census.DRAWS,
+              "terms": CENSUS_TERMS}
+    path = os.path.join(GOLDEN_DIR, f"census_{census.SEED}.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        # one curve a line
+        fh.write(f'{{"config": {json.dumps(config)}, "curves": [\n')
+        fh.write(",\n".join(json.dumps(row) for row in curves))
+        fh.write("\n]}\n")
+    print(f"wrote {path}  ({wall:.1f}s)")
+    for side in ("interior", "exterior"):
+        refused = sum("refusal" in row[side] for row in curves)
+        print(f"  {side}: {len(curves) - refused} solved, {refused} refused")
+
+
 def main():
+    tables = {"sweep": gen_sweep, "corpus": gen_corpus, "census": gen_census}
+    names = sys.argv[1:] or list(tables)
+    unknown = set(names) - set(tables)
+    if unknown:
+        raise SystemExit(f"unknown tables {sorted(unknown)}; "
+                         f"choose from {sorted(tables)}")
     os.makedirs(GOLDEN_DIR, exist_ok=True)
-    gen_sweep()
-    gen_corpus()
+    for name in names:
+        tables[name]()
 
 
 if __name__ == "__main__":
