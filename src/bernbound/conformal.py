@@ -12,9 +12,10 @@ about, the exterior as the interior of the inverted boundary 1/(u - z_c).
 One Nystrom solve of the Kerzman-Stein equation for the Szego kernel S on
 the curve-parameter grid (N. Kerzman and M. R. Trummer, J. Comput. Appl.
 Math. 14 (1986)) gives the boundary correspondence, theta'(t) ~ |S|^2
-|gamma'| (_correspondence).  Newton on it finds the t of each disk angle of
-a grid; the series tail decides, on the grids of _GRIDS in turn, until it
-is at most _TAIL_TOL ("series unresolved" past the last, the one refusal).
+|gamma'| (_correspondence), once a side.  Newton on it finds the t of each
+disk angle of a grid; the series tail decides, on the grids of _GRIDS in
+turn, until it is at most _TAIL_TOL ("series unresolved" past the last,
+the one refusal).
 Circles get the exact linear map on both sides, the ellipse exterior the
 Joukowski-type closed form.  map_invert and the anchor solve each core for
 w: closed forms exactly, series cores by the argument principle on the
@@ -33,26 +34,24 @@ replace() or map_from_dict starts a map with an empty memo.
 Every map, closed forms too, memoizes map_invert's answers (_preimages):
 the key is the exact finite target batch (target.tobytes(), not a single
 point, since the series kernel's product rounds a point differently by
-batch size), the value the read-only accepted (w, v).  Only a batch of at
-most _MEMO_CAP (64) points whose every residual passed is kept, so a
-failure raises again on every call; a map keeps at most _MEMO_CAP batches
-and drops the oldest first.  A hit skips the inverse (the contour sum or
-the closed form) and the prefix inverse but takes its residual again, by
-one evaluation (map_eval at v inside a series map, the core at w on a
-closed form and outside a series map, where v near the pole rounds like
-|u|), and passes the same check as a cold call.
+batch size), the value the read-only accepted (w, v), or the message and
+residual of the batch's failed check.  Only a batch of at most _MEMO_CAP
+(64) points is kept; a map keeps at most _MEMO_CAP batches and drops the
+oldest first.  A failure's hit raises the same error again with no work.
+An accepted hit skips the inverse (the contour sum or the closed form) and
+the prefix inverse but takes its residual again, by one evaluation
+(map_eval at v inside a series map, the core at w on a closed form and
+outside a series map, where v near the pole rounds like |u|), and passes
+the same check as a cold call.  So a sharpness row's clearance check of
+its anchor zeta0 (extremal._clearance) runs once per map and zeta0.
 
-Every map also keeps two more bounded memos for the rows of a sharpness
-sweep, which evaluate the same geometry again.  _rings is
-principal_parts': the key is the exact stacked pole batch (the bytes of
-its centers and ring radii), the value the read-only images of the poles
-and Phi(v) - Phi(a), Phi'(v) on their rings, as the stacked call computed
-them, so a hit gives the bits of a cold call with the same batch; only a
-batch of at most ratfun._RING_POLES (16) poles is kept, 64 KiB, so at most
-4 MiB a map.  _collisions is build_transferred_extremal's, on the interior
-map: the bits of the exterior anchor zeta0 -> the delta_prime its preimage
-radius allowed (_clearance); a colliding anchor is never kept, so it raises
-on every call.
+Every map also keeps _rings, principal_parts' memo for the rows of a
+sharpness sweep, which evaluate the same geometry again: the key is the
+exact stacked pole batch (the bytes of its centers and ring radii), the
+value the read-only images of the poles and Phi(v) - Phi(a), Phi'(v) on
+their rings, as the stacked call computed them, so a hit gives the bits of
+a cold call with the same batch; only a batch of at most ratfun._RING_POLES
+(16) poles is kept, 64 KiB, so at most 4 MiB a map.
 """
 from __future__ import annotations
 
@@ -60,7 +59,7 @@ import json
 import math
 from contextlib import suppress
 from dataclasses import dataclass, replace
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -117,8 +116,8 @@ class ConformalMap:
     def _preimages(self) -> dict:
         """map_invert's memo: the exact finite target batch
         (target.tobytes()) -> its accepted (w, v), the core points and the
-        preimages, read-only; at most _MEMO_CAP batches of at most
-        _MEMO_CAP points."""
+        preimages, read-only, or its failure (message, residual); at most
+        _MEMO_CAP batches of at most _MEMO_CAP points."""
         return {}
 
     @cached_property
@@ -127,13 +126,6 @@ class ConformalMap:
         of its centers and ring radii) -> the read-only (images, w, dphi)
         of its 2q-node rings; at most _MEMO_CAP batches of at most
         ratfun._RING_POLES poles (64 KiB a batch)."""
-        return {}
-
-    @cached_property
-    def _collisions(self) -> dict:
-        """build_transferred_extremal's memo on an interior map: the bits
-        of an exterior anchor zeta0 -> the delta_prime that _clearance
-        accepted; at most _MEMO_CAP anchors."""
         return {}
 
 
@@ -314,7 +306,6 @@ def _differences(jet, ks, c):
     return d
 
 
-@lru_cache(maxsize=2)
 def _correspondence(curve, center, sign):
     """(c, dc, knots): the disk angle t + p(t) of g(t) (see _szego) under a
     Riemann map f, f(0) = 0, with p = 2 Re sum c_k e^(ikt), p' = 2 Re sum
@@ -325,8 +316,7 @@ def _correspondence(curve, center, sign):
     (in e^(-it), plus c_1 e^(it), outside), that is the map: theta = t.
     Else theta' = |S|^2 |g'| / mean without its modes under _SZEGO_FLOOR,
     n the first size whose S has a Fourier tail of at most _SZEGO_TOL, or
-    the last.  The last two calls are kept, so the grids of a side share
-    one solve."""
+    the last."""
     ks = np.arange(-curve.order, curve.order + 1)
     if not np.any(_coeff_array(curve)[ks < 0 if sign > 0 else ks > 1]):
         zero = _readonly(np.zeros(1, dtype=complex))
@@ -347,10 +337,11 @@ def _correspondence(curve, center, sign):
     return _readonly(c), _readonly(dc), _readonly(knots)
 
 
-def _boundary(curve, center, m, sign):
+def _boundary(curve, corr, m, sign):
     """gamma at the parameters (t inside, -t outside) of the m disk angles
-    2 pi k / m: Newton on theta(t) (_correspondence) from its knots."""
-    c, dc, knots = _correspondence(curve, center, sign)
+    2 pi k / m: Newton on theta(t) from its knots, corr the side's
+    _correspondence."""
+    c, dc, knots = corr
     psi = np.arange(m) * (TWO_PI / m)
     t = np.interp(psi, knots, np.linspace(0.0, TWO_PI, len(knots)))
     for _ in range(20):
@@ -382,9 +373,9 @@ def _trim_series(series):
     return np.pad(series[:cut], (0, max(0, cut - len(series))))
 
 
-def _interior_core(curve, z_c, m):
+def _interior_core(curve, z_c, corr, m):
     """Raw interior map about z_c: series and tail."""
-    bnd = _boundary(curve, z_c, m, +1)
+    bnd = _boundary(curve, corr, m, +1)
     bins = _turned(np.fft.fft(bnd) / m)
     kmax = m // 2
     series = np.concatenate([[z_c], bins[1:kmax]])
@@ -394,9 +385,9 @@ def _interior_core(curve, z_c, m):
     return series, max(err / scale, _TRIM_REL)
 
 
-def _exterior_core(curve, z_c, m):
+def _exterior_core(curve, z_c, corr, m):
     """Raw exterior map through the inversion w = 1/(u - z_c)."""
-    bnd = _boundary(curve, z_c, m, -1)
+    bnd = _boundary(curve, corr, m, -1)
     # Psi(e^{i theta}) = z_c + 1/W(e^{-i theta}) = gamma at W's theta_{m-j}
     bins = _turned(np.fft.fft(np.concatenate([bnd[:1], bnd[1:][::-1]])) / m)
     kmax = m // 2
@@ -547,12 +538,14 @@ def _interior_center(curve):
     raise MapError(f"curve does not wind once about its centre {z_c}")
 
 
-def _resolved_core(core, curve):
+def _resolved_core(core, sign, curve):
     """(series, tail, m) of the first grid m of _GRIDS on which
-    core(curve, z_c, m) measures a tail of at most _TAIL_TOL."""
+    core(curve, z_c, corr, m) measures a tail of at most _TAIL_TOL; the
+    grids share the side's one correspondence corr."""
     z_c = _interior_center(curve)
+    corr = _correspondence(curve, z_c, sign)
     for m in _GRIDS:
-        series, tail = core(curve, z_c, m)
+        series, tail = core(curve, z_c, corr, m)
         if tail <= _TAIL_TOL:
             return series, tail, m
     raise MapError(f"series unresolved at m={m}: tail {tail:.3e}")
@@ -565,7 +558,7 @@ def solve_interior_map(curve: AnalyticCurve,
         r, c = curve.params
         core = np.array([c, r], dtype=complex), 0.0, _GRIDS[0]
     else:
-        core = _resolved_core(_interior_core, curve)
+        core = _resolved_core(_interior_core, +1, curve)
     return _with_margin(normalize_at_anchor(_raw_map("interior", *core), u0))
 
 
@@ -579,7 +572,7 @@ def solve_exterior_map(curve: AnalyticCurve,
     elif curve.kind == "ellipse":
         core = _closed_exterior_ellipse(*curve.params), 0.0, _GRIDS[0]
     else:
-        core = _resolved_core(_exterior_core, curve)
+        core = _resolved_core(_exterior_core, -1, curve)
     return _with_margin(normalize_at_anchor(_raw_map("exterior", *core), u0))
 
 
@@ -701,14 +694,14 @@ def _pull(cmap, w, lo, hi):
     return v, np.isfinite(v) & (v != root)
 
 
-def _check_residuals(target, r, atol):
-    """A MapInvertError naming the first target with |r| >= atol (or a NaN
-    residual)."""
-    passed = np.abs(r) < atol
-    if not passed.all():
-        i = int(np.argmin(passed))  # the first False
-        raise MapInvertError(f"inversion failed for {target[i]}",
-                             residual=float(abs(r[i])))
+def _failure(target, r):
+    """(message, residual) of the first target with |r| at or above
+    _INVERT_TOL (1 + |u|) (or a NaN residual), None when every one passed."""
+    passed = np.abs(r) < _INVERT_TOL * (1.0 + np.abs(target))
+    if passed.all():
+        return None
+    i = int(np.argmin(passed))  # the first False
+    return f"inversion failed for {target[i]}", float(abs(r[i]))
 
 
 def map_invert(cmap: ConformalMap, u):
@@ -728,8 +721,9 @@ def map_invert(cmap: ConformalMap, u):
     points the pull moved are checked through map_eval at their pulled v.
     Every point must end with a residual below _INVERT_TOL (1 + |u|), or a
     MapInvertError names the first that does not.  Every map memoizes
-    the accepted (w, v) per exact target batch (_preimages) once every
-    point has passed.  A hit takes its residual again by one evaluation:
+    per exact target batch (_preimages) the accepted (w, v), or the failure,
+    which a hit raises again with no work.  An accepted hit takes its
+    residual again by one evaluation:
     map_eval at v inside a series map (the prefix is bounded there), the
     core at w on a closed form, as its cold call does, and outside a series
     map, where v near the pole rounds like |u|."""
@@ -754,27 +748,31 @@ def _invert(cmap, u):
         fin = np.nonzero(~inf)[0]
     target, r = out[fin], np.zeros(0, dtype=complex)
     if len(target):
-        lo, hi = _domain_limits(cmap)
-        atol = _INVERT_TOL * (1.0 + np.abs(target))
         series = not _is_closed_form(cmap)
         key = target.tobytes() if len(target) <= _MEMO_CAP else None
         hit = None if key is None else cmap._preimages.get(key)
-        if hit is not None:
-            w, v = hit
-            r = (map_eval(cmap, v) if series and cmap.side == "interior"
-                 else _core_eval(cmap, w)) - target
-        else:
+        if hit is None:
             if series:
                 w, r = _series_inverse(cmap, target)
             else:
                 w = _closed_core_inverse(cmap, target)
                 r = _core_eval(cmap, w) - target
-            v, moved = _pull(cmap, w, lo, hi)
+            v, moved = _pull(cmap, w, *_domain_limits(cmap))
             if moved is not None and moved.any():
                 r[moved] = map_eval(cmap, v[moved]) - target[moved]
-        _check_residuals(target, r, atol)
-        if key is not None and hit is None:
-            _memo_put(cmap._preimages, key, (_readonly(w), _readonly(v)))
+            failure = _failure(target, r)
+            if key is not None:
+                _memo_put(cmap._preimages, key,
+                          failure or (_readonly(w), _readonly(v)))
+        elif isinstance(hit[0], str):  # a kept failure
+            failure = hit
+        else:
+            w, v = hit
+            r = (map_eval(cmap, v) if series and cmap.side == "interior"
+                 else _core_eval(cmap, w)) - target
+            failure = _failure(target, r)
+        if failure:
+            raise MapInvertError(*failure)
         out[fin] = v
     return (complex(out[0]) if uarr.ndim == 0
             else out.reshape(uarr.shape)), r

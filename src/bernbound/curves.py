@@ -29,9 +29,9 @@ _PARAM_SEED_M = 2048
 _VALIDATE_M = 1024
 _OPENUP_M = 48
 # entries in each bounded memo (_memo_put): the pole sides on a curve, the
-# series-map preimage batches, principal_parts' ring batches and the
-# extremal's anchors on a map, the shared parameter grids (_T_GRIDS); also
-# the longest target batch the preimage memo keeps
+# preimage batches and principal_parts' ring batches on a map, the shared
+# parameter grids (_T_GRIDS); also the longest target batch the preimage
+# memo keeps
 _MEMO_CAP = 64
 # sample_grid's parameter grids, m -> read-only t_j = 2 pi j / m, one array
 # per m for every curve and arc

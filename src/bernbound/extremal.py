@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .conformal import MapPair, map_invert
-from .curves import (TWO_PI, AnalyticCurve, BoundaryPoint, _memo_put,
-                     is_infinite, sample_grid)
+from .curves import (TWO_PI, AnalyticCurve, BoundaryPoint, is_infinite,
+                     sample_grid)
 from .errors import ExtremalError, MapInvertError, NumericsError, PoleError
 from .potential import BoundReport, bernstein_bound, disk_normal_derivative
 from .ratfun import (POLE_FLOOR, RationalFunction, blaschke_derivative,
@@ -169,17 +169,15 @@ def _clearance(interior, zeta0) -> float:
     """delta_prime = delta/2, else delta/4, of the interior map, such that
     zeta0 lies outside Phi1((1 + delta_prime) e^{it}): its preimage radius,
     infinite past the verified domain (map_invert raises), exceeds
-    1 + delta_prime; else an ExtremalError.  Kept in interior._collisions."""
-    key = np.complex128(zeta0).tobytes()
-    if key in interior._collisions:
-        return interior._collisions[key]
+    1 + delta_prime; else an ExtremalError.  map_invert's memo keeps the
+    preimage, or the failure, per map and zeta0."""
     try:
         radius = abs(map_invert(interior, zeta0))
     except MapInvertError:
         radius = math.inf
     for delta_prime in (interior.delta / 2.0, interior.delta / 4.0):
         if radius > 1.0 + delta_prime:
-            return _memo_put(interior._collisions, key, delta_prime)
+            return delta_prime
     raise ExtremalError(f"exterior anchor {zeta0} collides with the "
                         "inflated curve")
 

@@ -250,6 +250,14 @@ class TestTheodorsen:
         assert pair.exterior.delta == 0.0476837158203125
 
 
+def _side_core(side, curve, z_c, m):
+    """(series, tail) of one side's raw core on grid m, from the side's one
+    correspondence, as _resolved_core hands it to each grid."""
+    core, sign = ((conformal._interior_core, 1) if side == "interior"
+                  else (conformal._exterior_core, -1))
+    return core(curve, z_c, conformal._correspondence(curve, z_c, sign), m)
+
+
 # (curve, anchor t) solved both ways: the Szego solve on the curve parameter
 # against Theodorsen's polar iteration, oracles.polar_theodorsen_core
 _ORACLE_CASES = [(ellipse(1.0, b), 6.3)
@@ -270,9 +278,8 @@ class TestTheodorsenOracle:
         # the normalized maps share the anchor, so delta and tail compare
         u0 = boundary_point(curve, t)
         z_c = conformal._interior_center(curve)
-        for side, core in (("interior", conformal._interior_core),
-                           ("exterior", conformal._exterior_core)):
-            series, tail = core(curve, z_c, 1024)
+        for side in ("interior", "exterior"):
+            series, tail = _side_core(side, curve, z_c, 1024)
             want, want_tail = polar_theodorsen_core(curve, z_c, 1024, 1e-11,
                                                     side)
             assert len(series) == len(want)
@@ -300,7 +307,7 @@ class TestTheodorsenOracle:
 
         monkeypatch.setattr(conformal, "eval_curve", counting)
         e = ellipse(1.2, 0.8)
-        conformal._interior_core(e, conformal._interior_center(e), 1024)
+        _side_core("interior", e, conformal._interior_center(e), 1024)
         assert calls == [1024]
 
 
@@ -317,8 +324,8 @@ class TestDerivedGrid:
         grids = []
         real = conformal._interior_core
 
-        def recording(curve, z_c, m):
-            series, tail = real(curve, z_c, m)
+        def recording(curve, z_c, corr, m):
+            series, tail = real(curve, z_c, corr, m)
             grids.append((m, tail))
             return series, tail
 
@@ -368,14 +375,14 @@ def _s_tail(s):
 
 class TestWegmann:
     """The series solve (named for the iteration it replaced): one
-    Kerzman-Stein solve for the Szego kernel per side, its Nystrom size
-    doubling over _SZEGO_GRIDS, and the correspondence it gives reused on
-    every grid of _GRIDS."""
+    Kerzman-Stein solve for the Szego kernel per side and solve, its
+    Nystrom size doubling over _SZEGO_GRIDS, and the correspondence it
+    gives handed to every grid of _GRIDS."""
 
     @staticmethod
     def recorded(monkeypatch):
         """(sign, n, Fourier tail of S) of every _szego call, in call
-        order, from an empty correspondence memo."""
+        order."""
         log = []
         real = conformal._szego
 
@@ -385,16 +392,34 @@ class TestWegmann:
             return out
 
         monkeypatch.setattr(conformal, "_szego", recording)
-        conformal._correspondence.cache_clear()
         return log
 
     def test_golden_interior_takes_one_solve(self, monkeypatch):
-        # S is resolved at the first Nystrom size (tail 9.4e-12 measured)
+        # S is resolved at the first Nystrom size (tail 9.4e-12 measured);
+        # the exterior is the closed form, with no solve
         log = self.recorded(monkeypatch)
         e = ellipse(1.2, 0.8)
-        conformal._interior_core(e, conformal._interior_center(e), 1024)
+        solve_map_pair(e, boundary_point(e, 0.4))
         assert [(sign, n) for sign, n, _ in log] == [(1, 128)]
         assert log[0][2] < 1e-10
+
+    def test_each_pair_solve_runs_one_ladder_per_series_side(
+            self, monkeypatch):
+        # both sides of the trig curve are series, each from one ladder of
+        # Nystrom sizes; nothing is kept between two solves of one curve
+        log = self.recorded(monkeypatch)
+        c = trig_curve([(1, 1.0), (4, 0.06)])
+        u0 = boundary_point(c, 0.3)
+        first = solve_map_pair(c, u0)
+        ladder = [(sign, n) for sign, n, _ in log]
+        assert [sign for sign, _ in ladder] == sorted(
+            (sign for sign, _ in ladder), reverse=True)
+        for side in (1, -1):
+            sizes = [n for sign, n in ladder if sign == side]
+            assert sizes == list(conformal._SZEGO_GRIDS[:len(sizes)])
+        second = solve_map_pair(c, u0)
+        assert [(sign, n) for sign, n, _ in log] == ladder + ladder
+        assert second == first
 
     @pytest.mark.parametrize("a,b", [(1.2, 0.8), (1.0, 0.4)])
     def test_ellipse_exterior_is_the_closed_form(self, a, b):
@@ -406,7 +431,7 @@ class TestWegmann:
         s, _, speed = conformal._szego(e, 0j, -1, 128)
         dtheta = np.abs(s) ** 2 * speed
         assert np.max(np.abs(dtheta / np.mean(dtheta) - 1.0)) < 1e-13
-        series, tail = conformal._exterior_core(e, 0j, 1024)
+        series, tail = _side_core("exterior", e, 0j, 1024)
         closed = conformal._closed_exterior_ellipse(a, b)
         assert tail == conformal._TRIM_REL
         assert np.max(np.abs(series - np.pad(closed, (0, len(series) - 3)))
@@ -434,9 +459,9 @@ class TestWegmann:
         grids = []
         real = conformal._interior_core
 
-        def recording(curve, z_c, m):
+        def recording(curve, z_c, corr, m):
             grids.append(m)
-            return real(curve, z_c, m)
+            return real(curve, z_c, corr, m)
 
         monkeypatch.setattr(conformal, "_interior_core", recording)
         e = ellipse(1.0, 0.4)
@@ -494,16 +519,16 @@ class TestWegmann:
                 t = param_of_point(curve, u)
                 assert abs(eval_curve(curve, t) - u) <= 1e-10
 
-    @pytest.mark.parametrize("core,k", [(conformal._interior_core, 0),
-                                        (conformal._exterior_core, 1)])
-    def test_translation_moves_only_the_constant(self, core, k):
+    @pytest.mark.parametrize("side,k", [("interior", 0), ("exterior", 1)])
+    def test_translation_moves_only_the_constant(self, side, k):
         # both sides are solved about c_0, so a shifted curve's core is the
         # centred one's with the shift added to the constant term
         pairs = [(1, 1.0), (-2, 0.0068 + 0.1549j), (-1, -0.177 - 0.106j)]
         shift = 0.3 + 0.2j
         moved = trig_curve(pairs + [(0, shift)])
-        want, want_tail = core(trig_curve(pairs), 0j, 1024)
-        got, tail = core(moved, conformal._interior_center(moved), 1024)
+        want, want_tail = _side_core(side, trig_curve(pairs), 0j, 1024)
+        got, tail = _side_core(side, moved, conformal._interior_center(moved),
+                               1024)
         got[k] -= shift
         assert len(got) == len(want)
         assert np.max(np.abs(got - want)) < 1e-15

@@ -380,18 +380,23 @@ class TestClearance:
         def near(rad):
             return complex(map_eval(interior, (rad - 1e-5) * mid))
 
+        far = 3.0 * complex(map_eval(interior, (1.0 + interior.delta) * mid))
+        with pytest.raises(MapInvertError):
+            map_invert(interior, far)
+        attrs = set(vars(interior))
         for zeta0 in (near(1.0), near(1.0 + quarter)):
             with pytest.raises(ExtremalError, match="collides"):
                 extremal._clearance(interior, zeta0)
         assert extremal._clearance(interior, near(1.0 + half)) == quarter
-        far = 3.0 * complex(map_eval(interior, (1.0 + interior.delta) * mid))
-        with pytest.raises(MapInvertError):
-            map_invert(interior, far)
         for _ in range(2):
             assert extremal._clearance(interior, far) == half
-        assert interior._collisions == {
-            np.complex128(near(1.0 + half)).tobytes(): quarter,
-            np.complex128(far).tobytes(): half}
+        # the check keeps nothing of its own: map_invert's memo holds each
+        # anchor's preimage, or its failure
+        assert set(vars(interior)) == attrs
+        message, _ = interior._preimages[np.complex128(far).tobytes()]
+        assert message.startswith("inversion failed for ")
+        assert abs(interior._preimages[
+            np.complex128(near(1.0 + half)).tobytes()][1][0]) < 1.0 + half
 
 
 class TestSharpnessSweep:
@@ -452,8 +457,8 @@ class TestSharpnessSweep:
 
     def test_golden_row_inverts_per_pole_set(self, sweep_config,
                                              ellipse_pair, monkeypatch):
-        # the base picks, the Leja node values and one call per side of the
-        # bound: no map_invert call per pole
+        # the base picks, the anchor's clearance, the Leja node values and
+        # one call per side of the bound: no map_invert call per pole
         cfg = sweep_config
         e, u0, pair = ellipse_pair
         calls = []
@@ -468,7 +473,7 @@ class TestSharpnessSweep:
                                  complex(*cfg["zeta0"]), [40],
                                  policy=cfg["policy"])
         assert row.flags == ""
-        assert len(calls) <= 4
+        assert calls == ["interior"] * 4 + ["exterior"]
 
     def test_row_failures_are_flagged(self, ellipse_pair):
         # an anchor inside the curve fails every run but not the sweep

@@ -1,12 +1,13 @@
 """Per-object geometry memos: sample grids on curves and arcs, coefficient
 arrays on maps, the bounded pole memos (pole sides on a curve with their
-grid reciprocal offsets, series-map preimages per target batch) and the
-bounded memos of a sharpness row on a map (mapped principal-parts rings
-per pole batch, accepted anchor offsets per zeta0).
+grid reciprocal offsets, map preimages or their failure per target batch)
+and the bounded memo of a sharpness row on a map (mapped principal-parts
+rings per pole batch).
 
 The memo is computed on first use, read-only, and invisible to equality,
 hashing, replace() and serialization; a call on a reused object gives the
-same bits as the same call on a fresh one.  A failure is never memoized.
+same bits as the same call on a fresh one.  A failed inversion is kept as
+its error's message and residual; no other failure is memoized.
 """
 import json
 from dataclasses import replace
@@ -131,11 +132,11 @@ class TestEmptyMemo:
         map_invert(cmap, np.array([0.1 + 0.2j]))
         build_transferred_extremal(curve, pair, [0.3, -0.2j], -3.0 + 1.2j,
                                    boundary_point(curve, T0))
-        memo = {"_coeffs", "_deriv_coeffs", "_preimages", "_rings",
-                "_collisions"}
+        memo = {"_coeffs", "_deriv_coeffs", "_preimages", "_rings"}
         fields = set(map_to_dict(cmap))
         assert set(vars(cmap)) - fields == memo
-        assert len(cmap._rings) == len(cmap._collisions) == 1
+        assert len(cmap._rings) == 1
+        assert np.complex128(-3.0 + 1.2j).tobytes() in cmap._preimages
         assert map_to_dict(cmap) == before
         for other in (replace(cmap), map_from_json(entries[0])):
             assert other == cmap and hash(other) == hash(cmap)
@@ -237,7 +238,29 @@ class TestPoleMemos:
                     call()
                 messages.add(str(got.value))
             assert len(messages) == 1
-        assert e._pole_sides == {} and pair.interior._preimages == {}
+        # a failed classification is never kept; a failed inversion is
+        # kept as its message and residual
+        assert e._pole_sides == {}
+        (message, _), = pair.interior._preimages.values()
+        assert message == "inversion failed for (3+0j)"
+
+    def test_a_failing_series_batch_sums_once(self, entries, monkeypatch):
+        # the repeats of a failing batch raise the first error, message and
+        # residual, with no contour sum, pull or evaluation
+        cmap = map_from_json(entries[0])
+        batch = np.array([0.1 + 0.2j, -3.0 + 1.2j, 0.3j])
+        calls = _counted(monkeypatch, "_cauchy_sums", "_pull", "map_eval")
+        errors, counts = set(), []
+        for _ in range(3):
+            with pytest.raises(MapInvertError) as got:
+                map_invert(cmap, batch)
+            errors.add((str(got.value), got.value.residual))
+            counts.append(len(calls))
+        assert calls.count("_cauchy_sums") == 1
+        assert counts == [len(calls)] * 3
+        (message, residual), = errors
+        assert message.startswith("inversion failed for (-3+1.2j) ")
+        assert residual > 1e-13
 
     def test_error_order_with_memoized_poles(self):
         e = ellipse(*AB)
@@ -275,7 +298,9 @@ class TestPoleMemos:
         long = 0.5 * np.exp(1j * np.arange(_MEMO_CAP + 1))
         map_invert(cmap, long)
         assert cmap._preimages == {}
-        # nor past the cap of ring batches or anchors
+        # nor past the cap of ring batches, or of the preimage batches a row
+        # adds (its anchor zeta0's failure, its Leja nodes, its poles), the
+        # oldest dropped first
         curve, pair = fresh_pair(entries)
         u0 = boundary_point(curve, T0)
         for k in range(_MEMO_CAP + 6):
@@ -283,12 +308,14 @@ class TestPoleMemos:
             build_transferred_extremal(curve, pair, [0.3 * np.exp(0.05j * k)],
                                        zeta0, u0)
             assert len(pair.interior._rings) <= _MEMO_CAP
-            assert len(pair.interior._collisions) <= _MEMO_CAP
-        assert len(pair.interior._rings) == _MEMO_CAP
-        assert list(pair.interior._collisions) == [
-            np.complex128(-3.0 + 0.01j * k).tobytes()
-            for k in range(6, _MEMO_CAP + 6)]
-        assert pair.exterior._rings == pair.exterior._collisions == {}
+            assert len(pair.interior._preimages) <= _MEMO_CAP
+        assert len(pair.interior._rings) == len(pair.interior._preimages) \
+            == _MEMO_CAP
+        first, last = (np.complex128(-3.0 + 0.01j * k).tobytes()
+                       for k in (0, _MEMO_CAP + 5))
+        assert first not in pair.interior._preimages
+        assert isinstance(pair.interior._preimages[last][0], str)
+        assert pair.exterior._rings == {}
 
     def test_writing_a_result_leaves_the_memo_alone(self, entries):
         cmap = map_from_json(entries[0])
@@ -367,9 +394,21 @@ def _closed_form_targets(curve, side, scale=1.0):
     return scale * (0.5 if side == "interior" else 1.6) * ring
 
 
+def _counted(monkeypatch, *names):
+    """The list that names each call of conformal's functions names, in
+    call order."""
+    calls = []
+    for name in names:
+        def counting(*args, fn=getattr(conformal, name), name=name):
+            calls.append(name)
+            return fn(*args)
+        monkeypatch.setattr(conformal, name, counting)
+    return calls
+
+
 class TestClosedFormPreimageMemo:
     """map_invert's memo on the closed forms: the same bits as a cold call,
-    failures never kept, bounded."""
+    a failure kept as its message and residual, bounded."""
 
     def test_a_hit_gives_the_bits_of_a_cold_call(self, closed_form):
         curve, text = closed_form
@@ -385,7 +424,8 @@ class TestClosedFormPreimageMemo:
         map_invert(reused, pts)
         assert list(reused._preimages) == [pts.tobytes()]
 
-    def test_a_failing_batch_is_never_kept(self, closed_form):
+    def test_a_failing_batch_keeps_its_failure(self, closed_form,
+                                               monkeypatch):
         curve, text = closed_form
         cmap = map_from_json(text)
         good = _closed_form_targets(curve, cmap.side)
@@ -395,14 +435,20 @@ class TestClosedFormPreimageMemo:
                         else ("interior", 0.2))
         bad = _closed_form_targets(curve, other, scale)
         batch = np.concatenate([good[:2], bad[:1], good[2:]])
-        messages = set()
+        calls = _counted(monkeypatch, "_closed_core_inverse", "_pull",
+                         "map_eval")
+        errors = set()
         for _ in range(3):
             with pytest.raises(MapInvertError) as got:
                 map_invert(cmap, batch)
-            messages.add(str(got.value))
-        assert len(messages) == 1
-        assert messages.pop().startswith(f"inversion failed for {bad[0]} ")
-        assert cmap._preimages == {}
+            errors.add((str(got.value), got.value.residual))
+        # the repeats raise the kept failure with no inverse, pull or check
+        assert calls == ["_closed_core_inverse", "_pull", "map_eval"]
+        (message, residual), = errors
+        assert message.startswith(f"inversion failed for {bad[0]} ")
+        assert list(cmap._preimages) == [batch.tobytes()]
+        assert cmap._preimages[batch.tobytes()] == (
+            f"inversion failed for {bad[0]}", residual)
 
     def test_the_memo_stays_within_its_cap(self, closed_form):
         curve, text = closed_form
@@ -440,17 +486,18 @@ def _stacked_rings(cmap, centers, radii, nodes):
 
 def _unmemoized(monkeypatch):
     """principal_parts evaluates every batch by _stacked_rings and
-    build_transferred_extremal keeps no anchor, so every call computes its
-    map geometry afresh."""
+    map_invert keeps no batch, so every call computes its map geometry
+    afresh."""
     monkeypatch.setattr(ratfun, "_mapped_rings", _stacked_rings)
-    monkeypatch.setattr(extremal, "_memo_put", lambda memo, key, value: value)
+    monkeypatch.setattr(conformal, "_memo_put", lambda memo, key, value: value)
 
 
 class TestSharpnessRowMemos:
     """The map geometry of a sharpness row, kept on the map: principal_parts'
-    mapped rings per exact stacked pole batch (_rings) and the collision
-    check's delta_prime per exterior anchor zeta0 (_collisions, on the
-    interior map).  A row reads back the bits a cold row computes."""
+    mapped rings per exact stacked pole batch (_rings), and the preimage of
+    each exterior anchor zeta0, or its failure, with the row's other
+    inversions (_preimages, on the interior map).  A row reads back the
+    bits a cold row computes."""
 
     @pytest.mark.parametrize("policy", ["cycle_list", "repeat_single_pole"])
     @pytest.mark.parametrize("shift", [0.0, -0.02, 0.02])
@@ -465,17 +512,17 @@ class TestSharpnessRowMemos:
         # repeat_single_pole's order-12 pole and above fail the quadrature
         # check, after a ring memo read, and stay flagged rows
         assert sum(not row.flags for row in cold) >= 11
-        assert pair.interior._rings and pair.interior._collisions
+        assert pair.interior._rings and pair.interior._preimages
         primed = _sweep(curve, pair, ring, n_list, policy)
         emptied = []
         for n in n_list:
             pair.interior._rings.clear()
-            pair.interior._collisions.clear()
+            pair.interior._preimages.clear()
             emptied += _sweep(curve, pair, ring, [n], policy)
         _unmemoized(monkeypatch)
         curve, pair = fresh_pair(entries)
         unmemoized = _sweep(curve, pair, ring, n_list, policy)
-        assert pair.interior._rings == pair.interior._collisions == {}
+        assert pair.interior._rings == pair.interior._preimages == {}
         want = [repr(row) for row in unmemoized]
         for rows in (cold, primed, emptied):
             assert [repr(row) for row in rows] == want
@@ -499,17 +546,17 @@ class TestSharpnessRowMemos:
             first_hit = bundle("first_hit")  # parses it and fills the memos
             (maps,) = cli._PAIRS.values()
             interior = maps[0]
-            assert interior._rings and interior._collisions
+            assert interior._rings and interior._preimages
             primed = [bundle(f"primed_{k}") for k in range(2)]
             assert list(cli._PAIRS.values()) == [maps]
             interior._rings.clear()
-            interior._collisions.clear()
+            interior._preimages.clear()
             emptied = bundle("emptied")
             _unmemoized(monkeypatch)
             cli._PAIRS.clear()
             unmemoized = bundle("unmemoized")
             (maps,) = cli._PAIRS.values()
-            assert maps[0]._rings == maps[0]._collisions == {}
+            assert maps[0]._rings == maps[0]._preimages == {}
         finally:
             cli._CURVES.clear()
             cli._PAIRS.clear()
@@ -567,8 +614,14 @@ class TestSharpnessRowMemos:
                 build_transferred_extremal(curve, pair, [0.3], 0.5, u0)
             messages.add(str(got.value))
         assert len(messages) == 1
-        assert list(pair.interior._collisions) == [
-            np.complex128(-3.0 + 1.2j).tobytes()]
+        # the golden anchor's inversion failed (past the verified domain)
+        # and the colliding one's passed: the memo keeps each as it came,
+        # and the radius of the kept preimage raises again on every call
+        anchors = pair.interior._preimages
+        assert isinstance(anchors[np.complex128(-3.0 + 1.2j).tobytes()][0],
+                          str)
+        _, v = anchors[np.complex128(0.5).tobytes()]
+        assert abs(v[0]) < 1.0
 
     @pytest.mark.parametrize("anchor", [(-3.0, 0.0), (0.0, 3.0)])
     def test_signed_zero_anchors_give_the_same_bits(self, entries, anchor):
@@ -586,7 +639,8 @@ class TestSharpnessRowMemos:
                 rows.append((zeta0, _sweep(curve, pair, ring, [12],
                                            zeta0=zeta0)[0]))
             # the memo keys bits, so the two anchors are two entries
-            assert len(pair.interior._collisions) == 2
+            assert sum(np.complex128(z).tobytes() in pair.interior._preimages
+                       for z in signed) == 2
         for zeta0, row in rows:
             c, fresh = fresh_pair(entries)
             want = _sweep(c, fresh, ring, [12], zeta0=zeta0)[0]

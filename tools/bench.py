@@ -42,9 +42,10 @@ Map solves (work: the two sides of a pair, or the one map measured):
                      t = 0.3 (series on both sides); "trig166_refused",
                      e^{it} + (0.13913+0.18653i) e^{-3it} at t = 0, whose
                      interior series is unresolved at m = 8192: the time
-                     to the MapError.  Each call starts from an empty
-                     correspondence memo (conformal._correspondence, where
-                     the package has one), so every call solves
+                     to the MapError.  Every call solves: a package that
+                     keeps a process-wide correspondence memo
+                     (conformal._correspondence with cache_clear) has it
+                     emptied first
     _measure_margin  the sampled ladder walk on that ellipse's interior map
     map_from_json    a map-cache hit: parsing that ellipse pair's two
                      serialized entries (one per side) back into maps
@@ -93,8 +94,9 @@ sweep curve; the map pair is solved once, outside the timings):
                      zeta0 on the interior map, and "circle_cold" on
                      circle()'s at t = 0, where zeta0 lies past the
                      verified domain; each call empties the map's
-                     _collisions and _preimages memos first, as the first
-                     row of a sweep on a fresh map computes it
+                     _preimages memo first (and _collisions, in a package
+                     that has one), as the first row of a sweep on a fresh
+                     map computes it
     verify_ratio     10 seeded corpus functions (tests/helpers.py, seed
                      1729): "corpus" reuses the curve, anchor and map pair,
                      as a batch of items on one curve does; "corpus_cold"
@@ -120,11 +122,11 @@ and on every map (_preimages).  Every case above that reads one
 empties it before each call, so its label keeps timing
 the first computation; the same case with "/hit" appended repeats the call
 on the filled memo.  The sup_norm corpus cases name their side instead.
-The rows of a sharpness sweep keep two more memos on the interior map, the
-mapped rings per pole batch (_rings) and the collision check per zeta0
-(_collisions): principal_parts/golden_n20, the build_transferred_extremal
-cases and sharpness_sweep/golden_round read them filled, as every round of
-a sweep after its first does.
+The rows of a sharpness sweep keep one more memo on the interior map, the
+mapped rings per pole batch (_rings), and find their zeta0's inversion, or
+its failure, in _preimages: principal_parts/golden_n20, the
+build_transferred_extremal cases and sharpness_sweep/golden_round read
+them filled, as every round of a sweep after its first does.
 
 End to end, one case per shipped spec and one for start-up:
 
@@ -259,11 +261,11 @@ def build_cases(bb):
     curve = bb.ellipse(cfg["a"], cfg["b"])
     u0 = bb.boundary_point(curve, cfg["t"])
     pair = bb.solve_map_pair(curve, u0)
-    memo = getattr(bb.conformal, "_correspondence", None)
+    memo = getattr(bb.conformal._correspondence, "cache_clear", None)
 
     def solve(c, u):
         if memo is not None:
-            memo.cache_clear()
+            memo()
         return bb.solve_map_pair(c, u)
 
     def refused(c, u):
@@ -347,8 +349,9 @@ def build_cases(bb):
     unit_pair = bb.solve_map_pair(unit, bb.boundary_point(unit, 0.0))
 
     def clearance_cold(cmap):
-        return _emptied((cmap._collisions, cmap._preimages),
-                        lambda: bb.extremal._clearance(cmap, zeta0))
+        memos = tuple(getattr(cmap, name) for name in
+                      ("_collisions", "_preimages") if hasattr(cmap, name))
+        return _emptied(memos, lambda: bb.extremal._clearance(cmap, zeta0))
 
     rng = np.random.default_rng(DEFAULT_SEED)
     functions = [bb.make_rational([(t.location, t.coeffs) for t in f.terms],
