@@ -161,10 +161,15 @@ def _poly_eval(c, x):
     """sum_k c[k] x^k at every point of x, by baby-step giant-step
     (Paterson-Stockmeyer): the powers x^0..x^(L-1), L ~ sqrt(len(c)), one
     matrix product over the length-L coefficient blocks, then Horner in x^L
-    over the blocks.  About 2 sqrt(len(c)) array operations, not 2 len(c)."""
+    over the blocks.  About 2 sqrt(len(c)) array operations, not 2 len(c).
+    Both run on the points zero-padded to a multiple of 8, so that a point
+    rounds alike in every batch: BLAS rounds a product's tail columns by
+    their count, and numpy an in-place product of one element unfused."""
     c = np.asarray(c, dtype=complex)
     x = np.asarray(x, dtype=complex)
-    xs = x.ravel()
+    n = x.size
+    xs = np.zeros(-(-n // 8) * 8, dtype=complex)
+    xs[:n] = x.ravel()
     size = max(len(c), 1)
     step = math.isqrt(size - 1) + 1  # L = ceil(sqrt(len(c)))
     blocks = np.zeros((-(-size // step), step), dtype=complex)
@@ -179,7 +184,7 @@ def _poly_eval(c, x):
     for row in vals[-2::-1]:
         acc *= giant
         acc += row
-    return acc.reshape(x.shape)
+    return acc[:n].reshape(x.shape)
 
 
 def _core_eval(cmap, w):

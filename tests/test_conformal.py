@@ -1114,6 +1114,31 @@ class TestSeriesKernel:
         assert np.allclose(_poly_eval(c, x), horner_eval(c, x), rtol=1e-15)
         assert np.array_equal(_poly_eval([], x), np.zeros((2, 2)))
 
+    @settings(deadline=None, max_examples=40)
+    @given(side=st.sampled_from(["interior", "exterior"]),
+           size=st.integers(1, 200), start=st.floats(0, 1),
+           count=st.integers(1, 200), seed=st.integers(0, 2 ** 32 - 1))
+    @example(side="interior", size=33, start=0.0, count=3, seed=0)
+    def test_a_sub_batch_gives_the_full_batch_bits(self, ellipse_pair,
+                                                  trig_pair, side, size,
+                                                  start, count, seed):
+        # the series maps of the golden ellipse (inside) and of the trig
+        # curve (both sides) evaluate a point to the same bits in any batch
+        rng = np.random.default_rng(seed)
+        angles = np.exp(2j * np.pi * rng.random(size))
+        if side == "interior":
+            maps = (ellipse_pair[2].interior, trig_pair[2].interior)
+            v = 0.99 * np.sqrt(rng.random(size)) * angles
+        else:
+            maps = (trig_pair[2].exterior,)
+            v = rng.uniform(1.01, 4.0, size) * angles
+        lo = int(start * (size - 1))
+        hi = min(lo + count, size)
+        for cmap in maps:
+            for fn in (map_eval, map_derivative):
+                assert fn(cmap, v[lo:hi]).tobytes() == \
+                    fn(cmap, v)[lo:hi].tobytes()
+
 
 def _rung_is_univalent(cmap, d, rho_c):
     """The exact univalence test of a closed-form map on the rung |v| = 1 +- d.
