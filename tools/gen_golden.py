@@ -14,6 +14,10 @@ computations, so config and frozen values cannot drift apart.  The
 census records, for tools/census.py's family at seed 606, each curve
 (coefficients, kind, params, anchor t) and per side the refusal message,
 or the grid, delta and the first CENSUS_TERMS series coefficients.
+
+Before it replaces the sweep or the corpus table, the script prints each
+column's largest relative move against the committed file, so a run shows
+what it re-baselines.
 """
 
 import json
@@ -73,6 +77,26 @@ CORPUS_CONFIG = {
 }
 
 
+def print_moves(path, payload, key, fields):
+    """Print, for each field of the rows payload[key], its largest relative
+    move against the rows of the committed file at path, which payload is
+    about to replace, and the row it is in."""
+    if not os.path.exists(path):
+        print(f"  {path}: no committed table to compare")
+        return
+    with open(path, encoding="utf-8") as fh:
+        old = json.load(fh)
+    if (old["config"] != json.loads(json.dumps(payload["config"]))
+            or len(old[key]) != len(payload[key])):
+        print(f"  {path}: config or row count changed, moves not compared")
+        return
+    for field in fields:
+        move, row = max(
+            (abs(new[field] - was[field]) / (abs(was[field]) or 1.0), i)
+            for i, (was, new) in enumerate(zip(old[key], payload[key])))
+        print(f"  {field:12s} largest relative move {move:.2e} (row {row})")
+
+
 def gen_sweep():
     cfg = SWEEP_CONFIG
     curve = ellipse(cfg["a"], cfg["b"])
@@ -88,6 +112,8 @@ def gen_sweep():
              for r in rows]
     payload = {"config": cfg, "table": table}
     path = os.path.join(GOLDEN_DIR, "ellipse_sweep.json")
+    print_moves(path, payload, "table",
+                ("r_n", "bound", "sup_norm", "deriv_mod"))
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=1)
         fh.write("\n")
@@ -115,6 +141,7 @@ def gen_corpus():
     payload = {"config": cfg, "max_ratio": max_ratio,
                "max_rough_ratio": max_rough, "items": items}
     path = os.path.join(GOLDEN_DIR, "ratio_corpus.json")
+    print_moves(path, payload, "items", ("ratio", "rough_ratio"))
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=1)
         fh.write("\n")
