@@ -12,10 +12,9 @@ about, the exterior as the interior of the inverted boundary 1/(u - z_c).
 One Nystrom solve of the Kerzman-Stein equation for the Szego kernel S on
 the curve-parameter grid (N. Kerzman and M. R. Trummer, J. Comput. Appl.
 Math. 14 (1986)) gives the boundary correspondence, theta'(t) ~ |S|^2
-|gamma'| (_correspondence), once a side.  Newton on it finds the t of each
-disk angle of a grid; the series tail decides, on the grids of _GRIDS in
-turn, until it is at most _TAIL_TOL ("series unresolved" past the last,
-the one refusal).
+|gamma'| (_correspondence).  Newton on it finds the t of each disk angle of
+a grid; the series tail decides, on the grids of _GRIDS in turn, until it
+is at most _TAIL_TOL ("series unresolved" past the last, the one refusal).
 Circles get the exact linear map on both sides, the ellipse exterior the
 Joukowski-type closed form.  map_invert and the anchor solve each core for
 w: closed forms exactly, series cores by the argument principle on the
@@ -33,7 +32,7 @@ replace() or map_from_dict starts a map with an empty memo.
 
 Every map, closed forms too, memoizes map_invert's answers (_preimages):
 the key is the exact finite target batch (target.tobytes(), not a single
-point, since the series kernel's product rounds a point differently by
+point, since the contour sum's product rounds a point differently by
 batch size), the value the read-only accepted (w, v), or the message and
 residual of the batch's failed check.  Only a batch of at most _MEMO_CAP
 (64) points is kept; a map keeps at most _MEMO_CAP batches and drops the
@@ -42,8 +41,7 @@ An accepted hit skips the inverse (the contour sum or the closed form) and
 the prefix inverse but takes its residual again, by one evaluation
 (map_eval at v inside a series map, the core at w on a closed form and
 outside a series map, where v near the pole rounds like |u|), and passes
-the same check as a cold call.  So a sharpness row's clearance check of
-its anchor zeta0 (extremal._clearance) runs once per map and zeta0.
+the same check as a cold call.
 
 Every map also keeps _rings, principal_parts' memo for the rows of a
 sharpness sweep, which evaluate the same geometry again: the key is the
