@@ -19,11 +19,11 @@ import pytest
 from bernbound import (INFINITY, MapPair, blaschke_eval, boundary_point,
                        build_transferred_extremal, circle, circular_arc,
                        classify_poles, cluster_points, conformal, ellipse,
-                       eval_curve, extremal, make_rational, map_derivative,
-                       map_eval, map_from_json, map_invert, map_to_dict,
-                       map_to_json, poles_of, principal_parts, ratfun, rf_eval,
-                       sample_grid, segment_arc, sharpness_sweep,
-                       solve_map_pair, sup_norm, trig_curve, verify_ratio)
+                       eval_curve, make_rational, map_derivative, map_eval,
+                       map_from_json, map_invert, map_to_dict, map_to_json,
+                       poles_of, principal_parts, ratfun, rf_eval, sample_grid,
+                       segment_arc, sharpness_sweep, solve_map_pair, sup_norm,
+                       trig_curve, verify_ratio)
 import bernbound.cli as cli
 from bernbound.curves import _MEMO_CAP
 from bernbound.errors import (CurveError, ExtremalError, MapInvertError,
